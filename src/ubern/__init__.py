@@ -21,6 +21,7 @@ from .bernoulli import (
     tau,
     tau_padic,
     tau_valuation,
+    tau_valuations_below,
     write_coefficient_cache,
 )
 from .congruences import (

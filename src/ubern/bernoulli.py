@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -19,6 +20,7 @@ from .padic import (
     INFINITY,
     PadicScalar,
     factorial_unit_mod,
+    is_prime,
     vp,
     vp_factorial,
     vp_int,
@@ -40,6 +42,7 @@ __all__ = [
     "tau",
     "tau_padic",
     "tau_valuation",
+    "tau_valuations_below",
     "write_coefficient_cache",
 ]
 
@@ -83,6 +86,73 @@ def tau_valuation(p: int, u: Partition) -> int:
             v -= mult * vp_int(p, part + 1)
         v -= vp_factorial(p, mult)
     return v
+
+
+def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, int]]:
+    """(u, tau_valuation(p, u)) for every partition u of n with v < k.
+
+    Yields in enumerate_partitions order, by an exact branch-and-bound.
+    Writing v = v((n+d-2)!) - sum_i [u_i v(i+1) + v(u_i!)], the per-part
+    gains are separable, so best[cap][r][dd] -- the largest total gain of
+    any partition of r into exactly dd parts, each <= cap -- is a knapsack
+    table built once per call.  The walk picks the largest part first,
+    multiplicity descending, and cuts a subtree only when no completion
+    can fall below k; the bound is tight, so it visits almost nothing
+    besides what it yields.
+    """
+    if not is_prime(p):
+        raise PreconditionError(f"p must be prime, got {p!r}")
+    if not isinstance(n, int) or n < 1:
+        raise PreconditionError(f"n must be a positive integer, got {n!r}")
+    vfact = [0] * (max(2 * n - 2, n) + 1)
+    for i in range(1, len(vfact)):
+        vfact[i] = vfact[i - 1] + (vp_int(p, i) if i % p == 0 else 0)
+    vsucc = [0] + [vp_int(p, i + 1) if (i + 1) % p == 0 else 0 for i in range(1, n + 1)]
+
+    def gain(part: int, mult: int) -> int:
+        return mult * vsucc[part] + vfact[mult]
+
+    # best[c][r][dd]; -inf marks a (c, r, dd) that no partition realizes
+    best = [[[0]] + [[-math.inf] * (r + 1) for r in range(1, n + 1)]]
+    for c in range(1, n + 1):
+        prev = best[-1]
+        row = []
+        for r in range(n + 1):
+            cur = list(prev[r])
+            for m in range(1, r // c + 1):
+                g = gain(c, m)
+                rest = r - c * m
+                src = prev[rest]
+                # fewer than ceil(rest/(c-1)) parts <= c-1 cannot make rest
+                lo = -(-rest // (c - 1)) if c > 1 else rest
+                for dd in range(lo, rest + 1):
+                    if src[dd] + g > cur[dd + m]:
+                        cur[dd + m] = src[dd] + g
+            row.append(cur)
+        best.append(row)
+
+    def floor(cap: int, r: int, d: int) -> int | float:
+        # least v_p(tau(u)) + gain so far, over completions of r into parts
+        # <= cap after d parts
+        return min(vfact[n + d + dd - 2] - b for dd, b in enumerate(best[cap][r]))
+
+    def walk(r, cap, d, s, tail):
+        for part in range(min(cap, r), 0, -1):
+            if floor(part, r, d) - s >= k:
+                break  # a smaller cap only raises the floor
+            for mult in range(r // part, 0, -1):
+                rest = r - part * mult
+                d2 = d + mult
+                s2 = s + gain(part, mult)
+                pairs = ((part, mult),) + tail
+                if rest == 0:
+                    v = vfact[n + d2 - 2] - s2
+                    if v < k:
+                        yield Partition._raw(pairs), v
+                elif floor(part - 1, rest, d2) - s2 < k:
+                    yield from walk(rest, part - 1, d2, s2, pairs)
+
+    yield from walk(n, n, 0, 0, ())
 
 
 def tau_padic(p: int, u: Partition, k: int) -> PadicScalar:
@@ -310,8 +380,21 @@ def poly_cache_lines(poly: SparsePoly) -> Iterator[str]:
 
 
 def write_coefficient_cache(path: Path, poly: SparsePoly) -> None:
+    """Write the cache file atomically.
+
+    The lines go to a fresh temporary file in the same directory, which
+    then replaces path in one rename, so a write that fails part-way
+    leaves neither a partial cache file nor the temporary behind.
+    """
     path = Path(path)
-    path.write_text("\n".join(poly_cache_lines(poly)) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            for line in poly_cache_lines(poly):
+                f.write(line + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_coefficient_cache(path: Path, n: int) -> SparsePoly:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .bernoulli import (
     DEFAULT_N_CEILING,
@@ -26,6 +25,7 @@ from .bernoulli import (
     format_rational,
     tau,
     tau_valuation,
+    tau_valuations_below,
 )
 from .errors import CeilingExceeded, PreconditionError
 from .padic import (
@@ -187,34 +187,30 @@ def _padic_congruence_report(
 ) -> CongruenceReport:
     """Check divided_ubern(n) against rhs mod p**k on the p-adic fast path.
 
-    Coefficient valuations come from base-p digit sums; unit residues are
-    produced from incremental unit-factorial tables, and only for the few
-    monomials whose valuation falls below k or that carry an explicit
-    right-hand side.  No large factorial is ever materialized.
+    A monomial can break the congruence only if v_p(tau(u)) < k or the
+    right-hand side has a term at u.  The first set comes from the exact
+    branch-and-bound walk tau_valuations_below, which never visits the
+    bulk of the p(n) partitions; right-hand-side keys of weight n are
+    merged in with their own valuations, and the small list is put in
+    canonical order.  Unit residues come from incremental unit-factorial
+    tables; no large factorial is ever materialized.  Since k >= 1, every
+    partition with a negative valuation is in the walk, so vmin and the
+    working precision are those of the full polynomial.
     """
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     rhs_map = dict(rhs.items())
 
-    top = 2 * n - 2
-    vfact = [0] * (top + 1)
-    for i in range(1, top + 1):
-        vfact[i] = vfact[i - 1] + (vp_int(p, i) if i % p == 0 else 0)
-
-    entries: list[tuple[Partition, int]] = []
-    vmin = 0
-    for u in enumerate_partitions(n):
-        v = vfact[n + u.degree - 2] - _gamma_vp(p, u)
-        entries.append((u, v))
-        if v < vmin:
-            vmin = v
-    for c in rhs_map.values():
-        v = vp(p, c)
-        if v < vmin:
-            vmin = v
+    low = dict(tau_valuations_below(p, n, k))
+    for u in rhs_map:
+        if u.weight == n and u not in low:
+            low[u] = tau_valuation(p, u)
+    entries = sorted(low.items(), key=lambda e: e[0].sort_key())
+    vmin = min([0, *low.values(), *(vp(p, c) for c in rhs_map.values())])
 
     precision = k - vmin
     m = p**precision
+    top = 2 * n - 2
     ufact = [1] * (top + 1)
     acc = 1
     for i in range(1, top + 1):
@@ -718,10 +714,3 @@ def check_lemma_4_7(n_max: int) -> CongruenceReport:
                 failures.append(CongruenceFailure(u, str(v), str(bound), v - bound))
     context = {"lemma": "4.7", "n_max": n_max, "checked": checked}
     return CongruenceReport(not failures, 2, 1, context, failures)
-
-
-VERIFIERS: dict[str, Callable[..., CongruenceReport]] = {
-    "3.5": verify_theorem_3_5,
-    "4.8": verify_theorem_4_8,
-    "4.9": verify_theorem_4_9,
-}

@@ -16,8 +16,10 @@ from ubern.bernoulli import (
     tau,
     tau_padic,
     tau_valuation,
+    tau_valuations_below,
     write_coefficient_cache,
 )
+import ubern.bernoulli as bernoulli
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
 from ubern.padic import INFINITY, PadicScalar, vp
 from ubern.partitions import Partition, count_partitions, enumerate_partitions
@@ -207,3 +209,47 @@ def test_cache_rejects_corruption(tmp_path: Path):
     (tmp_path / "weight.jsonl").write_text("\n".join(wrong_weight) + "\n")
     with pytest.raises(CacheError):
         read_coefficient_cache(tmp_path / "weight.jsonl", 7)
+
+
+def test_tau_valuations_below_matches_full_filter():
+    # the pruned walk is exact: same partitions, same valuations, same order
+    for n in range(1, 33):
+        parts = list(enumerate_partitions(n))
+        for p in (2, 3, 5, 7):
+            vals = [(u, tau_valuation(p, u)) for u in parts]
+            for k in range(1, 7):
+                want = [(u, v) for u, v in vals if v < k]
+                assert list(tau_valuations_below(p, n, k)) == want, (p, n, k)
+
+
+def test_tau_valuations_below_guards():
+    with pytest.raises(PreconditionError):
+        list(tau_valuations_below(2, 0, 1))
+    with pytest.raises(PreconditionError):
+        list(tau_valuations_below(4, 10, 1))
+
+
+def test_cache_write_is_atomic(tmp_path: Path, monkeypatch):
+    path = tmp_path / "ubern_9.jsonl"
+    real_lines = bernoulli.poly_cache_lines
+
+    def failing_lines(poly):
+        lines = real_lines(poly)
+        yield next(lines)
+        yield next(lines)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bernoulli, "poly_cache_lines", failing_lines)
+    with pytest.raises(OSError, match="disk full"):
+        write_coefficient_cache(path, divided_ubern(9))
+    assert list(tmp_path.iterdir()) == []
+
+    # a failed overwrite keeps the previous file byte for byte
+    monkeypatch.setattr(bernoulli, "poly_cache_lines", real_lines)
+    write_coefficient_cache(path, divided_ubern(9))
+    before = path.read_bytes()
+    monkeypatch.setattr(bernoulli, "poly_cache_lines", failing_lines)
+    with pytest.raises(OSError, match="disk full"):
+        write_coefficient_cache(path, divided_ubern(9))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

@@ -4,6 +4,7 @@ import pytest
 
 from ubern.bernoulli import classical_bernoulli, divided_ubern, tau, tau_valuation
 from ubern.congruences import (
+    _verify_against_ubern,
     CongruenceReport,
     check_corollary_3_4,
     check_lemma_4_6,
@@ -20,7 +21,7 @@ from ubern.congruences import (
     verify_theorem_4_9,
     z_func,
 )
-from ubern.bernoulli import SparsePoly
+from ubern.bernoulli import DEFAULT_N_CEILING, SparsePoly
 from ubern.errors import PreconditionError
 from ubern.padic import double_factorial, vp
 from ubern.partitions import Partition
@@ -265,3 +266,37 @@ def test_reports_agree_discriminates():
     a = verify_theorem_3_5(3, 3, 3)
     b = verify_theorem_3_5(3, 3, 3, perturb=True)
     assert not reports_agree(a, b)
+
+
+BOUNDARY_CASES = {
+    "3.5 (3,3,3)": (lambda: verify_theorem_3_5(3, 3, 3), lambda: rhs_theorem_3_5(3, 3, 3)),
+    "4.8 n=12": (lambda: verify_theorem_4_8(12), lambda: rhs_theorem_4_8(12)[0]),
+    "4.9 (7,1,3)": (lambda: verify_theorem_4_9(7, 1, 3), lambda: rhs_theorem_4_9(7, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+def test_boundary_mutations_on_both_backends(case):
+    # moving one right-hand-side coefficient by p**(k-1) must break the
+    # congruence at exactly that monomial; moving it by p**k must not
+    verify, build = BOUNDARY_CASES[case]
+    base = verify()
+    assert base.holds
+    p, k, n = base.prime, base.mod_exp, base.context["n"]
+    rhs = build()
+    for u, _ in rhs.items():
+        for shift, holds in ((p ** (k - 1), False), (p**k, True)):
+            mutated = rhs.add_term(u, shift)
+            exact, padic = (
+                _verify_against_ubern(n, mutated, p, k, {}, backend, DEFAULT_N_CEILING)
+                for backend in ("exact", "padic")
+            )
+            assert reports_agree(exact, padic), (case, u, shift)
+            assert exact.holds is holds, (case, u, shift)
+            if not holds:
+                assert [(f.u, f.vp_diff) for f in exact.failures] == [(u, k - 1)]
+                # the padic evidence is tau(u) itself, to working precision,
+                # even where v_p(tau(u)) >= k kept u out of the pruned walk
+                lhs = Fraction(padic.failures[0].lhs)
+                assert vp(p, lhs) == vp(p, tau(u))
+                assert vp(p, lhs - tau(u)) >= k

@@ -191,3 +191,34 @@ def test_padic_scalar_precision_combination():
     shifted = PadicScalar.from_rational(3, 9 * 7, 2)
     # adding a higher-valuation term keeps the base precision window
     assert (a + shifted).precision == min(5, 2 + shifted.valuation - a.valuation)
+
+
+def test_padic_scalar_division_against_fractions():
+    rng = random.Random(29)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        k1, k2 = rng.randrange(1, 7), rng.randrange(1, 7)
+        q1, q2 = (
+            Fraction(sign * rng.randrange(1, 60), rng.randrange(1, 60))
+            * Fraction(p) ** rng.randrange(-3, 4)
+            for sign in (1, -1)
+        )
+        quot = PadicScalar.from_rational(p, q1, k1) / PadicScalar.from_rational(p, q2, k2)
+        assert quot.precision == min(k1, k2)
+        assert quot.valuation == vp(p, q1) - vp(p, q2)
+        assert quot.agrees_with(PadicScalar.from_rational(p, q1 / q2, quot.precision))
+
+
+def test_padic_scalar_division_edges():
+    a = PadicScalar.from_rational(3, Fraction(2, 9), 4)
+    b = PadicScalar.from_rational(3, 45, 2)
+    quot = a / b
+    assert (quot.valuation, quot.precision) == (-4, 2)
+    assert quot.agrees_with(PadicScalar.from_rational(3, Fraction(2, 405), 2))
+    zero = PadicScalar.zero(3, 5)
+    q0 = zero / b
+    assert q0.is_zero and q0.precision == 2
+    with pytest.raises(ZeroDivisionError):
+        a / zero
+    with pytest.raises(ZeroDivisionError):
+        zero / zero

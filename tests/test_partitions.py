@@ -170,3 +170,15 @@ def test_sort_key_orders_like_enumeration():
     for n in (5, 8):
         seen = list(enumerate_partitions(n))
         assert seen == sorted(seen, key=Partition.sort_key)
+
+
+def test_enumeration_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy.utilities.iterables import partitions
+
+    for n in range(1, 21):
+        ours = set(enumerate_partitions(n))
+        # sympy reuses one dict per step, so each one is copied
+        theirs = {Partition(dict(d)) for d in partitions(n)}
+        assert ours == theirs
+        assert len(ours) == count_partitions(n)
