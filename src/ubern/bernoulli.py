@@ -200,7 +200,8 @@ class SparsePoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         d: dict[Partition, Fraction] = {}
         for u, c in items:
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if not c:
                 continue
             if weight_tag is not None and u.weight != weight_tag:
@@ -242,25 +243,22 @@ class SparsePoly:
     def _merged_tag(self, other: "SparsePoly") -> int | None:
         return self.weight_tag if self.weight_tag == other.weight_tag else None
 
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
+    def _combined(self, other: "SparsePoly", sign: int) -> "SparsePoly":
+        # self + sign * other, dropping the keys that cancel
         d = dict(self._terms)
         for u, c in other._terms.items():
-            s = d.get(u, Fraction(0)) + c
+            s = d.get(u, 0) + sign * c
             if s:
                 d[u] = s
             else:
                 d.pop(u, None)
         return SparsePoly(d, self._merged_tag(other))
 
+    def __add__(self, other: "SparsePoly") -> "SparsePoly":
+        return self._combined(other, 1)
+
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        d = dict(self._terms)
-        for u, c in other._terms.items():
-            s = d.get(u, Fraction(0)) - c
-            if s:
-                d[u] = s
-            else:
-                d.pop(u, None)
-        return SparsePoly(d, self._merged_tag(other))
+        return self._combined(other, -1)
 
     def scale(self, c: Fraction | int) -> "SparsePoly":
         c = Fraction(c)

@@ -45,6 +45,12 @@ EXIT_CACHE = 3
 
 _MAX_TEXT_ITEMS = 20
 
+# range bounds of the lemma sweeps: each --x-max flag reaches run_sweep
+# as the keyword x_max
+_LEMMA_BOUND_FLAGS = (
+    "k-max", "a-max", "i-max", "n-max", "m-max", "l-max", "q-max", "r-max", "e-max", "s-max",
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -84,9 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma", help="sweep one supporting identity family")
     p.add_argument("--name", type=str, required=True)
-    for flag in ("k-max", "a-max", "i-max", "n-max", "m-max", "l-max", "q-max", "r-max", "e-max"):
+    for flag in _LEMMA_BOUND_FLAGS:
         p.add_argument(f"--{flag}", type=int, default=None)
-    p.add_argument("--s-max", type=int, default=None)
     add_common(p, ceiling=False)
 
     p = sub.add_parser("classical", help="check the classical Bernoulli specialization")
@@ -229,11 +234,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
     overrides = {}
-    for flag in ("k_max", "a_max", "i_max", "n_max", "m_max", "l_max",
-                 "q_max", "r_max", "e_max", "s_max"):
-        value = getattr(args, flag, None)
+    for flag in _LEMMA_BOUND_FLAGS:
+        name = flag.replace("-", "_")
+        value = getattr(args, name)
         if value is not None:
-            overrides[flag] = value
+            overrides[name] = value
     result = run_sweep(args.name, **overrides)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))

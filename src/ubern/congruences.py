@@ -23,6 +23,7 @@ from .bernoulli import (
     classical_bernoulli,
     divided_ubern,
     format_rational,
+    parse_rational,
     tau,
     tau_valuation,
     tau_valuations_below,
@@ -124,13 +125,33 @@ class CongruenceReport:
 
 
 def reports_agree(a: CongruenceReport, b: CongruenceReport) -> bool:
-    """Same verdict and same failure evidence (keys and valuations)."""
+    """Same verdict and same failure evidence.
+
+    Failures must match one for one in key, valuation and right-hand
+    side, and their left-hand sides must agree as p-adic numbers: the
+    padic backend reports tau(u) to k - vmin >= k digits past v_p(tau(u)),
+    so a correct pair agrees mod p**(k + max(0, v_p(lhs))).  A left-hand
+    side that is missing (0/1) where the other is tau(u) != 0 fails this
+    whatever v_p(tau(u)) is.
+    """
     return (
         a.holds == b.holds
         and a.prime == b.prime
         and a.mod_exp == b.mod_exp
-        and [(f.u, f.vp_diff) for f in a.failures] == [(f.u, f.vp_diff) for f in b.failures]
+        and len(a.failures) == len(b.failures)
+        and all(
+            fa.u == fb.u
+            and fa.vp_diff == fb.vp_diff
+            and fa.rhs == fb.rhs
+            and _lhs_agree(a.prime, a.mod_exp, fa.lhs, fb.lhs)
+            for fa, fb in zip(a.failures, b.failures)
+        )
     )
+
+
+def _lhs_agree(p: int, k: int, x: str, y: str) -> bool:
+    qx, qy = parse_rational(x), parse_rational(y)
+    return vp(p, qx - qy) >= k + max(0, min(vp(p, qx), vp(p, qy)))
 
 
 def _require_prime(p: int) -> None:
@@ -156,23 +177,33 @@ def _gamma_vp(p: int, u: Partition) -> int:
 def poly_congruent(
     A: SparsePoly, B: SparsePoly, p: int, k: int, *, context: dict | None = None
 ) -> CongruenceReport:
-    """Coefficient-wise check that v_p of every coefficient of A - B is >= k."""
+    """Coefficient-wise check that v_p of every coefficient of A - B is >= k.
+
+    For a rational in lowest terms and k >= 1, v_p >= k holds exactly when
+    p**k divides the numerator (a zero difference included), so each
+    monomial costs one integer remainder: the terms of A are walked once,
+    differenced against B where B has the key, then the keys only in B.
+    vp is computed for the failures alone, and only the failure list is
+    put in canonical order; keys are distinct, so that is the order of
+    the sorted union of both key sets.
+    """
     _require_prime(p)
     if k < 1:
         raise PreconditionError("modulus exponent k must be >= 1")
+    modulus = p**k
+    a_terms = A._terms
+    b_terms = B._terms
     failures = []
-    keys = sorted(set(A.keys()) | set(B.keys()), key=Partition.sort_key)
-    for u in keys:
-        a = A.get(u)
-        b = B.get(u)
-        diff = a - b
-        if not diff:
-            continue
-        v = vp(p, diff)
-        if v < k:
-            failures.append(
-                CongruenceFailure(u, format_rational(a), format_rational(b), v)
-            )
+    for u, a in a_terms.items():
+        b = b_terms.get(u)
+        diff = a if b is None else a - b
+        if diff.numerator % modulus:
+            rhs = "0/1" if b is None else format_rational(b)
+            failures.append(CongruenceFailure(u, format_rational(a), rhs, vp(p, diff)))
+    for u, b in b_terms.items():
+        if u not in a_terms and b.numerator % modulus:
+            failures.append(CongruenceFailure(u, "0/1", format_rational(b), vp(p, b)))
+    failures.sort(key=lambda f: f.u.sort_key())
     return CongruenceReport(not failures, p, k, context or {}, failures)
 
 

@@ -114,25 +114,6 @@ class Partition:
         return "Partition({%s})" % body
 
 
-def _runs(n: int, cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # (part, mult) runs with parts strictly decreasing, emitted in
-    # descending-lexicographic order of the expanded part list
-    if n == 0:
-        yield ()
-        return
-    if cap > n:
-        cap = n
-    for part in range(cap, 0, -1):
-        for mult in range(n // part, 0, -1):
-            rest = n - part * mult
-            if rest == 0:
-                yield ((part, mult),)
-            else:
-                head = ((part, mult),)
-                for tail in _runs(rest, part - 1):
-                    yield head + tail
-
-
 def _runs_bounded(n: int, cap: int, budget: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 0:
         yield ()
@@ -162,8 +143,32 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise PreconditionError("weight must be nonnegative")
-    for runs in _runs(n, n):
-        yield Partition._raw(tuple(reversed(runs)))
+    if n == 0:
+        yield Partition._raw(())
+        return
+    # (part, mult) runs, parts strictly decreasing.  The successor pops the
+    # trailing 1s, takes one copy off the smallest part > 1, and refills
+    # that part plus the popped 1s as copies of part - 1 and, if anything
+    # is left, one smaller part.
+    raw = Partition._raw
+    runs = [(n, 1)]
+    while True:
+        yield raw(tuple(reversed(runs)))
+        part, mult = runs.pop()
+        rest = 0
+        if part == 1:
+            if not runs:
+                return
+            rest = mult
+            part, mult = runs.pop()
+        if mult > 1:
+            runs.append((part, mult - 1))
+        rest += part
+        part -= 1
+        q, r = divmod(rest, part)
+        runs.append((part, q))
+        if r:
+            runs.append((r, 1))
 
 
 def enumerate_partitions_bounded(n: int, max_degree: int) -> Iterator[Partition]:

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,10 +23,10 @@ from ubern.congruences import (
     verify_theorem_4_9,
     z_func,
 )
-from ubern.bernoulli import DEFAULT_N_CEILING, SparsePoly
+from ubern.bernoulli import DEFAULT_N_CEILING, SparsePoly, format_rational
 from ubern.errors import PreconditionError
 from ubern.padic import double_factorial, vp
-from ubern.partitions import Partition
+from ubern.partitions import Partition, enumerate_partitions
 
 
 def test_z_func_examples():
@@ -72,6 +74,65 @@ def test_poly_congruent_symmetry_and_monotonicity():
         assert fwd.holds == rev.holds
     assert poly_congruent(a, b, 3, 3).holds
     assert not poly_congruent(a, b, 3, 4).holds
+
+
+def _poly_congruent_reference(A, B, p, k):
+    # the sorted-union loop: every key of either side, in canonical order,
+    # differenced and valued with vp
+    failures = []
+    for u in sorted(set(A.keys()) | set(B.keys()), key=Partition.sort_key):
+        a, b = A.get(u), B.get(u)
+        diff = a - b
+        if diff and vp(p, diff) < k:
+            failures.append((u, format_rational(a), format_rational(b), vp(p, diff)))
+    return failures
+
+
+def _random_pair(rng, p, k):
+    n = rng.randrange(5, 13)
+    keys = list(enumerate_partitions(n))
+    rng.shuffle(keys)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 200), rng.choice((1, 2, 3, 7, p, p * p)))
+
+    A, B = {}, {}
+    # the first six keys take one case each, the rest a random one
+    for i, u in enumerate(keys[: rng.randrange(6, 25)]):
+        case = i if i < 6 else rng.randrange(6)
+        a = coeff()
+        if case == 0:  # only in A
+            A[u] = a
+        elif case == 1:  # only in B
+            B[u] = a
+        elif case == 2:  # exact cancellation
+            A[u] = B[u] = a
+        elif case == 3:  # a move across or onto the modulus boundary
+            A[u], B[u] = a, a + rng.choice((p ** (k - 1), p**k, 2 * p**k))
+        elif case == 4:  # a non-p-integral difference
+            A[u], B[u] = a, a + Fraction(rng.choice((-1, 1)), p)
+        else:
+            A[u], B[u] = a, coeff()
+    # keys of another weight, only in B: one failing, one holding
+    shifted = [u.merged({1: 1}) for u in keys[:2]]
+    B[shifted[0]] = Fraction(1)
+    B[shifted[1]] = Fraction(p**k)
+    return SparsePoly(A, weight_tag=n), SparsePoly(B)
+
+
+def test_poly_congruent_matches_sorted_union_reference():
+    rng = random.Random(20260)
+    for _ in range(150):
+        p = rng.choice((2, 3, 5))
+        k = rng.randrange(1, 5)
+        A, B = _random_pair(rng, p, k)
+        for lhs, rhs in ((A, B), (B, A)):
+            expected = _poly_congruent_reference(lhs, rhs, p, k)
+            report = poly_congruent(lhs, rhs, p, k)
+            assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in report.failures] == expected
+            assert report.holds is (not expected)
+        assert any(v < 0 for *_, v in expected)
+        assert any(u.weight != A.weight_tag for u, *_ in expected)
 
 
 def test_report_json_shape():
@@ -253,11 +314,11 @@ def test_backends_agree_small():
         (verify_theorem_3_5(3, 3, 3), verify_theorem_3_5(3, 3, 3, backend="padic")),
         (verify_theorem_4_8(12), verify_theorem_4_8(12, backend="padic")),
         (verify_theorem_4_9(7, 1, 3), verify_theorem_4_9(7, 1, 3, backend="padic")),
-        (
-            verify_theorem_4_8(12, perturb=True),
-            verify_theorem_4_8(12, backend="padic", perturb=True),
-        ),
     ]
+    # the three mutation controls
+    for verify, args in ((verify_theorem_3_5, (5, 1, 5)), (verify_theorem_4_8, (12,)),
+                         (verify_theorem_4_9, (7, 1, 3))):
+        pairs.append((verify(*args, perturb=True), verify(*args, backend="padic", perturb=True)))
     for exact, padic in pairs:
         assert reports_agree(exact, padic)
 
@@ -266,6 +327,33 @@ def test_reports_agree_discriminates():
     a = verify_theorem_3_5(3, 3, 3)
     b = verify_theorem_3_5(3, 3, 3, perturb=True)
     assert not reports_agree(a, b)
+
+
+@pytest.mark.parametrize("u, v", [(Partition({1: 8, 4: 1}), 1), (Partition({1: 4, 2: 1, 3: 2}), 3)])
+def test_reports_agree_checks_failure_evidence(u, v):
+    # 4.8 at n = 12 is a mod-8 congruence; moving the right-hand side at u
+    # by 4 fails there, with tau(u) as the left-hand evidence.  A report
+    # whose lhs lost tau(u) (0/1) must be rejected, also where
+    # v_2(tau(u)) = 3 >= k keeps 0/1 and tau(u) congruent mod 8
+    assert tau_valuation(2, u) == v
+    rhs = rhs_theorem_4_8(12)[0].add_term(u, 4)
+    exact, padic = (
+        _verify_against_ubern(12, rhs, 2, 3, {}, backend, DEFAULT_N_CEILING)
+        for backend in ("exact", "padic")
+    )
+    assert reports_agree(exact, padic)
+    [failure] = padic.failures
+    assert failure.u == u
+
+    def with_failure(f):
+        return CongruenceReport(padic.holds, padic.prime, padic.mod_exp, {}, [f])
+
+    assert reports_agree(exact, with_failure(failure))
+    assert not reports_agree(exact, with_failure(replace(failure, lhs="0/1")))
+    assert not reports_agree(with_failure(replace(failure, lhs="0/1")), exact)
+    # a right-hand side that differs only by p**k is other evidence
+    moved = format_rational(Fraction(failure.rhs) + 8)
+    assert not reports_agree(exact, with_failure(replace(failure, rhs=moved)))
 
 
 BOUNDARY_CASES = {

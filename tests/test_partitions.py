@@ -57,11 +57,31 @@ def test_enumerate_weight_four_order():
 
 
 def test_enumeration_matches_euler_counts():
-    for n in range(26):
+    for n in range(41):
         seen = list(enumerate_partitions(n))
         assert len(seen) == count_partitions(n)
-        assert len(set(seen)) == len(seen)
         assert all(u.weight == n for u in seen)
+        # strictly increasing keys: canonical order, and no repeats
+        keys = [u.sort_key() for u in seen]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _reference_runs(n, cap):
+    # recursive reference: (part, mult) runs, parts strictly decreasing, in
+    # descending-lexicographic order of the expanded part list
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(cap, n), 0, -1):
+        for mult in range(n // part, 0, -1):
+            for tail in _reference_runs(n - part * mult, part - 1):
+                yield ((part, mult),) + tail
+
+
+def test_enumeration_matches_recursive_reference():
+    for n in range(26):
+        got = [u.pairs for u in enumerate_partitions(n)]
+        assert got == [tuple(reversed(runs)) for runs in _reference_runs(n, n)]
 
 
 def test_enumeration_is_descending_lex():
