@@ -28,8 +28,6 @@ from .congruences import (
     CongruenceFailure,
     CongruenceReport,
     check_corollary_3_4,
-    check_lemma_4_6,
-    check_lemma_4_7,
     poly_congruent,
     reports_agree,
     rhs_theorem_3_5,

@@ -19,8 +19,8 @@ from .errors import CacheError, CeilingExceeded, PreconditionError
 from .padic import (
     INFINITY,
     PadicScalar,
-    factorial_unit_mod,
-    is_prime,
+    _require_prime,
+    _unit_factorials,
     vp,
     vp_factorial,
     vp_int,
@@ -74,18 +74,21 @@ def tau(u: Partition) -> Fraction:
     return Fraction(num, gamma(u))
 
 
+def _gamma_valuation(p: int, u: Partition) -> int:
+    """v_p(gamma(u)) = sum_i [u_i v_p(i+1) + v_p(u_i!)] from digit sums."""
+    v = 0
+    for part, mult in u:
+        if (part + 1) % p == 0:
+            v += mult * vp_int(p, part + 1)
+        v += vp_factorial(p, mult)
+    return v
+
+
 def tau_valuation(p: int, u: Partition) -> int:
     """v_p(tau(u)) from digit sums alone; no factorial is formed."""
     if not u:
         raise PreconditionError("tau needs a nonempty partition")
-    n = u.weight
-    d = u.degree
-    v = vp_factorial(p, n + d - 2)
-    for part, mult in u:
-        if (part + 1) % p == 0:
-            v -= mult * vp_int(p, part + 1)
-        v -= vp_factorial(p, mult)
-    return v
+    return vp_factorial(p, u.weight + u.degree - 2) - _gamma_valuation(p, u)
 
 
 def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, int]]:
@@ -100,8 +103,7 @@ def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, in
     can fall below k; the bound is tight, so it visits almost nothing
     besides what it yields.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p!r}")
+    _require_prime(p)
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
     vfact = [0] * (max(2 * n - 2, n) + 1)
@@ -155,31 +157,35 @@ def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, in
     yield from walk(n, n, 0, 0, ())
 
 
+def _tau_unit(p: int, u: Partition, ufact: list[int], m: int) -> int:
+    """Unit part of tau(u) mod m = p**k.
+
+    ufact is _unit_factorials(p, top, k) with top >= weight + degree - 2
+    and top >= every multiplicity of u.
+    """
+    gunit = 1
+    for part, mult in u:
+        base = part + 1
+        if base % p == 0:
+            base //= p ** vp_int(p, base)
+        gunit = gunit * pow(base % m, mult, m) % m
+        gunit = gunit * ufact[mult] % m
+    unit = ufact[u.weight + u.degree - 2] * pow(gunit, -1, m) % m
+    if u.degree % 2 == 0:
+        unit = (m - unit) % m
+    return unit
+
+
 def tau_padic(p: int, u: Partition, k: int) -> PadicScalar:
     """tau(u) as a PadicScalar at relative precision k (fast path)."""
     if not u:
         raise PreconditionError("tau needs a nonempty partition")
     if k < 1:
         raise PreconditionError("precision k must be >= 1")
-    n = u.weight
-    d = u.degree
-    m = p**k
-    v = vp_factorial(p, n + d - 2)
-    unit = factorial_unit_mod(p, n + d - 2, k)
-    gunit = 1
-    for part, mult in u:
-        base = part + 1
-        if base % p == 0:
-            t = vp_int(p, base)
-            v -= mult * t
-            base //= p**t
-        gunit = gunit * pow(base % m, mult, m) % m
-        gunit = gunit * factorial_unit_mod(p, mult, k) % m
-        v -= vp_factorial(p, mult)
-    unit = unit * pow(gunit, -1, m) % m
-    if d % 2 == 0:
-        unit = (m - unit) % m
-    return PadicScalar(p, v, unit, k)
+    v = tau_valuation(p, u)
+    # n + d covers both n + d - 2 and every multiplicity, even for u = c1
+    ufact = _unit_factorials(p, u.weight + u.degree, k)
+    return PadicScalar(p, v, _tau_unit(p, u, ufact, p**k), k)
 
 
 class SparsePoly:
@@ -406,6 +412,8 @@ def read_coefficient_cache(path: Path, n: int) -> SparsePoly:
         raise CacheError(f"{path}: empty cache file")
     try:
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise CacheError(f"{path}: header is not a JSON object")
         if header.get("n") != n:
             raise CacheError(f"{path}: header n={header.get('n')!r}, expected {n}")
         expected = count_partitions(n)
@@ -420,6 +428,8 @@ def read_coefficient_cache(path: Path, n: int) -> SparsePoly:
         terms: dict[Partition, Fraction] = {}
         for line in lines[1:]:
             obj = json.loads(line)
+            if not isinstance(obj, dict) or not isinstance(obj.get("c"), str):
+                raise CacheError(f"{path}: malformed term line {line!r}")
             u = Partition.from_pairs(obj["u"])
             if u.weight != n:
                 raise CacheError(f"{path}: term of weight {u.weight}, expected {n}")
@@ -431,6 +441,6 @@ def read_coefficient_cache(path: Path, n: int) -> SparsePoly:
             terms[u] = c
     except CacheError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CacheError(f"{path}: malformed cache line ({exc})") from exc
     return SparsePoly(terms, weight_tag=n)

@@ -111,7 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _ceiling(args: argparse.Namespace) -> int:
     value = getattr(args, "n_ceiling", None)
     if value is None:
-        value = int(os.environ.get("UBERN_N_CEILING", DEFAULT_N_CEILING))
+        text = os.environ.get("UBERN_N_CEILING", str(DEFAULT_N_CEILING))
+        try:
+            value = int(text)
+        except ValueError:
+            raise PreconditionError(
+                f"UBERN_N_CEILING must be an integer, got {text!r}"
+            ) from None
     if value < 1:
         raise PreconditionError("n-ceiling must be >= 1")
     return value

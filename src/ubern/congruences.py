@@ -20,6 +20,7 @@ from fractions import Fraction
 from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
+    _tau_unit,
     classical_bernoulli,
     divided_ubern,
     format_rational,
@@ -31,15 +32,15 @@ from .bernoulli import (
 from .errors import CeilingExceeded, PreconditionError
 from .padic import (
     PadicScalar,
+    _require_prime,
+    _unit_factorials,
     double_factorial,
-    is_prime,
     vp,
-    vp_factorial,
     vp_int,
 )
 from .partitions import (
     Partition,
-    enumerate_partitions,
+    enumerate_partitions,  # unused here; perfbench/tracer.py wraps this name
     enumerate_partitions_bounded,
 )
 
@@ -50,8 +51,6 @@ __all__ = [
     "GRID_THEOREM_4_8",
     "GRID_THEOREM_4_9",
     "check_corollary_3_4",
-    "check_lemma_4_6",
-    "check_lemma_4_7",
     "poly_congruent",
     "reports_agree",
     "rhs_theorem_3_5",
@@ -86,8 +85,8 @@ GRID_THEOREM_4_9 = tuple((m, k, 3) for k in (1, 3) for m in range(7, 17)) + tupl
 class CongruenceFailure:
     """One offending monomial: both coefficients and v_p of their difference.
 
-    For valuation-bound checks (corollary/lemma sweeps) lhs holds the
-    observed value, rhs the required bound, and vp_diff the margin.
+    For the corollary 3.4 valuation-bound check lhs holds the observed
+    value, rhs the required bound, and vp_diff the margin.
     """
 
     u: Partition
@@ -154,24 +153,10 @@ def _lhs_agree(p: int, k: int, x: str, y: str) -> bool:
     return vp(p, qx - qy) >= k + max(0, min(vp(p, qx), vp(p, qy)))
 
 
-def _require_prime(p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p!r}")
-
-
 def _require_odd_prime(p: int) -> None:
     _require_prime(p)
     if p == 2:
         raise PreconditionError("p must be an odd prime")
-
-
-def _gamma_vp(p: int, u: Partition) -> int:
-    v = 0
-    for part, mult in u:
-        if (part + 1) % p == 0:
-            v += mult * vp_int(p, part + 1)
-        v += vp_factorial(p, mult)
-    return v
 
 
 def poly_congruent(
@@ -223,10 +208,10 @@ def _padic_congruence_report(
     branch-and-bound walk tau_valuations_below, which never visits the
     bulk of the p(n) partitions; right-hand-side keys of weight n are
     merged in with their own valuations, and the small list is put in
-    canonical order.  Unit residues come from incremental unit-factorial
-    tables; no large factorial is ever materialized.  Since k >= 1, every
-    partition with a negative valuation is in the walk, so vmin and the
-    working precision are those of the full polynomial.
+    canonical order.  Unit residues come from one unit-factorial table up
+    to 2n - 2; no large factorial is ever materialized.  Since k >= 1,
+    every partition with a negative valuation is in the walk, so vmin and
+    the working precision are those of the full polynomial.
     """
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
@@ -241,15 +226,7 @@ def _padic_congruence_report(
 
     precision = k - vmin
     m = p**precision
-    top = 2 * n - 2
-    ufact = [1] * (top + 1)
-    acc = 1
-    for i in range(1, top + 1):
-        j = i
-        while j % p == 0:
-            j //= p
-        acc = acc * (j % m) % m
-        ufact[i] = acc
+    ufact = _unit_factorials(p, 2 * n - 2, precision)
 
     failures = []
     for u, v in entries:
@@ -262,17 +239,7 @@ def _padic_congruence_report(
             if v >= k and vp(p, c) >= k:
                 continue
             rhs_scalar = PadicScalar.from_rational(p, c, precision)
-        gunit = 1
-        for part, mult in u:
-            base = part + 1
-            if base % p == 0:
-                base //= p ** vp_int(p, base)
-            gunit = gunit * pow(base % m, mult, m) % m
-            gunit = gunit * ufact[mult] % m
-        unit = ufact[n + u.degree - 2] * pow(gunit, -1, m) % m
-        if u.degree % 2 == 0:
-            unit = (m - unit) % m
-        lhs_scalar = PadicScalar(p, v, unit, precision)
+        lhs_scalar = PadicScalar(p, v, _tau_unit(p, u, ufact, m), precision)
         diff = lhs_scalar - rhs_scalar
         if diff.is_zero or diff.valuation >= k:
             continue
@@ -302,19 +269,19 @@ def _verify_against_ubern(
     context: dict,
     backend: str,
     n_ceiling: int,
+    perturb: bool = False,
 ) -> CongruenceReport:
+    if perturb:
+        # mutation self-test: +1 on the first coefficient in canonical order
+        first = rhs.items()[0][0]
+        rhs = rhs.add_term(first, 1)
+        context["perturbed"] = True
     if backend == "exact":
         lhs = divided_ubern(n, n_ceiling=n_ceiling)
         return poly_congruent(lhs, rhs, p, k, context=context)
     if backend == "padic":
         return _padic_congruence_report(n, rhs, p, k, context, n_ceiling=n_ceiling)
     raise PreconditionError(f"unknown backend {backend!r}")
-
-
-def _perturbed(rhs: SparsePoly) -> SparsePoly:
-    # mutation self-test: +1 on the first coefficient in canonical order
-    first = rhs.items()[0][0]
-    return rhs.add_term(first, 1)
 
 
 # -- family 3.5 (odd primes) -------------------------------------------
@@ -409,10 +376,9 @@ def verify_theorem_3_5(
         "n": n,
         "backend": backend,
     }
-    if perturb:
-        rhs = _perturbed(rhs)
-        context["perturbed"] = True
-    return _verify_against_ubern(n, rhs, p, N + 1, context, backend, n_ceiling)
+    return _verify_against_ubern(
+        n, rhs, p, N + 1, context, backend, n_ceiling, perturb=perturb
+    )
 
 
 # -- family 4.8 (p = 2, fixed shape) ------------------------------------
@@ -485,10 +451,9 @@ def verify_theorem_4_8(
         "v2_n": v,
         "backend": backend,
     }
-    if perturb:
-        rhs = _perturbed(rhs)
-        context["perturbed"] = True
-    return _verify_against_ubern(n, rhs, 2, k, context, backend, n_ceiling)
+    return _verify_against_ubern(
+        n, rhs, 2, k, context, backend, n_ceiling, perturb=perturb
+    )
 
 
 # -- family 4.9 (p = 2, lifting along l = k * 2**N) ----------------------
@@ -623,10 +588,9 @@ def verify_theorem_4_9(
         context["omitted_terms"] = [
             {"u": [[1, n - 24], [3, 8]], "why": "only present for m >= 16"}
         ]
-    if perturb:
-        rhs = _perturbed(rhs)
-        context["perturbed"] = True
-    return _verify_against_ubern(n, rhs, 2, N + 1, context, backend, n_ceiling)
+    return _verify_against_ubern(
+        n, rhs, 2, N + 1, context, backend, n_ceiling, perturb=perturb
+    )
 
 
 # -- classical check and valuation sweeps --------------------------------
@@ -682,66 +646,3 @@ def check_corollary_3_4(p: int, s: int, i: int) -> CongruenceReport:
         "checked": checked,
     }
     return CongruenceReport(not failures, p, max(bound, 0), context, failures)
-
-
-def check_lemma_4_6(n_max: int) -> CongruenceReport:
-    """Exhaustive bucket check of n+d-2 - 2(u1 + 2*u3 + e) over all weights <= n_max.
-
-    Writing ndot = n - u1 - 3*u3 and e = v2(gamma) - v2((2*u1)!) - 2*u3 - v2(u3!),
-    the offset is -2 when ndot = 0, +1 when ndot = 2, 0 when the rest of the
-    weight is a power-of-two count of parts 7, and >= 2 otherwise.
-    """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    failures = []
-    checked = 0
-    for n in range(1, n_max + 1):
-        for u in enumerate_partitions(n):
-            checked += 1
-            u1 = u.multiplicity(1)
-            u3 = u.multiplicity(3)
-            u7 = u.multiplicity(7)
-            e = (
-                _gamma_vp(2, u)
-                - vp_factorial(2, 2 * u1)
-                - 2 * u3
-                - vp_factorial(2, u3)
-            )
-            offset = n + u.degree - 2 - 2 * (u1 + 2 * u3 + e)
-            ndot = n - u1 - 3 * u3
-            if ndot == 0:
-                ok, want = offset == -2, "-2"
-            elif ndot == 2:
-                ok, want = offset == 1, "1"
-            elif u7 and ndot == 7 * u7 and u7 & (u7 - 1) == 0:
-                ok, want = offset == 0, "0"
-            else:
-                ok, want = offset >= 2, ">=2"
-            if not ok:
-                failures.append(CongruenceFailure(u, str(offset), want, 0))
-    context = {"lemma": "4.6", "n_max": n_max, "checked": checked}
-    return CongruenceReport(not failures, 2, 1, context, failures)
-
-
-def check_lemma_4_7(n_max: int) -> CongruenceReport:
-    """v2(tau(u)) >= u3 + ceil(ndot/2) - 1 for ndot > 0 (-3 when ndot = 7*u7)."""
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    failures = []
-    checked = 0
-    for n in range(1, n_max + 1):
-        for u in enumerate_partitions(n):
-            u1 = u.multiplicity(1)
-            u3 = u.multiplicity(3)
-            u7 = u.multiplicity(7)
-            ndot = n - u1 - 3 * u3
-            if ndot <= 0:
-                continue
-            checked += 1
-            slack = 3 if (u7 and ndot == 7 * u7) else 1
-            bound = u3 + (ndot + 1) // 2 - slack
-            v = tau_valuation(2, u)
-            if v < bound:
-                failures.append(CongruenceFailure(u, str(v), str(bound), v - bound))
-    context = {"lemma": "4.7", "n_max": n_max, "checked": checked}
-    return CongruenceReport(not failures, 2, 1, context, failures)

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .bernoulli import tau_valuation
-from .congruences import check_lemma_4_6, check_lemma_4_7
+from .bernoulli import _gamma_valuation, tau_valuation
 from .errors import PreconditionError
 from .padic import double_factorial, f_sum, f_term, g_func, vp, vp_int, vp_factorial
 from .partitions import (
+    enumerate_partitions,
     enumerate_partitions_bounded,
     is_reduced,
     reduce_partition,
@@ -414,19 +414,64 @@ def lemma_4_5(k_max: int = 5, m_max: int = 30) -> LemmaSweepResult:
 
 
 def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
-    report = check_lemma_4_6(n_max)
-    failures = [
-        {"u": f.u.to_pairs(), "offset": f.lhs, "want": f.rhs} for f in report.failures
-    ]
-    return LemmaSweepResult("4.6", report.context["checked"], failures)
+    """Exhaustive bucket check of n+d-2 - 2(u1 + 2*u3 + e) over all weights <= n_max.
+
+    Writing ndot = n - u1 - 3*u3 and e = v2(gamma) - v2((2*u1)!) - 2*u3 - v2(u3!),
+    the offset is -2 when ndot = 0, +1 when ndot = 2, 0 when the rest of the
+    weight is a power-of-two count of parts 7, and >= 2 otherwise.
+    """
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    failures = []
+    checked = 0
+    for n in range(1, n_max + 1):
+        for u in enumerate_partitions(n):
+            checked += 1
+            u1 = u.multiplicity(1)
+            u3 = u.multiplicity(3)
+            u7 = u.multiplicity(7)
+            e = (
+                _gamma_valuation(2, u)
+                - vp_factorial(2, 2 * u1)
+                - 2 * u3
+                - vp_factorial(2, u3)
+            )
+            offset = n + u.degree - 2 - 2 * (u1 + 2 * u3 + e)
+            ndot = n - u1 - 3 * u3
+            if ndot == 0:
+                ok, want = offset == -2, "-2"
+            elif ndot == 2:
+                ok, want = offset == 1, "1"
+            elif u7 and ndot == 7 * u7 and u7 & (u7 - 1) == 0:
+                ok, want = offset == 0, "0"
+            else:
+                ok, want = offset >= 2, ">=2"
+            if not ok:
+                failures.append({"u": u.to_pairs(), "offset": str(offset), "want": want})
+    return LemmaSweepResult("4.6", checked, failures)
 
 
 def lemma_4_7(n_max: int = 24) -> LemmaSweepResult:
-    report = check_lemma_4_7(n_max)
-    failures = [
-        {"u": f.u.to_pairs(), "v": f.lhs, "bound": f.rhs} for f in report.failures
-    ]
-    return LemmaSweepResult("4.7", report.context["checked"], failures)
+    """v2(tau(u)) >= u3 + ceil(ndot/2) - 1 for ndot > 0 (-3 when ndot = 7*u7)."""
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    failures = []
+    checked = 0
+    for n in range(1, n_max + 1):
+        for u in enumerate_partitions(n):
+            u1 = u.multiplicity(1)
+            u3 = u.multiplicity(3)
+            u7 = u.multiplicity(7)
+            ndot = n - u1 - 3 * u3
+            if ndot <= 0:
+                continue
+            checked += 1
+            slack = 3 if (u7 and ndot == 7 * u7) else 1
+            bound = u3 + (ndot + 1) // 2 - slack
+            v = tau_valuation(2, u)
+            if v < bound:
+                failures.append({"u": u.to_pairs(), "v": str(v), "bound": str(bound)})
+    return LemmaSweepResult("4.7", checked, failures)
 
 
 SWEEPS: dict[str, Callable[..., LemmaSweepResult]] = {

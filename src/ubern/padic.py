@@ -149,6 +149,24 @@ def factorial_unit_mod(p: int, a: int, k: int) -> int:
     return result % m
 
 
+def _unit_factorials(p: int, top: int, k: int) -> list[int]:
+    """[factorial_unit_mod(p, a, k) for a in 0..top] as one running product.
+
+    Each step multiplies in the p-free part of a, so the whole table
+    costs one pass; factorial_unit_mod stays the independent reference.
+    """
+    m = p**k
+    table = [1] * (top + 1)
+    acc = 1
+    for i in range(1, top + 1):
+        j = i
+        while j % p == 0:
+            j //= p
+        acc = acc * (j % m) % m
+        table[i] = acc
+    return table
+
+
 def g_func(a: int) -> Fraction:
     """(-1)**(a-1) * (2a-3)!! / (2a) as an exact rational, a >= 1."""
     if a < 1:

@@ -59,6 +59,19 @@ def test_tau_padic_examples():
     assert z == PadicScalar.from_rational(3, Fraction(280, 9), 2)
 
 
+def test_tau_padic_matches_exact_at_high_precision():
+    # the padic backend's working precision reaches 10 at p = 2 on the
+    # shipped grids; the acceptance pin covers precisions 1..5
+    for n in range(1, 13):
+        for u in enumerate_partitions(n):
+            exact = tau(u)
+            for p in (2, 3, 5):
+                for k in range(6, 11):
+                    assert tau_padic(p, u, k) == PadicScalar.from_rational(p, exact, k), (
+                        p, u, k,
+                    )
+
+
 def test_divided_ubern_small():
     p1 = divided_ubern(1)
     assert p1.weight_tag == 1
@@ -209,6 +222,20 @@ def test_cache_rejects_corruption(tmp_path: Path):
     (tmp_path / "weight.jsonl").write_text("\n".join(wrong_weight) + "\n")
     with pytest.raises(CacheError):
         read_coefficient_cache(tmp_path / "weight.jsonl", 7)
+
+    # valid JSON of the wrong shape, and a zero denominator
+    for index, text in (
+        (0, "[1,2]"),
+        (0, "7"),
+        (2, "[1,2]"),
+        (2, '{"u":[[7,1]],"c":5}'),
+        (2, '{"u":[[7,1]],"c":"1/0"}'),
+    ):
+        broken = lines[:]
+        broken[index] = text
+        (tmp_path / "shape.jsonl").write_text("\n".join(broken) + "\n")
+        with pytest.raises(CacheError):
+            read_coefficient_cache(tmp_path / "shape.jsonl", 7)
 
 
 def test_tau_valuations_below_matches_full_filter():

@@ -61,6 +61,13 @@ def test_compute_cache_corruption_exits_3(capsys, tmp_path: Path):
     assert "cache error" in err
 
 
+def test_compute_cache_bad_header_exits_3(capsys, tmp_path: Path):
+    (tmp_path / "ubern_6.jsonl").write_text("[1,2]\n")
+    code, _, err = run(capsys, "compute", "--n", "6", "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert "cache error" in err
+
+
 def test_verify_grid_examples(capsys):
     assert run(capsys, "verify", "--theorem", "3.5", "--p", "5", "--s", "1", "--l", "5")[0] == 0
     assert run(capsys, "verify", "--theorem", "4.9", "--m", "7", "--k", "1", "--N", "3")[0] == 0
@@ -149,6 +156,10 @@ def test_env_ceiling(capsys, monkeypatch):
     monkeypatch.setenv("UBERN_N_CEILING", "5")
     assert run(capsys, "compute", "--n", "6")[0] == 2
     assert run(capsys, "compute", "--n", "5")[0] == 0
+    monkeypatch.setenv("UBERN_N_CEILING", "abc")
+    code, _, err = run(capsys, "compute", "--n", "5")
+    assert code == 2
+    assert "UBERN_N_CEILING" in err
 
 
 def test_env_cache_dir(capsys, monkeypatch, tmp_path: Path):

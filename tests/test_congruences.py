@@ -9,8 +9,6 @@ from ubern.congruences import (
     _verify_against_ubern,
     CongruenceReport,
     check_corollary_3_4,
-    check_lemma_4_6,
-    check_lemma_4_7,
     poly_congruent,
     reports_agree,
     rhs_theorem_3_5,
@@ -287,14 +285,6 @@ def test_check_corollary_3_4_examples():
     assert r.holds and r.context["n"] == 14 and r.context["bound"] == 1
     r = check_corollary_3_4(5, 1, 2)
     assert r.holds and r.context["bound"] == 2 and r.context["degree_max"] == 3
-
-
-def test_check_lemma_4_6_and_4_7():
-    assert check_lemma_4_6(16).holds
-    assert check_lemma_4_7(16).holds
-    # direct instances of the exceptional bucket and bound
-    assert tau_valuation(2, Partition({7: 1})) == 1  # meets u3 + ceil(7/2) - 3
-    assert tau_valuation(2, Partition({2: 1})) == 0  # meets 0 + 1 - 1
 
 
 def test_negative_control_single_failure():

@@ -1,7 +1,9 @@
 import pytest
 
+from ubern.bernoulli import tau_valuation
 from ubern.errors import PreconditionError
 from ubern.lemmas import SWEEPS, run_sweep
+from ubern.partitions import Partition
 
 
 def test_registry_contents():
@@ -30,6 +32,19 @@ def test_small_sweeps_hold():
     assert run_sweep("4.5", k_max=3, m_max=16).holds
     assert run_sweep("4.6", n_max=12).holds
     assert run_sweep("4.7", n_max=12).holds
+
+
+def test_lemma_4_6_and_4_7_sweeps():
+    # every partition of weight <= 24 is bucketed by 4.6; 4.7 skips ndot <= 0
+    result = run_sweep("4.6", n_max=24)
+    assert result.holds and result.checked == 7337
+    result = run_sweep("4.7", n_max=24)
+    assert result.holds and result.checked == 7221
+    with pytest.raises(PreconditionError):
+        run_sweep("4.6", n_max=0)
+    # direct instances of the exceptional bucket and bound
+    assert tau_valuation(2, Partition({7: 1})) == 1  # meets u3 + ceil(7/2) - 3
+    assert tau_valuation(2, Partition({2: 1})) == 0  # meets 0 + 1 - 1
 
 
 def test_lemma_4_1_instance_counts():

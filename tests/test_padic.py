@@ -8,6 +8,7 @@ from ubern.errors import PreconditionError
 from ubern.padic import (
     INFINITY,
     PadicScalar,
+    _unit_factorials,
     digit_sum,
     double_factorial,
     f_sum,
@@ -90,6 +91,15 @@ def test_factorial_unit_mod_brute_force_oracle():
             unit = running // p ** vp_factorial(p, a)
             for k in range(1, 5):
                 assert factorial_unit_mod(p, a, k) == unit % p**k
+
+
+def test_unit_factorials_match_reference():
+    for p in (2, 3, 5, 7):
+        for k in range(1, 13):
+            table = _unit_factorials(p, 150, k)
+            assert len(table) == 151
+            for a, unit in enumerate(table):
+                assert unit == factorial_unit_mod(p, a, k), (p, a, k)
 
 
 def test_g_func_examples():
