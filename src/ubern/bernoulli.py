@@ -8,7 +8,6 @@ residue checks, which never materializes the large factorials).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from fractions import Fraction
@@ -196,7 +195,7 @@ class SparsePoly:
     enumeration order of partitions of that weight).
     """
 
-    __slots__ = ("_terms", "weight_tag", "_ordered")
+    __slots__ = ("_terms", "weight_tag", "_ordered", "_canonical")
 
     def __init__(
         self,
@@ -220,10 +219,27 @@ class SparsePoly:
         self._terms = d
         self.weight_tag = weight_tag
         self._ordered: list[tuple[Partition, Fraction]] | None = None
+        self._canonical = False
+
+    @classmethod
+    def _from_enumeration(cls, terms: dict[Partition, Fraction], n: int) -> "SparsePoly":
+        # terms: nonzero coefficients keyed in enumerate_partitions(n) order,
+        # which is already canonical, so items() needs no sort
+        self = object.__new__(cls)
+        self._terms = terms
+        self.weight_tag = n
+        self._ordered = None
+        self._canonical = True
+        return self
 
     def items(self) -> list[tuple[Partition, Fraction]]:
+        # built on first use: callers that never ask for the order (the exact
+        # backend's largest polynomials) pay neither the sort nor the list
         if self._ordered is None:
-            self._ordered = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+            if self._canonical:
+                self._ordered = list(self._terms.items())
+            else:
+                self._ordered = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
         return self._ordered
 
     def keys(self):
@@ -308,7 +324,7 @@ def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
         if d % 2 == 0:
             num = -num
         terms[u] = Fraction(num, gamma(u))
-    poly = SparsePoly(terms, weight_tag=n)
+    poly = SparsePoly._from_enumeration(terms, n)
     if n <= _POLY_CACHE_MAX_N:
         _POLY_CACHE[n] = poly
     return poly
@@ -372,15 +388,27 @@ def cache_file_name(n: int) -> str:
     return f"ubern_{n}.jsonl"
 
 
+def _header_line(n: int, count: int) -> str:
+    return '{"n":%d,"count":%d}' % (n, count)
+
+
+def _term_prefix(u: Partition) -> str:
+    # a term line is this prefix, format_rational of the coefficient and '"}';
+    # the bytes equal json.dumps({"u": u.to_pairs(), "c": ...}, separators=(",", ":"))
+    return '{"u":[%s],"c":"' % ",".join(map("[%d,%d]".__mod__, u))
+
+
 def poly_cache_lines(poly: SparsePoly) -> Iterator[str]:
-    """Header line with (n, term count), then one line per term, canonical order."""
+    """Header line with (n, term count), then one line per term, canonical order.
+
+    The cache writer and `compute --format json` both print these lines,
+    and read_coefficient_cache accepts nothing else.
+    """
     if poly.weight_tag is None:
         raise ValueError("only weight-tagged polynomials are cached")
-    yield json.dumps({"n": poly.weight_tag, "count": len(poly)}, separators=(",", ":"))
+    yield _header_line(poly.weight_tag, len(poly))
     for u, c in poly.items():
-        yield json.dumps(
-            {"u": u.to_pairs(), "c": format_rational(c)}, separators=(",", ":")
-        )
+        yield _term_prefix(u) + format_rational(c) + '"}'
 
 
 def write_coefficient_cache(path: Path, poly: SparsePoly) -> None:
@@ -394,53 +422,53 @@ def write_coefficient_cache(path: Path, poly: SparsePoly) -> None:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as f:
-            for line in poly_cache_lines(poly):
-                f.write(line + "\n")
+            f.writelines(line + "\n" for line in poly_cache_lines(poly))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def read_coefficient_cache(path: Path, n: int) -> SparsePoly:
-    """Load and validate a cache file; any inconsistency raises CacheError."""
+    """Load a cache file written for weight n; anything else raises CacheError.
+
+    Only the bytes poly_cache_lines writes for a weight-n polynomial with a
+    term per partition are accepted: the header, then term line i is the
+    line of the i-th partition of n in enumerate_partitions order with a
+    nonzero coefficient in lowest terms, each line ending in a newline.
+    The coefficient values themselves are not checked.
+    """
     path = Path(path)
+    expected = count_partitions(n)
+    terms: dict[Partition, Fraction] = {}
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # newline="\n": lines end only at "\n", and nothing is translated
+        with open(path, encoding="utf-8", newline="\n") as f:
+            header = f.readline()
+            want = _header_line(n, expected)
+            if header != want + "\n":
+                raise CacheError(f"{path}: header {header!r}, expected {want!r}")
+            for u, line in zip(enumerate_partitions(n), f):
+                prefix = _term_prefix(u)
+                if not (line.startswith(prefix) and line.endswith('"}\n')):
+                    raise CacheError(
+                        f"{path}: term line {len(terms) + 1} is not the line of "
+                        f"{u!r}: {line!r}"
+                    )
+                text = line[len(prefix):-3]
+                num, _, den = text.partition("/")
+                c = Fraction(int(num), int(den))
+                if not c or format_rational(c) != text:
+                    raise CacheError(
+                        f"{path}: coefficient {text!r} of {u!r} is not a nonzero "
+                        "rational in lowest terms"
+                    )
+                terms[u] = c
+            if len(terms) < expected:
+                raise CacheError(f"{path}: {len(terms)} term lines, expected {expected}")
+            if f.readline():
+                raise CacheError(f"{path}: more than {expected} term lines")
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    if not lines:
-        raise CacheError(f"{path}: empty cache file")
-    try:
-        header = json.loads(lines[0])
-        if not isinstance(header, dict):
-            raise CacheError(f"{path}: header is not a JSON object")
-        if header.get("n") != n:
-            raise CacheError(f"{path}: header n={header.get('n')!r}, expected {n}")
-        expected = count_partitions(n)
-        if header.get("count") != expected:
-            raise CacheError(
-                f"{path}: header count={header.get('count')!r}, expected {expected}"
-            )
-        if len(lines) - 1 != expected:
-            raise CacheError(
-                f"{path}: {len(lines) - 1} term lines, expected {expected}"
-            )
-        terms: dict[Partition, Fraction] = {}
-        for line in lines[1:]:
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or not isinstance(obj.get("c"), str):
-                raise CacheError(f"{path}: malformed term line {line!r}")
-            u = Partition.from_pairs(obj["u"])
-            if u.weight != n:
-                raise CacheError(f"{path}: term of weight {u.weight}, expected {n}")
-            if u in terms:
-                raise CacheError(f"{path}: duplicate term {u!r}")
-            c = parse_rational(obj["c"])
-            if not c:
-                raise CacheError(f"{path}: zero coefficient stored for {u!r}")
-            terms[u] = c
-    except CacheError:
-        raise
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CacheError(f"{path}: malformed cache line ({exc})") from exc
-    return SparsePoly(terms, weight_tag=n)
+    return SparsePoly._from_enumeration(terms, n)

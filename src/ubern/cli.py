@@ -133,8 +133,7 @@ def _monomial(u) -> str:
 
 def _emit_poly(poly, fmt: str) -> None:
     if fmt == "json":
-        for line in poly_cache_lines(poly):
-            print(line)
+        sys.stdout.writelines(line + "\n" for line in poly_cache_lines(poly))
         return
     n = poly.weight_tag
     items = poly.items()

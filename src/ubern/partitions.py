@@ -53,8 +53,18 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "Partition":
-        """Build from serialized [[part, mult], ...] pairs."""
-        return cls((int(p), int(m)) for p, m in pairs)
+        """Build from serialized [[part, mult], ...] pairs of integers.
+
+        A float, a bool or a string raises ValueError instead of being
+        coerced, so a serialized key cannot load as a different monomial.
+        """
+        checked = []
+        for part, mult in pairs:
+            for x in (part, mult):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(f"parts and multiplicities must be integers, got {x!r}")
+            checked.append((part, mult))
+        return cls(checked)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,11 +6,13 @@ import pytest
 
 from ubern.bernoulli import (
     SparsePoly,
+    cache_file_name,
     classical_bernoulli,
     divided_ubern,
     format_rational,
     gamma,
     parse_rational,
+    poly_cache_lines,
     poly_vp,
     read_coefficient_cache,
     specialize,
@@ -172,10 +175,37 @@ def test_sparse_poly_weight_tag_enforced():
     assert tagged.weight_tag == 5
 
 
-def test_sparse_poly_item_order_is_canonical():
+def test_sparse_poly_item_order_is_canonical(tmp_path: Path):
     poly = divided_ubern(6)
     keys = [u for u, _ in poly.items()]
     assert keys == list(enumerate_partitions(6))
+    # divided_ubern and the cache reader list their terms without sorting;
+    # the order must still be the sort_key order
+    for n in range(1, 41):
+        poly = divided_ubern(n)
+        want = sorted(poly.items(), key=lambda kv: kv[0].sort_key())
+        assert poly.items() == want, n
+        path = tmp_path / cache_file_name(n)
+        write_coefficient_cache(path, poly)
+        assert read_coefficient_cache(path, n).items() == want, n
+    # any other polynomial is still sorted
+    canonical = divided_ubern(6).items()
+    assert SparsePoly(list(reversed(canonical)), weight_tag=6).items() == canonical
+
+
+def _json_cache_lines(poly):
+    # the json.dumps formatter that poly_cache_lines replaced: the bytes reference
+    yield json.dumps({"n": poly.weight_tag, "count": len(poly)}, separators=(",", ":"))
+    for u, c in poly.items():
+        yield json.dumps({"u": u.to_pairs(), "c": format_rational(c)}, separators=(",", ":"))
+
+
+def test_cache_lines_match_json_reference():
+    polys = [divided_ubern(n) for n in range(1, 21)]
+    polys.append(divided_ubern(7).times_monomial({2: 3, 11: 1}).scale(Fraction(-3, 10)))
+    polys.append(SparsePoly({Partition(): Fraction(1)}, weight_tag=0))
+    for poly in polys:
+        assert list(poly_cache_lines(poly)) == list(_json_cache_lines(poly))
 
 
 def test_rational_serialization():
@@ -236,6 +266,35 @@ def test_cache_rejects_corruption(tmp_path: Path):
         (tmp_path / "shape.jsonl").write_text("\n".join(broken) + "\n")
         with pytest.raises(CacheError):
             read_coefficient_cache(tmp_path / "shape.jsonl", 7)
+
+    # the reader accepts only the writer's bytes, in enumeration order
+    assert lines[1] == '{"u":[[7,1]],"c":"90/1"}'
+    assert lines[-1].startswith('{"u":[[1,7]],')
+    swapped = lines[:]
+    swapped[4], swapped[5] = swapped[5], swapped[4]
+    duplicated = lines[:]
+    duplicated[3] = duplicated[2]
+    variants = [swapped, duplicated]
+    for part in ("1.5", "true", "1.0"):
+        variants.append(lines[:-1] + [lines[-1].replace("[[1,7]]", f"[[{part},7]]")])
+    variants.append(lines[:-1] + [lines[-1].replace("[[1,7]]", "[[1,7.0]]")])
+    for coeff in ("2/4", "+1/2", "180/2", "+90/1", "90", "090/1", "90/01", " 90/1", "9_0/1"):
+        variants.append(lines[:1] + [f'{{"u":[[7,1]],"c":"{coeff}"}}'] + lines[2:])
+    variants.append(lines[:1] + ['{"u": [[7,1]], "c": "1/2"}'] + lines[2:])
+    variants.append(lines[:1] + [json.dumps(json.loads(lines[1]))] + lines[2:])
+    for variant in variants:
+        (tmp_path / "order.jsonl").write_text("\n".join(variant) + "\n")
+        with pytest.raises(CacheError):
+            read_coefficient_cache(tmp_path / "order.jsonl", 7)
+    # a missing final newline, a blank line at the end and CRLF line ends
+    for text in (
+        "\n".join(lines),
+        "\n".join(lines) + "\n\n",
+        "\r\n".join(lines) + "\r\n",
+    ):
+        (tmp_path / "ends.jsonl").write_bytes(text.encode())
+        with pytest.raises(CacheError):
+            read_coefficient_cache(tmp_path / "ends.jsonl", 7)
 
 
 def test_tau_valuations_below_matches_full_filter():

@@ -61,6 +61,17 @@ def test_compute_cache_corruption_exits_3(capsys, tmp_path: Path):
     assert "cache error" in err
 
 
+def test_compute_cache_reordered_exits_3(capsys, tmp_path: Path):
+    run(capsys, "compute", "--n", "6", "--cache-dir", str(tmp_path))
+    path = tmp_path / "ubern_6.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "compute", "--n", "6", "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert "cache error" in err
+
+
 def test_compute_cache_bad_header_exits_3(capsys, tmp_path: Path):
     (tmp_path / "ubern_6.jsonl").write_text("[1,2]\n")
     code, _, err = run(capsys, "compute", "--n", "6", "--cache-dir", str(tmp_path))

@@ -39,6 +39,10 @@ def test_partition_drops_zero_multiplicities():
 def test_from_pairs_round_trip():
     u = Partition.from_pairs([[2, 1], [3, 1]])
     assert u.to_pairs() == [[2, 1], [3, 1]]
+    # serialized keys are never coerced: each would otherwise load as c1
+    for pairs in ([[1.5, 1]], [[True, 1]], [[1, True]], [[1.0, 1]], [[1, 1.0]], [["1", 1]]):
+        with pytest.raises(ValueError):
+            Partition.from_pairs(pairs)
 
 
 def test_enumerate_weight_zero():

@@ -5,7 +5,9 @@ perfbench/tracer.py replaces module attributes such as
 from outside the program.  A refactor that removes one of them breaks
 ``perfbench/run.py --trace 1`` without failing any other tier-1 test,
 so this installs the tracer in a fresh interpreter and runs one traced
-verification on both backends.
+verification on both backends, then one ``compute`` cache miss and one
+hit, which reach the wrapped cache writer, cache reader and
+``SparsePoly.items``.
 """
 
 import os
@@ -16,6 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
+import sys
+
 import ubern
 import ubern.cli
 from tracer import Tracer, install
@@ -26,13 +30,22 @@ tracer.op = "check"
 code = ubern.cli.main(["verify", "--theorem", "4.8", "--n", "12", "--backend", "both"])
 assert code == 0, code
 assert tracer.spans and tracer.counts["padic.vp.calls"], dict(tracer.counts)
+tracer.op = "compute"
+for _ in range(2):
+    code = ubern.cli.main(["compute", "--n", "8", "--cache-dir", sys.argv[1]])
+    assert code == 0, code
+names = {span["name"] for span in tracer.spans if span["op"] == "compute"}
+wanted = {"bernoulli.cache_write", "bernoulli.cache_read", "bernoulli.canonical_sort"}
+assert wanted <= names, sorted(wanted - names)
 """
 
 
-def test_tracer_installs_and_runs():
+def test_tracer_installs_and_runs(tmp_path):
     env = dict(os.environ)
+    env.pop("UBERN_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
