@@ -47,9 +47,6 @@ __all__ = [
 
 DEFAULT_N_CEILING = 60
 
-_POLY_CACHE_MAX_N = 30
-_POLY_CACHE: dict[int, "SparsePoly"] = {}
-
 
 def gamma(u: Partition) -> int:
     """Denominator attached to u: product of (i+1)**u_i * u_i! over parts."""
@@ -300,34 +297,45 @@ class SparsePoly:
         )
 
 
+def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
+    """(u, num, den) with tau(u) = num/den for every partition u of n.
+
+    Yields in enumerate_partitions order; den = gamma(u) > 0 and the pair
+    is not reduced.  The (n+d-2)! numerators come from one factorial
+    table, and gamma(u) is a product over the runs of u of
+    run[part][mult] = (part+1)**mult * mult!, tabulated once per call.
+    """
+    fact = [1] * (2 * n - 1)
+    for i in range(1, 2 * n - 1):
+        fact[i] = fact[i - 1] * i
+    run: list[list[int]] = [[1]]
+    for part in range(1, n + 1):
+        row = [1]
+        for mult in range(1, n // part + 1):
+            row.append(row[-1] * (part + 1) * mult)
+        run.append(row)
+    for u in enumerate_partitions(n):
+        d = 0
+        den = 1
+        for part, mult in u._pairs:
+            d += mult
+            den *= run[part][mult]
+        num = fact[n + d - 2]
+        yield u, (num if d % 2 else -num), den
+
+
 def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
     """The weight-n divided universal Bernoulli polynomial.
 
-    One term per partition of n; the (n+d-2)! numerators are shared
-    through a factorial table built once per call.  Refuses n above the
-    configurable ceiling (count_partitions grows fast).
+    One term per partition of n, built from _tau_fractions.  Refuses n
+    above the configurable ceiling (count_partitions grows fast).
     """
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
-    cached = _POLY_CACHE.get(n)
-    if cached is not None:
-        return cached
-    fact = [1] * (2 * n - 1)
-    for i in range(1, 2 * n - 1):
-        fact[i] = fact[i - 1] * i
-    terms: dict[Partition, Fraction] = {}
-    for u in enumerate_partitions(n):
-        d = u.degree
-        num = fact[n + d - 2]
-        if d % 2 == 0:
-            num = -num
-        terms[u] = Fraction(num, gamma(u))
-    poly = SparsePoly._from_enumeration(terms, n)
-    if n <= _POLY_CACHE_MAX_N:
-        _POLY_CACHE[n] = poly
-    return poly
+    terms = {u: Fraction(num, den) for u, num, den in _tau_fractions(n)}
+    return SparsePoly._from_enumeration(terms, n)
 
 
 def specialize(poly: SparsePoly, values: Mapping[int, Fraction | int]) -> Fraction:

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from typing import Iterable
 
 from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
+    _tau_fractions,
     _tau_unit,
     classical_bernoulli,
     divided_ubern,
@@ -164,32 +167,58 @@ def poly_congruent(
 ) -> CongruenceReport:
     """Coefficient-wise check that v_p of every coefficient of A - B is >= k.
 
+    The exact backend's test (_congruence_report), on a materialized A.
+    """
+    terms = ((u, a.numerator, a.denominator) for u, a in A._terms.items())
+    return _congruence_report(terms, B, p, k, context or {})
+
+
+def _congruence_report(
+    terms: Iterable[tuple[Partition, int, int]],
+    B: SparsePoly,
+    p: int,
+    k: int,
+    context: dict,
+) -> CongruenceReport:
+    """Check the left-hand terms (u, num, den), den > 0, against B mod p**k.
+
     For a rational in lowest terms and k >= 1, v_p >= k holds exactly when
     p**k divides the numerator (a zero difference included), so each
-    monomial costs one integer remainder: the terms of A are walked once,
-    differenced against B where B has the key, then the keys only in B.
-    vp is computed for the failures alone, and only the failure list is
-    put in canonical order; keys are distinct, so that is the order of
-    the sorted union of both key sets.
+    monomial costs one integer test.  Where B has no term at u, that is
+    the quotient of num by den when it divides, else num over
+    gcd(num, den); a Fraction is built only where B has the key or the
+    test fails.  The keys only in B come after.  vp is computed for the
+    failures alone, and only the failure list is put in canonical order;
+    keys are distinct, so that is the order of the sorted union of both
+    key sets.
     """
     _require_prime(p)
     if k < 1:
         raise PreconditionError("modulus exponent k must be >= 1")
     modulus = p**k
-    a_terms = A._terms
     b_terms = B._terms
+    matched = set()
     failures = []
-    for u, a in a_terms.items():
+    for u, num, den in terms:
         b = b_terms.get(u)
-        diff = a if b is None else a - b
+        if b is None:
+            q, r = divmod(num, den)
+            if (num // gcd(num, den) if r else q) % modulus:
+                a = Fraction(num, den)
+                failures.append(CongruenceFailure(u, format_rational(a), "0/1", vp(p, a)))
+            continue
+        matched.add(u)
+        a = Fraction(num, den)
+        diff = a - b
         if diff.numerator % modulus:
-            rhs = "0/1" if b is None else format_rational(b)
-            failures.append(CongruenceFailure(u, format_rational(a), rhs, vp(p, diff)))
+            failures.append(
+                CongruenceFailure(u, format_rational(a), format_rational(b), vp(p, diff))
+            )
     for u, b in b_terms.items():
-        if u not in a_terms and b.numerator % modulus:
+        if u not in matched and b.numerator % modulus:
             failures.append(CongruenceFailure(u, "0/1", format_rational(b), vp(p, b)))
     failures.sort(key=lambda f: f.u.sort_key())
-    return CongruenceReport(not failures, p, k, context or {}, failures)
+    return CongruenceReport(not failures, p, k, context, failures)
 
 
 def _padic_congruence_report(
@@ -198,8 +227,6 @@ def _padic_congruence_report(
     p: int,
     k: int,
     context: dict,
-    *,
-    n_ceiling: int = DEFAULT_N_CEILING,
 ) -> CongruenceReport:
     """Check divided_ubern(n) against rhs mod p**k on the p-adic fast path.
 
@@ -213,8 +240,6 @@ def _padic_congruence_report(
     every partition with a negative valuation is in the walk, so vmin and
     the working precision are those of the full polynomial.
     """
-    if n > n_ceiling:
-        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     rhs_map = dict(rhs.items())
 
     low = dict(tau_valuations_below(p, n, k))
@@ -271,16 +296,18 @@ def _verify_against_ubern(
     n_ceiling: int,
     perturb: bool = False,
 ) -> CongruenceReport:
+    if n > n_ceiling:
+        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     if perturb:
         # mutation self-test: +1 on the first coefficient in canonical order
         first = rhs.items()[0][0]
         rhs = rhs.add_term(first, 1)
         context["perturbed"] = True
     if backend == "exact":
-        lhs = divided_ubern(n, n_ceiling=n_ceiling)
-        return poly_congruent(lhs, rhs, p, k, context=context)
+        # the independent oracle: every tau(u) exactly, no valuation shortcut
+        return _congruence_report(_tau_fractions(n), rhs, p, k, context)
     if backend == "padic":
-        return _padic_congruence_report(n, rhs, p, k, context, n_ceiling=n_ceiling)
+        return _padic_congruence_report(n, rhs, p, k, context)
     raise PreconditionError(f"unknown backend {backend!r}")
 
 

@@ -85,6 +85,15 @@ def test_divided_ubern_small():
     assert len(p2) == 2
 
 
+def test_tau_fractions_match_tau_in_enumeration_order():
+    for n in range(1, 31):
+        stream = list(bernoulli._tau_fractions(n))
+        assert [u for u, _, _ in stream] == list(enumerate_partitions(n))
+        for u, num, den in stream:
+            assert den == gamma(u)
+            assert Fraction(num, den) == tau(u)
+
+
 def test_divided_ubern_term_counts():
     for n in range(1, 26):
         assert len(divided_ubern(n)) == count_partitions(n)
@@ -133,6 +142,17 @@ def test_classical_bernoulli():
         assert classical_bernoulli(n) == value
     for n in range(3, 31, 2):
         assert classical_bernoulli(n) == 0
+
+
+def test_classical_bernoulli_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # sympy's convention is B_1 = +1/2; this package uses B_1 = -1/2
+    assert sympy.bernoulli(1) == sympy.Rational(1, 2)
+    assert classical_bernoulli(1) == Fraction(-1, 2)
+    for n in range(61):
+        if n != 1:
+            q = sympy.bernoulli(n)
+            assert classical_bernoulli(n) == Fraction(int(q.p), int(q.q)), n
 
 
 def test_oracle_equivalence_prefix():

@@ -173,6 +173,15 @@ def test_env_ceiling(capsys, monkeypatch):
     assert "UBERN_N_CEILING" in err
 
 
+def test_verify_exact_respects_ceiling(capsys, monkeypatch):
+    args = ("verify", "--theorem", "4.8", "--n", "40", "--backend", "exact")
+    code, _, err = run(capsys, *args, "--n-ceiling", "39")
+    assert code == 2
+    assert "ceiling" in err
+    monkeypatch.setenv("UBERN_N_CEILING", "39")
+    assert run(capsys, *args)[0] == 2
+
+
 def test_env_cache_dir(capsys, monkeypatch, tmp_path: Path):
     monkeypatch.setenv("UBERN_CACHE_DIR", str(tmp_path))
     assert run(capsys, "compute", "--n", "4")[0] == 0

@@ -7,6 +7,9 @@ import pytest
 from ubern.bernoulli import classical_bernoulli, divided_ubern, tau, tau_valuation
 from ubern.congruences import (
     _verify_against_ubern,
+    GRID_THEOREM_3_5,
+    GRID_THEOREM_4_8,
+    GRID_THEOREM_4_9,
     CongruenceReport,
     check_corollary_3_4,
     poly_congruent,
@@ -131,6 +134,63 @@ def test_poly_congruent_matches_sorted_union_reference():
             assert report.holds is (not expected)
         assert any(v < 0 for *_, v in expected)
         assert any(u.weight != A.weight_tag for u, *_ in expected)
+
+
+def _assert_stream_matches_materialised(report, rhs):
+    # the exact report streams tau(u); the references run on divided_ubern(n)
+    n, p, k = report.context["n"], report.prime, report.mod_exp
+    lhs = divided_ubern(n)
+    expected = _poly_congruent_reference(lhs, rhs, p, k)
+    assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in report.failures] == expected
+    assert report.holds is (not expected)
+    assert report.to_json() == poly_congruent(lhs, rhs, p, k, context=report.context).to_json()
+
+
+def _grid_cases(n_max):
+    for p, s, l in GRID_THEOREM_3_5:
+        if (s + l) * (p - 1) <= n_max:
+            yield verify_theorem_3_5, rhs_theorem_3_5, (p, s, l)
+    for n in GRID_THEOREM_4_8:
+        if n <= n_max:
+            yield verify_theorem_4_8, lambda n: rhs_theorem_4_8(n)[0], (n,)
+    for m, k, N in GRID_THEOREM_4_9:
+        if m + k * 2**N <= n_max:
+            yield verify_theorem_4_9, rhs_theorem_4_9, (m, k, N)
+
+
+def test_exact_stream_matches_materialised_grid():
+    cases = list(_grid_cases(32))
+    assert len(cases) == 33
+    for verify, build, args in cases:
+        report = verify(*args)
+        assert report.holds, (verify.__name__, args)
+        _assert_stream_matches_materialised(report, build(*args))
+
+
+def test_exact_stream_matches_materialised_controls():
+    for verify, build, args in ((verify_theorem_3_5, rhs_theorem_3_5, (5, 1, 5)),
+                                (verify_theorem_4_8, lambda n: rhs_theorem_4_8(n)[0], (12,)),
+                                (verify_theorem_4_9, rhs_theorem_4_9, (7, 1, 3))):
+        report = verify(*args, perturb=True)
+        rhs = build(*args)
+        _assert_stream_matches_materialised(report, rhs.add_term(rhs.items()[0][0], 1))
+
+
+def test_exact_stream_missing_and_wrong_weight_rhs_keys():
+    # keys of another weight never meet the enumeration: one that fails
+    # mod 8, and sorts first, and one that holds.  Dropping the pure-power
+    # term leaves tau(c1^12) = -22!/(2^12 12!) alone, with v_2 = -3
+    # although 2^3 divides the unreduced numerator 22!
+    rhs = rhs_theorem_4_8(12)[0]
+    pure, fails, holds = Partition({1: 12}), Partition({1: 11}), Partition({1: 3, 5: 2})
+    rhs = rhs.add_term(pure, -rhs.get(pure)).add_term(fails, Fraction(3, 2)).add_term(holds, 8)
+    assert pure not in rhs
+    report = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "exact", DEFAULT_N_CEILING)
+    assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in report.failures] == [
+        (fails, "0/1", "3/2", -1),
+        (pure, format_rational(tau(pure)), "0/1", -3),
+    ]
+    _assert_stream_matches_materialised(report, rhs)
 
 
 def test_report_json_shape():
@@ -362,6 +422,7 @@ def test_boundary_mutations_on_both_backends(case):
     assert base.holds
     p, k, n = base.prime, base.mod_exp, base.context["n"]
     rhs = build()
+    full = divided_ubern(n)
     for u, _ in rhs.items():
         for shift, holds in ((p ** (k - 1), False), (p**k, True)):
             mutated = rhs.add_term(u, shift)
@@ -369,6 +430,8 @@ def test_boundary_mutations_on_both_backends(case):
                 _verify_against_ubern(n, mutated, p, k, {}, backend, DEFAULT_N_CEILING)
                 for backend in ("exact", "padic")
             )
+            assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in exact.failures] == (
+                _poly_congruent_reference(full, mutated, p, k))
             assert reports_agree(exact, padic), (case, u, shift)
             assert exact.holds is holds, (case, u, shift)
             if not holds:

@@ -30,6 +30,8 @@ tracer.op = "check"
 code = ubern.cli.main(["verify", "--theorem", "4.8", "--n", "12", "--backend", "both"])
 assert code == 0, code
 assert tracer.spans and tracer.counts["padic.vp.calls"], dict(tracer.counts)
+# the exact backend streams tau(u) through the wrapped enumeration: p(12) = 77
+assert tracer.counts["ubern.bernoulli.enumerate_partitions.visited"] >= 77, dict(tracer.counts)
 tracer.op = "compute"
 for _ in range(2):
     code = ubern.cli.main(["compute", "--n", "8", "--cache-dir", sys.argv[1]])
