@@ -12,7 +12,7 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CacheError, CeilingExceeded, PreconditionError
 from .padic import (
@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_N_CEILING",
     "SparsePoly",
     "cache_file_name",
+    "cache_lines",
     "classical_bernoulli",
     "divided_ubern",
     "format_rational",
@@ -396,87 +397,94 @@ def cache_file_name(n: int) -> str:
     return f"ubern_{n}.jsonl"
 
 
-def _header_line(n: int, count: int) -> str:
-    return '{"n":%d,"count":%d}' % (n, count)
+def _term_formatter(n: int) -> Callable[[Partition, int, int], str]:
+    """(u, num, den) -> the cache line of u with coefficient num/den.
 
-
-def _term_prefix(u: Partition) -> str:
-    # a term line is this prefix, format_rational of the coefficient and '"}';
-    # the bytes equal json.dumps({"u": u.to_pairs(), "c": ...}, separators=(",", ":"))
-    return '{"u":[%s],"c":"' % ",".join(map("[%d,%d]".__mod__, u))
-
-
-def poly_cache_lines(poly: SparsePoly) -> Iterator[str]:
-    """Header line with (n, term count), then one line per term, canonical order.
-
-    The cache writer and `compute --format json` both print these lines,
-    and read_coefficient_cache accepts nothing else.
+    The bytes are those of json.dumps({"u": u.to_pairs(), "c": "num/den"},
+    separators=(",", ":")) and a newline; the "[part,mult]" texts of
+    partitions of n are formatted once per call.
     """
-    if poly.weight_tag is None:
-        raise ValueError("only weight-tagged polynomials are cached")
-    yield _header_line(poly.weight_tag, len(poly))
-    for u, c in poly.items():
-        yield _term_prefix(u) + format_rational(c) + '"}'
+    runs = [[]] + [
+        ["[%d,%d]" % (part, mult) for mult in range(n // part + 1)]
+        for part in range(1, n + 1)
+    ]
+
+    def term(u: Partition, num: int, den: int) -> str:
+        pairs = ",".join([runs[part][mult] for part, mult in u._pairs])
+        return '{"u":[%s],"c":"%d/%d"}\n' % (pairs, num, den)
+
+    return term
 
 
-def write_coefficient_cache(path: Path, poly: SparsePoly) -> None:
-    """Write the cache file atomically.
+def cache_lines(n: int) -> Iterator[str]:
+    """The cache file of weight n, one newline-terminated line at a time.
 
-    The lines go to a fresh temporary file in the same directory, which
-    then replaces path in one rename, so a write that fails part-way
-    leaves neither a partial cache file nor the temporary behind.
+    The header {"n":n,"count":p(n)}, then the line of each partition of n
+    in enumerate_partitions order with tau(u) in lowest terms, from
+    _tau_fractions and one gcd: no Fraction or SparsePoly is built.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise PreconditionError(f"n must be a positive integer, got {n!r}")
+    term = _term_formatter(n)
+    yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
+    for u, num, den in _tau_fractions(n):
+        g = math.gcd(num, den)
+        yield term(u, num // g, den // g)
+
+
+def write_coefficient_cache(path: Path, n: int) -> list[str]:
+    """Write cache_lines(n) to path, creating its directory, and return them.
+
+    The lines go to a fresh temporary file beside path, which then replaces
+    it in one rename: a write that fails part-way leaves neither a partial
+    cache file nor the temporary.  Any OSError raises CacheError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            f.writelines(line + "\n" for line in poly_cache_lines(poly))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "x", encoding="utf-8") as f:
+                lines = list(cache_lines(n))
+                f.writelines(lines)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise CacheError(f"cannot write cache file {path}: {exc}") from exc
+    return lines
 
 
-def read_coefficient_cache(path: Path, n: int) -> SparsePoly:
-    """Load a cache file written for weight n; anything else raises CacheError.
+def read_coefficient_cache(path: Path, n: int) -> list[str]:
+    """The lines of a cache file written for weight n; anything else raises CacheError.
 
-    Only the bytes poly_cache_lines writes for a weight-n polynomial with a
-    term per partition are accepted: the header, then term line i is the
-    line of the i-th partition of n in enumerate_partitions order with a
-    nonzero coefficient in lowest terms, each line ending in a newline.
-    The coefficient values themselves are not checked.
+    Accepted: the header of cache_lines(n), then exactly p(n) term lines,
+    line i that of the i-th partition in enumerate_partitions order with a
+    nonzero coefficient in lowest terms, each ending in a newline.  The
+    coefficient values themselves are not checked.
     """
-    path = Path(path)
     expected = count_partitions(n)
-    terms: dict[Partition, Fraction] = {}
+    want = next(cache_lines(n))
+    term = _term_formatter(n)
     try:
         # newline="\n": lines end only at "\n", and nothing is translated
         with open(path, encoding="utf-8", newline="\n") as f:
-            header = f.readline()
-            want = _header_line(n, expected)
-            if header != want + "\n":
-                raise CacheError(f"{path}: header {header!r}, expected {want!r}")
+            lines = [f.readline()]
+            if lines[0] != want:
+                raise CacheError(f"{path}: header {lines[0]!r}, expected {want!r}")
             for u, line in zip(enumerate_partitions(n), f):
-                prefix = _term_prefix(u)
-                if not (line.startswith(prefix) and line.endswith('"}\n')):
+                num, _, den = line[line.rfind('"c":"') + 5:-3].partition("/")
+                a, b = int(num), int(den)
+                if not a or b < 1 or math.gcd(a, b) != 1 or line != term(u, a, b):
                     raise CacheError(
-                        f"{path}: term line {len(terms) + 1} is not the line of "
-                        f"{u!r}: {line!r}"
+                        f"{path}: term line {len(lines)} is not the line of {u!r} "
+                        f"with a nonzero coefficient in lowest terms: {line!r}"
                     )
-                text = line[len(prefix):-3]
-                num, _, den = text.partition("/")
-                c = Fraction(int(num), int(den))
-                if not c or format_rational(c) != text:
-                    raise CacheError(
-                        f"{path}: coefficient {text!r} of {u!r} is not a nonzero "
-                        "rational in lowest terms"
-                    )
-                terms[u] = c
-            if len(terms) < expected:
-                raise CacheError(f"{path}: {len(terms)} term lines, expected {expected}")
-            if f.readline():
-                raise CacheError(f"{path}: more than {expected} term lines")
+                lines.append(line)
+            if len(lines) <= expected or f.readline():
+                raise CacheError(f"{path}: not exactly {expected} term lines")
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CacheError(f"{path}: malformed cache line ({exc})") from exc
-    return SparsePoly._from_enumeration(terms, n)
+    return lines

@@ -9,6 +9,7 @@ identical inputs; progress notes go to stderr so stdout stays canonical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -16,11 +17,11 @@ from pathlib import Path
 
 from .bernoulli import (
     DEFAULT_N_CEILING,
-    classical_bernoulli,
     cache_file_name,
+    cache_lines,
+    classical_bernoulli,
     divided_ubern,
     format_rational,
-    poly_cache_lines,
     read_coefficient_cache,
     specialize,
     write_coefficient_cache,
@@ -35,7 +36,7 @@ from .congruences import (
     verify_theorem_4_8,
     verify_theorem_4_9,
 )
-from .errors import CacheError, PreconditionError
+from .errors import CacheError, CeilingExceeded, PreconditionError
 from .lemmas import run_sweep
 
 EXIT_OK = 0
@@ -131,37 +132,33 @@ def _monomial(u) -> str:
     )
 
 
-def _emit_poly(poly, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.writelines(line + "\n" for line in poly_cache_lines(poly))
-        return
-    n = poly.weight_tag
-    items = poly.items()
-    print(f"divided universal Bernoulli number, weight {n}: {len(items)} terms")
-    for u, c in items[:_MAX_TEXT_ITEMS]:
-        print(f"  {format_rational(c)} * {_monomial(u)}")
-    if len(items) > _MAX_TEXT_ITEMS:
-        print(f"  ... ({len(items) - _MAX_TEXT_ITEMS} more terms)")
-
-
 def _cmd_compute(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
     if args.n < 1:
         raise PreconditionError("--n must be >= 1")
+    if args.n > ceiling:
+        raise CeilingExceeded(f"n={args.n} exceeds the ceiling {ceiling}")
     cache_dir = args.cache_dir or os.environ.get("UBERN_CACHE_DIR")
     if cache_dir:
         path = Path(cache_dir) / cache_file_name(args.n)
         if path.exists():
-            poly = read_coefficient_cache(path, args.n)
+            lines = read_coefficient_cache(path, args.n)
             print(f"cache hit: {path}", file=sys.stderr)
         else:
-            poly = divided_ubern(args.n, n_ceiling=ceiling)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_coefficient_cache(path, poly)
+            lines = write_coefficient_cache(path, args.n)
             print(f"cache write: {path}", file=sys.stderr)
     else:
-        poly = divided_ubern(args.n, n_ceiling=ceiling)
-    _emit_poly(poly, args.format)
+        lines = cache_lines(args.n)
+    if args.format == "json":
+        sys.stdout.writelines(lines)
+        return EXIT_OK
+    lines = iter(lines)
+    count = json.loads(next(lines))["count"]
+    print(f"divided universal Bernoulli number, weight {args.n}: {count} terms")
+    for term in map(json.loads, itertools.islice(lines, _MAX_TEXT_ITEMS)):
+        print(f"  {term['c']} * {_monomial(term['u'])}")
+    if count > _MAX_TEXT_ITEMS:
+        print(f"  ... ({count - _MAX_TEXT_ITEMS} more terms)")
     return EXIT_OK
 
 

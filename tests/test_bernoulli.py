@@ -7,12 +7,12 @@ import pytest
 from ubern.bernoulli import (
     SparsePoly,
     cache_file_name,
+    cache_lines,
     classical_bernoulli,
     divided_ubern,
     format_rational,
     gamma,
     parse_rational,
-    poly_cache_lines,
     poly_vp,
     read_coefficient_cache,
     specialize,
@@ -199,33 +199,35 @@ def test_sparse_poly_item_order_is_canonical(tmp_path: Path):
     poly = divided_ubern(6)
     keys = [u for u, _ in poly.items()]
     assert keys == list(enumerate_partitions(6))
-    # divided_ubern and the cache reader list their terms without sorting;
-    # the order must still be the sort_key order
+    # divided_ubern lists its terms without sorting; the order must still
+    # be the sort_key order, and the cache round trip returns the lines of
+    # cache_lines, which follow the same enumeration
     for n in range(1, 41):
         poly = divided_ubern(n)
         want = sorted(poly.items(), key=lambda kv: kv[0].sort_key())
         assert poly.items() == want, n
         path = tmp_path / cache_file_name(n)
-        write_coefficient_cache(path, poly)
-        assert read_coefficient_cache(path, n).items() == want, n
+        lines = list(cache_lines(n))
+        assert write_coefficient_cache(path, n) == lines, n
+        assert read_coefficient_cache(path, n) == lines, n
     # any other polynomial is still sorted
     canonical = divided_ubern(6).items()
     assert SparsePoly(list(reversed(canonical)), weight_tag=6).items() == canonical
 
 
 def _json_cache_lines(poly):
-    # the json.dumps formatter that poly_cache_lines replaced: the bytes reference
-    yield json.dumps({"n": poly.weight_tag, "count": len(poly)}, separators=(",", ":"))
+    # the json.dumps formatter of the SparsePoly terms: the bytes reference
+    yield json.dumps({"n": poly.weight_tag, "count": len(poly)}, separators=(",", ":")) + "\n"
     for u, c in poly.items():
-        yield json.dumps({"u": u.to_pairs(), "c": format_rational(c)}, separators=(",", ":"))
+        yield json.dumps({"u": u.to_pairs(), "c": format_rational(c)}, separators=(",", ":")) + "\n"
 
 
 def test_cache_lines_match_json_reference():
-    polys = [divided_ubern(n) for n in range(1, 21)]
-    polys.append(divided_ubern(7).times_monomial({2: 3, 11: 1}).scale(Fraction(-3, 10)))
-    polys.append(SparsePoly({Partition(): Fraction(1)}, weight_tag=0))
-    for poly in polys:
-        assert list(poly_cache_lines(poly)) == list(_json_cache_lines(poly))
+    for n in range(1, 21):
+        assert list(cache_lines(n)) == list(_json_cache_lines(divided_ubern(n))), n
+    for bad in (0, -3, 2.0):
+        with pytest.raises(PreconditionError):
+            next(cache_lines(bad))
 
 
 def test_rational_serialization():
@@ -236,22 +238,19 @@ def test_rational_serialization():
 
 
 def test_cache_round_trip(tmp_path: Path):
-    poly = divided_ubern(9)
-    path = tmp_path / "ubern_9.jsonl"
-    write_coefficient_cache(path, poly)
-    again = read_coefficient_cache(path, 9)
-    assert again == poly
-    assert again.weight_tag == 9
+    path = tmp_path / "sub" / "ubern_9.jsonl"
+    lines = write_coefficient_cache(path, 9)
+    assert path.read_text() == "".join(lines)
+    assert read_coefficient_cache(path, 9) == lines
     # byte-for-byte stable
     text = path.read_text()
-    write_coefficient_cache(path, again)
+    write_coefficient_cache(path, 9)
     assert path.read_text() == text
 
 
 def test_cache_rejects_corruption(tmp_path: Path):
-    poly = divided_ubern(7)
     path = tmp_path / "ubern_7.jsonl"
-    write_coefficient_cache(path, poly)
+    write_coefficient_cache(path, 7)
 
     with pytest.raises(CacheError):
         read_coefficient_cache(path, 8)  # wrong n
@@ -337,25 +336,25 @@ def test_tau_valuations_below_guards():
 
 def test_cache_write_is_atomic(tmp_path: Path, monkeypatch):
     path = tmp_path / "ubern_9.jsonl"
-    real_lines = bernoulli.poly_cache_lines
+    real_lines = bernoulli.cache_lines
 
-    def failing_lines(poly):
-        lines = real_lines(poly)
+    def failing_lines(n):
+        lines = real_lines(n)
         yield next(lines)
         yield next(lines)
         raise OSError("disk full")
 
-    monkeypatch.setattr(bernoulli, "poly_cache_lines", failing_lines)
-    with pytest.raises(OSError, match="disk full"):
-        write_coefficient_cache(path, divided_ubern(9))
+    monkeypatch.setattr(bernoulli, "cache_lines", failing_lines)
+    with pytest.raises(CacheError, match="disk full"):
+        write_coefficient_cache(path, 9)
     assert list(tmp_path.iterdir()) == []
 
     # a failed overwrite keeps the previous file byte for byte
-    monkeypatch.setattr(bernoulli, "poly_cache_lines", real_lines)
-    write_coefficient_cache(path, divided_ubern(9))
+    monkeypatch.setattr(bernoulli, "cache_lines", real_lines)
+    write_coefficient_cache(path, 9)
     before = path.read_bytes()
-    monkeypatch.setattr(bernoulli, "poly_cache_lines", failing_lines)
-    with pytest.raises(OSError, match="disk full"):
-        write_coefficient_cache(path, divided_ubern(9))
+    monkeypatch.setattr(bernoulli, "cache_lines", failing_lines)
+    with pytest.raises(CacheError, match="disk full"):
+        write_coefficient_cache(path, 9)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from ubern.cli import main
+from ubern.bernoulli import divided_ubern, format_rational
+from ubern.cli import _monomial, main
 
 
 def run(capsys, *argv):
@@ -49,6 +50,54 @@ def test_compute_cache_hit_identical_bytes(capsys, tmp_path: Path):
     assert out1 == out2
     assert "cache write" in err1
     assert "cache hit" in err2
+    # the hit prints exactly the bytes it has checked
+    assert out2.encode() == (tmp_path / "ubern_12.jsonl").read_bytes()
+
+
+def _reference_text(n):
+    # the text route as it read the SparsePoly: count, first 20 terms, elision
+    items = divided_ubern(n).items()
+    out = [f"divided universal Bernoulli number, weight {n}: {len(items)} terms"]
+    out += [f"  {format_rational(c)} * {_monomial(u)}" for u, c in items[:20]]
+    if len(items) > 20:
+        out.append(f"  ... ({len(items) - 20} more terms)")
+    return "\n".join(out) + "\n"
+
+
+def test_compute_text_same_on_hit_miss_and_no_cache(capsys, tmp_path: Path):
+    for n in (2, 12, 30):
+        args = ("compute", "--n", str(n))
+        cached = (*args, "--cache-dir", str(tmp_path))
+        runs = [run(capsys, *args), run(capsys, *cached), run(capsys, *cached)]
+        assert "cache write" in runs[1][2] and "cache hit" in runs[2][2]
+        for code, out, _ in runs:
+            assert code == 0
+            assert out == _reference_text(n), n
+
+
+def test_compute_ceiling_applies_to_cache_hits(capsys, monkeypatch, tmp_path: Path):
+    args = ("compute", "--n", "20", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    assert (tmp_path / "ubern_20.jsonl").exists()
+    code, out, err = run(capsys, *args, "--n-ceiling", "10")
+    assert (code, out) == (2, "") and "ceiling" in err
+    monkeypatch.setenv("UBERN_N_CEILING", "10")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "") and "ceiling" in err
+
+
+def test_compute_unwritable_cache_dir_exits_3(capsys, tmp_path: Path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    for cache_dir in (blocker / "sub", blocker):
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "compute", "--n", "6", "--cache-dir", str(cache_dir), "--format", fmt
+            )
+            assert (code, out) == (3, ""), cache_dir
+            assert "cache error" in err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_compute_cache_corruption_exits_3(capsys, tmp_path: Path):

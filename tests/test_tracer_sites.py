@@ -5,9 +5,10 @@ perfbench/tracer.py replaces module attributes such as
 from outside the program.  A refactor that removes one of them breaks
 ``perfbench/run.py --trace 1`` without failing any other tier-1 test,
 so this installs the tracer in a fresh interpreter and runs one traced
-verification on both backends, then one ``compute`` cache miss and one
-hit, which reach the wrapped cache writer, cache reader and
-``SparsePoly.items``.
+verification on both backends, a ``compute`` cache miss and hit in
+text and in JSON, which reach the wrapped cache writer and reader, and
+one ``classical`` run, which reaches the wrapped ``SparsePoly.items``
+through ``specialize``.
 """
 
 import os
@@ -32,13 +33,21 @@ assert code == 0, code
 assert tracer.spans and tracer.counts["padic.vp.calls"], dict(tracer.counts)
 # the exact backend streams tau(u) through the wrapped enumeration: p(12) = 77
 assert tracer.counts["ubern.bernoulli.enumerate_partitions.visited"] >= 77, dict(tracer.counts)
-tracer.op = "compute"
-for _ in range(2):
-    code = ubern.cli.main(["compute", "--n", "8", "--cache-dir", sys.argv[1]])
-    assert code == 0, code
-names = {span["name"] for span in tracer.spans if span["op"] == "compute"}
-wanted = {"bernoulli.cache_write", "bernoulli.cache_read", "bernoulli.canonical_sort"}
-assert wanted <= names, sorted(wanted - names)
+wanted = {"bernoulli.cache_write", "bernoulli.cache_read"}
+for n, fmt in (("8", "text"), ("9", "json")):
+    tracer.op = "compute-" + fmt
+    for _ in range(2):
+        code = ubern.cli.main(
+            ["compute", "--n", n, "--format", fmt, "--cache-dir", sys.argv[1]]
+        )
+        assert code == 0, code
+    names = {span["name"] for span in tracer.spans if span["op"] == tracer.op}
+    assert wanted <= names, (fmt, sorted(wanted - names))
+tracer.op = "classical"
+code = ubern.cli.main(["classical", "--n-max", "4"])
+assert code == 0, code
+names = {span["name"] for span in tracer.spans if span["op"] == "classical"}
+assert "bernoulli.canonical_sort" in names, sorted(names)
 """
 
 
