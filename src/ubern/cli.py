@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a whole verification grid")
     p.add_argument("--theorem", choices=("3.5", "4.8", "4.9", "all"), default="all")
     p.add_argument("--backend", choices=("exact", "padic"), default="exact")
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-min", type=int, default=None, help="least n of the 4.8 cases")
+    p.add_argument("--n-max", type=int, default=None, help="largest n of the 4.8 cases")
     add_common(p)
 
     return parser
@@ -300,6 +300,13 @@ def _cmd_classical(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
     backend = args.backend
+    if args.theorem in ("3.5", "4.9") and (args.n_min, args.n_max) != (None, None):
+        raise PreconditionError(f"--n-min and --n-max select 4.8 cases, not {args.theorem}")
+    lo = args.n_min if args.n_min is not None else GRID_THEOREM_4_8[0]
+    hi = args.n_max if args.n_max is not None else GRID_THEOREM_4_8[-1]
+    grid_4_8 = range(lo + lo % 2, hi + 1, 2)
+    if not grid_4_8:
+        raise PreconditionError(f"no even n in {lo}..{hi}: the sweep would check nothing")
     reports: list[CongruenceReport] = []
     names = ("3.5", "4.8", "4.9") if args.theorem == "all" else (args.theorem,)
     for name in names:
@@ -308,9 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 reports.append(verify_theorem_3_5(
                     p, s, l, backend=backend, n_ceiling=ceiling))
         elif name == "4.8":
-            lo = args.n_min if args.n_min is not None else GRID_THEOREM_4_8[0]
-            hi = args.n_max if args.n_max is not None else GRID_THEOREM_4_8[-1]
-            for n in range(lo + lo % 2, hi + 1, 2):
+            for n in grid_4_8:
                 reports.append(verify_theorem_4_8(
                     n, backend=backend, n_ceiling=ceiling))
         else:

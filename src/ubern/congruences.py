@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bernoulli import (
     DEFAULT_N_CEILING,
@@ -34,7 +34,7 @@ from .bernoulli import (
 )
 from .errors import CeilingExceeded, PreconditionError
 from .padic import (
-    PadicScalar,
+    _require_odd_prime,
     _require_prime,
     _unit_factorials,
     double_factorial,
@@ -156,18 +156,12 @@ def _lhs_agree(p: int, k: int, x: str, y: str) -> bool:
     return vp(p, qx - qy) >= k + max(0, min(vp(p, qx), vp(p, qy)))
 
 
-def _require_odd_prime(p: int) -> None:
-    _require_prime(p)
-    if p == 2:
-        raise PreconditionError("p must be an odd prime")
-
-
 def poly_congruent(
     A: SparsePoly, B: SparsePoly, p: int, k: int, *, context: dict | None = None
 ) -> CongruenceReport:
     """Coefficient-wise check that v_p of every coefficient of A - B is >= k.
 
-    The exact backend's test (_congruence_report), on a materialized A.
+    The one congruence test (_congruence_report), on a materialized A.
     """
     terms = ((u, a.numerator, a.denominator) for u, a in A._terms.items())
     return _congruence_report(terms, B, p, k, context or {})
@@ -182,15 +176,18 @@ def _congruence_report(
 ) -> CongruenceReport:
     """Check the left-hand terms (u, num, den), den > 0, against B mod p**k.
 
-    For a rational in lowest terms and k >= 1, v_p >= k holds exactly when
-    p**k divides the numerator (a zero difference included), so each
-    monomial costs one integer test.  Where B has no term at u, that is
-    the quotient of num by den when it divides, else num over
-    gcd(num, den); a Fraction is built only where B has the key or the
-    test fails.  The keys only in B come after.  vp is computed for the
-    failures alone, and only the failure list is put in canonical order;
-    keys are distinct, so that is the order of the sorted union of both
-    key sets.
+    The one congruence test: the exact backend feeds it every tau(u)
+    (_tau_fractions), the padic backend only the monomials that can fail
+    (_padic_terms), and poly_congruent a materialized polynomial.  A
+    monomial that no term names has left-hand side 0.  For a rational in
+    lowest terms and k >= 1, v_p >= k holds exactly when p**k divides the
+    numerator (a zero difference included), so each monomial costs one
+    integer test.  Where B has no term at u, that is the quotient of num
+    by den when it divides, else num over gcd(num, den); a Fraction is
+    built only where B has the key or the test fails.  The keys only in B
+    come after.  vp is computed for the failures alone, and only the
+    failure list is put in canonical order; keys are distinct, so that is
+    the order of the sorted union of both key sets.
     """
     _require_prime(p)
     if k < 1:
@@ -221,69 +218,34 @@ def _congruence_report(
     return CongruenceReport(not failures, p, k, context, failures)
 
 
-def _padic_congruence_report(
-    n: int,
-    rhs: SparsePoly,
-    p: int,
-    k: int,
-    context: dict,
-) -> CongruenceReport:
-    """Check divided_ubern(n) against rhs mod p**k on the p-adic fast path.
+def _padic_terms(
+    n: int, rhs: SparsePoly, p: int, k: int
+) -> Iterator[tuple[Partition, int, int]]:
+    """(u, num, den) for each monomial of divided_ubern(n) that can break
+    the congruence with rhs mod p**k: the padic backend's term source.
 
-    A monomial can break the congruence only if v_p(tau(u)) < k or the
-    right-hand side has a term at u.  The first set comes from the exact
-    branch-and-bound walk tau_valuations_below, which never visits the
-    bulk of the p(n) partitions; right-hand-side keys of weight n are
-    merged in with their own valuations, and the small list is put in
-    canonical order.  Unit residues come from one unit-factorial table up
-    to 2n - 2; no large factorial is ever materialized.  Since k >= 1,
-    every partition with a negative valuation is in the walk, so vmin and
-    the working precision are those of the full polynomial.
+    Those are the u with v_p(tau(u)) < k, which the exact branch-and-bound
+    walk tau_valuations_below finds without visiting the bulk of the p(n)
+    partitions, and the keys of rhs of weight n.  Each value is p**v times
+    the unit residue of tau(u) mod p**(k - vmin), vmin <= 0 the least
+    valuation on either side (the walk has every negative one, as k >= 1),
+    so it is tau(u) mod p**k at least: verdicts and vp_diff below k are
+    exact.  The unit residues share one unit-factorial table up to 2n - 2.
     """
-    rhs_map = dict(rhs.items())
-
     low = dict(tau_valuations_below(p, n, k))
-    for u in rhs_map:
+    for u in rhs.keys():
         if u.weight == n and u not in low:
             low[u] = tau_valuation(p, u)
-    entries = sorted(low.items(), key=lambda e: e[0].sort_key())
-    vmin = min([0, *low.values(), *(vp(p, c) for c in rhs_map.values())])
-
+    vmin = min([0, *low.values(), *(vp(p, c) for c in rhs._terms.values())])
     precision = k - vmin
     m = p**precision
     ufact = _unit_factorials(p, 2 * n - 2, precision)
-
-    failures = []
-    for u, v in entries:
-        c = rhs_map.pop(u, None)
-        if c is None:
-            if v >= k:
-                continue
-            rhs_scalar = PadicScalar.zero(p, precision)
+    for u, v in low.items():
+        unit = _tau_unit(p, u, ufact, m)
+        if v >= 0:
+            yield u, unit * p**v, 1
         else:
-            if v >= k and vp(p, c) >= k:
-                continue
-            rhs_scalar = PadicScalar.from_rational(p, c, precision)
-        lhs_scalar = PadicScalar(p, v, _tau_unit(p, u, ufact, m), precision)
-        diff = lhs_scalar - rhs_scalar
-        if diff.is_zero or diff.valuation >= k:
-            continue
-        failures.append(
-            CongruenceFailure(
-                u,
-                format_rational(lhs_scalar.to_fraction()),
-                format_rational(c if c is not None else Fraction(0)),
-                diff.valuation,
-            )
-        )
-    # right-hand keys of the wrong weight never meet the enumeration
-    for u, c in rhs_map.items():
-        v = vp(p, c)
-        if v < k:
-            failures.append(
-                CongruenceFailure(u, "0/1", format_rational(c), v)
-            )
-    return CongruenceReport(not failures, p, k, context, failures)
+            yield u, unit, p**-v
 
 
 def _verify_against_ubern(
@@ -305,10 +267,12 @@ def _verify_against_ubern(
         context["perturbed"] = True
     if backend == "exact":
         # the independent oracle: every tau(u) exactly, no valuation shortcut
-        return _congruence_report(_tau_fractions(n), rhs, p, k, context)
-    if backend == "padic":
-        return _padic_congruence_report(n, rhs, p, k, context)
-    raise PreconditionError(f"unknown backend {backend!r}")
+        terms = _tau_fractions(n)
+    elif backend == "padic":
+        terms = _padic_terms(n, rhs, p, k)
+    else:
+        raise PreconditionError(f"unknown backend {backend!r}")
+    return _congruence_report(terms, rhs, p, k, context)
 
 
 # -- family 3.5 (odd primes) -------------------------------------------

@@ -65,6 +65,12 @@ def _require_prime(p: int) -> None:
         raise PreconditionError(f"p must be prime, got {p!r}")
 
 
+def _require_odd_prime(p: int) -> None:
+    _require_prime(p)
+    if p == 2:
+        raise PreconditionError("p must be an odd prime, got 2")
+
+
 def vp_int(p: int, a: int) -> int:
     """Valuation of a nonzero integer; no primality check (hot path)."""
     if a == 0:

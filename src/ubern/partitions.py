@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PreconditionError
+from .padic import _require_odd_prime
 
 __all__ = [
     "Partition",
@@ -217,13 +218,6 @@ def count_partitions(n: int) -> int:
     return _PCOUNT[n]
 
 
-def _check_odd_prime(p: int) -> None:
-    from .padic import is_prime
-
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise PreconditionError(f"p must be an odd prime, got {p}")
-
-
 def _power_of_p_minus_one(p: int, part: int) -> bool:
     # part == p**alpha - 1 for some alpha >= 1
     x = part + 1
@@ -236,7 +230,7 @@ def _power_of_p_minus_one(p: int, part: int) -> bool:
 
 def is_reduced(p: int, u: Partition) -> bool:
     """True iff every part is p**a - 1 except at most one, of multiplicity 1."""
-    _check_odd_prime(p)
+    _require_odd_prime(p)
     exceptional = 0
     for part, mult in u:
         if _power_of_p_minus_one(p, part):
@@ -262,7 +256,7 @@ def reduce_partition(p: int, u: Partition) -> Partition:
     Any weight lost is restored as a single part of the residual size.
     Already-reduced inputs come back unchanged.
     """
-    _check_odd_prime(p)
+    _require_odd_prime(p)
     if not u:
         raise PreconditionError("cannot reduce the empty partition")
     counts: dict[int, int] = {}

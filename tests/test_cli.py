@@ -208,6 +208,21 @@ def test_sweep_subcommand(capsys):
     assert "all hold" in out
 
 
+@pytest.mark.parametrize("argv, why", [
+    (("--theorem", "4.8", "--n-min", "50", "--n-max", "40"), "no even n in 50..40"),
+    (("--theorem", "4.8", "--n-min", "13", "--n-max", "13"), "no even n in 13..13"),
+    (("--theorem", "3.5", "--n-max", "20"), "not 3.5"),
+    (("--theorem", "4.9", "--n-min", "12"), "not 4.9"),
+])
+def test_sweep_rejects_empty_or_ignored_range(capsys, argv, why):
+    # a sweep over no case is no verdict, and a bound the grid never reads
+    # is not silently dropped
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert why in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "compute", "--n", "2", "--bogus")[0] == 2
 

@@ -6,6 +6,7 @@ import pytest
 
 from ubern.bernoulli import classical_bernoulli, divided_ubern, tau, tau_valuation
 from ubern.congruences import (
+    _padic_terms,
     _verify_against_ubern,
     GRID_THEOREM_3_5,
     GRID_THEOREM_4_8,
@@ -191,6 +192,12 @@ def test_exact_stream_missing_and_wrong_weight_rhs_keys():
         (pure, format_rational(tau(pure)), "0/1", -3),
     ]
     _assert_stream_matches_materialised(report, rhs)
+    # the padic backend feeds the same test, so it lists the same
+    # failures in the same order: the lower-weight key first
+    padic = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "padic", DEFAULT_N_CEILING)
+    assert reports_agree(report, padic)
+    assert [(f.u, f.rhs, f.vp_diff) for f in padic.failures] == [
+        (f.u, f.rhs, f.vp_diff) for f in report.failures]
 
 
 def test_report_json_shape():
@@ -441,3 +448,23 @@ def test_boundary_mutations_on_both_backends(case):
                 lhs = Fraction(padic.failures[0].lhs)
                 assert vp(p, lhs) == vp(p, tau(u))
                 assert vp(p, lhs - tau(u)) >= k
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+def test_padic_terms_are_tau_to_the_modulus(case):
+    # the padic term source names every monomial that can fail, each once,
+    # with a value congruent to tau(u) mod p**k; on the shipped right-hand
+    # side and on each of its p**(k-1) moves
+    verify, build = BOUNDARY_CASES[case]
+    base = verify()
+    p, k, n = base.prime, base.mod_exp, base.context["n"]
+    rhs = build()
+    low = {u for u in enumerate_partitions(n) if tau_valuation(p, u) < k}
+    for mutated in [rhs] + [rhs.add_term(u, p ** (k - 1)) for u, _ in rhs.items()]:
+        terms = list(_padic_terms(n, mutated, p, k))
+        keys = [u for u, _, _ in terms]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == low | {u for u in mutated.keys() if u.weight == n}
+        for u, num, den in terms:
+            assert den > 0
+            assert vp(p, Fraction(num, den) - tau(u)) >= k

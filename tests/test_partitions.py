@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ubern.congruences import check_corollary_3_4
 from ubern.errors import PreconditionError
 from ubern.partitions import (
     Partition,
@@ -135,6 +136,18 @@ def test_reduce_rejects_bad_inputs():
         reduce_partition(9, Partition({1: 1}))
     with pytest.raises(PreconditionError):
         reduce_partition(3, Partition())
+
+
+@pytest.mark.parametrize("p", [3.0, 2, 9, 1, -3, True, "3"])
+def test_odd_prime_check_is_shared(p):
+    # the partition helpers and corollary 3.4 reject the same primes: a
+    # float 3.0 is not coerced, and p = 2 is refused
+    u = Partition({2: 1})
+    for call in (is_reduced, reduce_partition):
+        with pytest.raises(PreconditionError):
+            call(p, u)
+    with pytest.raises(PreconditionError):
+        check_corollary_3_4(p, 1, 0)
 
 
 def test_reduce_is_reduced_and_weight_preserving_up_to_20():

@@ -31,6 +31,10 @@ tracer.op = "check"
 code = ubern.cli.main(["verify", "--theorem", "4.8", "--n", "12", "--backend", "both"])
 assert code == 0, code
 assert tracer.spans and tracer.counts["padic.vp.calls"], dict(tracer.counts)
+# the padic work runs inside its congruences.verify span, which the
+# congruences.padic_report_s figure is read from
+assert any(span["name"] == "congruences.verify" and span["backend"] == "padic"
+           for span in tracer.spans), [span["name"] for span in tracer.spans]
 # the exact backend streams tau(u) through the wrapped enumeration: p(12) = 77
 assert tracer.counts["ubern.bernoulli.enumerate_partitions.visited"] >= 77, dict(tracer.counts)
 wanted = {"bernoulli.cache_write", "bernoulli.cache_read"}
