@@ -20,8 +20,8 @@ from .padic import (
     PadicScalar,
     _require_prime,
     _unit_factorials,
+    _vp_factorial,
     vp,
-    vp_factorial,
     vp_int,
 )
 from .partitions import Partition, count_partitions, enumerate_partitions
@@ -72,12 +72,12 @@ def tau(u: Partition) -> Fraction:
 
 
 def _gamma_valuation(p: int, u: Partition) -> int:
-    """v_p(gamma(u)) = sum_i [u_i v_p(i+1) + v_p(u_i!)] from digit sums."""
+    """v_p(gamma(u)) = sum_i [u_i v_p(i+1) + v_p(u_i!)]; the caller checks p."""
     v = 0
     for part, mult in u:
         if (part + 1) % p == 0:
             v += mult * vp_int(p, part + 1)
-        v += vp_factorial(p, mult)
+        v += _vp_factorial(p, mult)
     return v
 
 
@@ -85,7 +85,8 @@ def tau_valuation(p: int, u: Partition) -> int:
     """v_p(tau(u)) from digit sums alone; no factorial is formed."""
     if not u:
         raise PreconditionError("tau needs a nonempty partition")
-    return vp_factorial(p, u.weight + u.degree - 2) - _gamma_valuation(p, u)
+    _require_prime(p)
+    return _vp_factorial(p, u.weight + u.degree - 2) - _gamma_valuation(p, u)
 
 
 def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, int]]:
@@ -342,17 +343,29 @@ def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
 def specialize(poly: SparsePoly, values: Mapping[int, Fraction | int]) -> Fraction:
     """Evaluate the polynomial at the given part-index assignments.
 
-    Raises KeyError if some occurring part index has no assigned value.
+    Raises KeyError if some occurring part index has no assigned value,
+    and PreconditionError for a value that is not an int or a Fraction.
     """
-    total = Fraction(0)
+    exact = {}
+    for part, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise PreconditionError(f"c{part} must be an int or a Fraction, got {value!r}")
+        exact[part] = (value.numerator, value.denominator)
+    # sum of the terms a/b over one common denominator, integers only
+    num, den = 0, 1
     for u, c in poly.items():
-        prod = Fraction(1)
+        a, b = c.numerator, c.denominator
         for part, mult in u:
-            if part not in values:
+            if part not in exact:
                 raise KeyError(f"no value assigned for part index {part}")
-            prod *= Fraction(values[part]) ** mult
-        total += c * prod
-    return total
+            vnum, vden = exact[part]
+            a *= vnum**mult
+            b *= vden**mult
+        if den % b:
+            wider = den // math.gcd(den, b) * b
+            num, den = num * (wider // den), wider
+        num += a * (den // b)
+    return Fraction(num, den)
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

@@ -37,7 +37,7 @@ from .congruences import (
     verify_theorem_4_9,
 )
 from .errors import CacheError, CeilingExceeded, PreconditionError
-from .lemmas import run_sweep
+from .lemmas import SWEEPS, run_sweep
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -241,6 +241,14 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
+    if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
+        import inspect
+
+        ceiling = _ceiling(args)
+        default = inspect.signature(SWEEPS[args.name]).parameters["n_max"].default
+        n_max = overrides.get("n_max", default)
+        if n_max > ceiling:
+            raise PreconditionError(f"--n-max {n_max} exceeds the ceiling {ceiling}")
     result = run_sweep(args.name, **overrides)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))

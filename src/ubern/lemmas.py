@@ -106,19 +106,15 @@ def lemma_2_2(l_max: int = 500) -> LemmaSweepResult:
     failures: list[dict] = []
     checked = 0
     for p in (3, 5, 7):
-        big = 1  # (lp)!
-        small = 1  # l!
-        power = 1  # p**l
+        value = 1  # (lp)! / (l! p**l), advanced by exact division
         for l in range(1, l_max + 1):
             for j in range(p * (l - 1) + 1, p * l + 1):
-                big *= j
-            small *= l
-            power *= p
+                value *= j
+            value, rem = divmod(value, l * p)
             checked += 1
-            value = big // (small * power)
             modulus = p ** (vp_int(p, l) + 1)
             sign = -1 if l % 2 else 1
-            if (value - sign) % modulus:
+            if rem or (value - sign) % modulus:
                 failures.append({"p": p, "l": l})
     return LemmaSweepResult("2.2", checked, failures)
 
@@ -213,6 +209,8 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
     failures: list[dict] = []
     checked = 0
     for p in (3, 5):
+        # (is_reduced, tau_valuation) per reduced image: many inputs share one
+        images = {}
         for s in range(1, s_max + 1):
             for i in range(i_max + 1):
                 m = s * (p - 1)
@@ -220,11 +218,14 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
                 for u in enumerate_partitions_bounded(n, i + 1):
                     checked += 1
                     r = reduce_partition(p, u)
+                    known = images.get(r)
+                    if known is None:
+                        known = images[r] = (is_reduced(p, r), tau_valuation(p, r))
                     ok = (
-                        is_reduced(p, r)
+                        known[0]
                         and r.weight == n
                         and r.degree <= i + 1
-                        and tau_valuation(p, u) >= tau_valuation(p, r)
+                        and tau_valuation(p, u) >= known[1]
                     )
                     if not ok:
                         failures.append(

@@ -115,6 +115,11 @@ def vp_factorial(p: int, a: int) -> int:
     _require_prime(p)
     if a < 0:
         raise PreconditionError("a must be nonnegative")
+    return _vp_factorial(p, a)
+
+
+def _vp_factorial(p: int, a: int) -> int:
+    # vp_factorial without the checks, for callers that checked p (hot path)
     s = 0
     b = a
     while b:

@@ -125,25 +125,9 @@ class Partition:
         return "Partition({%s})" % body
 
 
-def _runs_bounded(n: int, cap: int, budget: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    if n == 0:
-        yield ()
-        return
-    if budget <= 0 or cap <= 0:
-        return
-    if cap > n:
-        cap = n
-    if cap * budget < n:
-        return
-    for part in range(cap, 0, -1):
-        for mult in range(min(n // part, budget), 0, -1):
-            rest = n - part * mult
-            if rest == 0:
-                yield ((part, mult),)
-            else:
-                head = ((part, mult),)
-                for tail in _runs_bounded(rest, part - 1, budget - mult):
-                    yield head + tail
+def _require_count(name: str, x: int) -> None:
+    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+        raise PreconditionError(f"{name} must be a nonnegative integer, got {x!r}")
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -152,8 +136,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     n = 0 yields the single empty partition.  The count of yielded items
     equals count_partitions(n).
     """
-    if n < 0:
-        raise PreconditionError("weight must be nonnegative")
+    _require_count("weight", n)
     if n == 0:
         yield Partition._raw(())
         return
@@ -184,13 +167,40 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def enumerate_partitions_bounded(n: int, max_degree: int) -> Iterator[Partition]:
     """Partitions of weight n with degree <= max_degree, canonical order."""
-    if n < 0:
-        raise PreconditionError("weight must be nonnegative")
+    _require_count("weight", n)
+    _require_count("max_degree", max_degree)
     if n == 0:
-        yield Partition()
+        yield Partition._raw(())
         return
-    for runs in _runs_bounded(n, n, max_degree):
-        yield Partition._raw(tuple(reversed(runs)))
+    if max_degree == 0:
+        return
+    # The enumerate_partitions successor within the degree budget: refilling
+    # rest + part as copies of part - 1 uses the fewest parts, so when that
+    # does not fit, the whole run joins rest and the next larger run is tried.
+    raw = Partition._raw
+    runs = [(n, 1)]
+    degree = 1
+    while True:
+        yield raw(tuple(reversed(runs)))
+        rest = 0
+        while True:
+            if not runs:
+                return
+            part, mult = runs.pop()
+            degree -= mult
+            rest += part
+            if part > 1:
+                q, r = divmod(rest, part - 1)
+                if degree + mult - 1 + q + (r > 0) <= max_degree:
+                    break
+            rest += part * (mult - 1)
+        if mult > 1:
+            runs.append((part, mult - 1))
+        runs.append((part - 1, q))
+        degree += mult - 1 + q
+        if r:
+            runs.append((r, 1))
+            degree += 1
 
 
 _PCOUNT = [1]
@@ -198,8 +208,7 @@ _PCOUNT = [1]
 
 def count_partitions(n: int) -> int:
     """Partition count p(n) via the Euler pentagonal-number recurrence."""
-    if n < 0:
-        raise PreconditionError("weight must be nonnegative")
+    _require_count("weight", n)
     while len(_PCOUNT) <= n:
         m = len(_PCOUNT)
         total = 0
@@ -277,4 +286,5 @@ def reduce_partition(p: int, u: Partition) -> Partition:
     residual = u.weight - sum(part * mult for part, mult in counts.items())
     if residual > 0:
         counts[residual] = counts.get(residual, 0) + 1
-    return Partition(counts)
+    # every part is positive and every count >= 1
+    return Partition._raw(tuple(sorted(counts.items())))

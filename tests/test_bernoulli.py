@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +125,37 @@ def test_specialize_missing_value():
 def test_specialize_all_zero():
     zero = {i: 0 for i in range(1, 6)}
     assert specialize(divided_ubern(5), zero) == 0
+
+
+def _specialize_reference(poly, values):
+    # reference: one Fraction power and product per term
+    total = Fraction(0)
+    for u, c in poly.items():
+        prod = Fraction(1)
+        for part, mult in u:
+            prod *= Fraction(values[part]) ** mult
+        total += c * prod
+    return total
+
+
+def test_specialize_matches_fraction_reference():
+    rng = random.Random(20080828)
+    for n in range(1, 26):
+        poly = divided_ubern(n)
+        signs = {i: (-1) ** i for i in range(1, n + 1)}
+        zeros = {i: 0 for i in range(1, n + 1)}
+        mixed = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(1, n + 1)}
+        mixed[1] = rng.randint(-3, 3)
+        for values in (signs, zeros, mixed):
+            got = specialize(poly, values)
+            assert type(got) is Fraction and got == _specialize_reference(poly, values), n
+
+
+@pytest.mark.parametrize("value", [1.5, 0.1, True, False, "1", None])
+def test_specialize_rejects_non_rational_values(value):
+    values = {1: 1, 2: value, 3: Fraction(1, 2)}
+    with pytest.raises(PreconditionError):
+        specialize(divided_ubern(3), values)
 
 
 def test_classical_bernoulli():

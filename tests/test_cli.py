@@ -193,6 +193,21 @@ def test_lemma_examples(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["4.6", "4.7"])
+def test_lemma_weight_sweeps_respect_ceiling(capsys, monkeypatch, name):
+    # these sweeps enumerate every partition of each weight up to --n-max
+    code, out, err = run(capsys, "lemma", "--name", name, "--n-max", "70")
+    assert (code, out) == (2, "") and "ceiling" in err
+    monkeypatch.setenv("UBERN_N_CEILING", "12")
+    code, out, err = run(capsys, "lemma", "--name", name)  # default --n-max 24
+    assert (code, out) == (2, "") and "ceiling" in err
+    assert run(capsys, "lemma", "--name", name, "--n-max", "12")[0] == 0
+    monkeypatch.setenv("UBERN_N_CEILING", "abc")
+    assert run(capsys, "lemma", "--name", name, "--n-max", "12")[0] == 2
+    # sweeps whose --n-max is not a weight are not capped by it
+    assert run(capsys, "lemma", "--name", "4.1", "--n-max", "5", "--k-max", "3")[0] == 0
+
+
 def test_classical_examples(capsys):
     code, out, _ = run(capsys, "classical", "--n-max", "6")
     assert code == 0

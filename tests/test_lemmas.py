@@ -1,9 +1,16 @@
 import pytest
 
+import ubern.lemmas as lemmas
 from ubern.bernoulli import tau_valuation
 from ubern.errors import PreconditionError
-from ubern.lemmas import SWEEPS, run_sweep
-from ubern.partitions import Partition
+from ubern.lemmas import SWEEPS, LemmaSweepResult, run_sweep
+from ubern.padic import vp_int
+from ubern.partitions import (
+    Partition,
+    enumerate_partitions_bounded,
+    is_reduced,
+    reduce_partition,
+)
 
 
 def test_registry_contents():
@@ -64,3 +71,75 @@ def test_lemma_3_2_small():
     result = run_sweep("3.2", s_max=2, i_max=2)
     assert result.holds
     assert result.checked > 0
+
+
+def _lemma_2_2_reference(l_max=500):
+    # reference: floor-divide a fresh (lp)! by l! p**l at every step
+    failures = []
+    checked = 0
+    for p in (3, 5, 7):
+        big = small = power = 1
+        for l in range(1, l_max + 1):
+            for j in range(p * (l - 1) + 1, p * l + 1):
+                big *= j
+            small *= l
+            power *= p
+            checked += 1
+            value = big // (small * power)
+            if (value - (-1) ** l) % p ** (vp_int(p, l) + 1):
+                failures.append({"p": p, "l": l})
+    return LemmaSweepResult("2.2", checked, failures)
+
+
+def _lemma_3_2_reference(s_max=3, i_max=4):
+    # reference: every check on every input, no per-image memo
+    failures = []
+    checked = 0
+    for p in (3, 5):
+        for s in range(1, s_max + 1):
+            for i in range(i_max + 1):
+                n = (s * (p - 1) + i) * p - i
+                for u in enumerate_partitions_bounded(n, i + 1):
+                    checked += 1
+                    r = reduce_partition(p, u)
+                    ok = (
+                        is_reduced(p, r)
+                        and r.weight == n
+                        and r.degree <= i + 1
+                        and tau_valuation(p, u) >= tau_valuation(p, r)
+                    )
+                    if not ok:
+                        failures.append(
+                            {"p": p, "s": s, "i": i, "u": u.to_pairs(), "r": r.to_pairs()}
+                        )
+    return LemmaSweepResult("3.2", checked, failures)
+
+
+@pytest.mark.parametrize("name, reference, bounds", [
+    ("2.2", _lemma_2_2_reference, {}),
+    ("2.2", _lemma_2_2_reference, {"l_max": 77}),
+    ("3.2", _lemma_3_2_reference, {}),
+    ("3.2", _lemma_3_2_reference, {"s_max": 4, "i_max": 1}),
+])
+def test_sweeps_match_their_references(name, reference, bounds):
+    got = run_sweep(name, **bounds)
+    want = reference(**bounds)
+    assert (got.checked, got.detail, got.failures) == (want.checked, want.detail, want.failures)
+
+
+def test_lemma_3_2_memo_cannot_hide_a_broken_reduction(monkeypatch):
+    def drops_a_part(p, u):
+        r = reduce_partition(p, u)
+        return Partition(r.pairs[1:]) if len(r) > 1 else r
+
+    monkeypatch.setattr(lemmas, "reduce_partition", drops_a_part)
+    result = run_sweep("3.2", s_max=1, i_max=2)
+    assert not result.holds
+    broken = sum(
+        1
+        for p in (3, 5)
+        for i in range(3)
+        for u in enumerate_partitions_bounded((p - 1 + i) * p - i, i + 1)
+        if len(reduce_partition(p, u)) > 1
+    )
+    assert len(result.failures) == broken > 0

@@ -219,3 +219,60 @@ def test_enumeration_matches_sympy():
         theirs = {Partition(dict(d)) for d in partitions(n)}
         assert ours == theirs
         assert len(ours) == count_partitions(n)
+
+
+def _runs_bounded(n, cap, budget):
+    # reference: the recursive generator the iterative successor replaced
+    if n == 0:
+        yield ()
+        return
+    if budget <= 0 or cap <= 0:
+        return
+    cap = min(cap, n)
+    if cap * budget < n:
+        return
+    for part in range(cap, 0, -1):
+        for mult in range(min(n // part, budget), 0, -1):
+            rest = n - part * mult
+            if rest == 0:
+                yield ((part, mult),)
+            else:
+                for tail in _runs_bounded(rest, part - 1, budget - mult):
+                    yield ((part, mult),) + tail
+
+
+def test_bounded_enumeration_matches_recursive_reference():
+    for n in range(31):
+        for dmax in range(n + 2):
+            want = [tuple(reversed(runs)) for runs in _runs_bounded(n, n, dmax)]
+            got = [u.pairs for u in enumerate_partitions_bounded(n, dmax)]
+            assert got == want, (n, dmax)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_partitions(2.0),
+    lambda: enumerate_partitions(True),
+    lambda: enumerate_partitions(-1),
+    lambda: enumerate_partitions_bounded(2.0, 2),
+    lambda: enumerate_partitions_bounded(True, 2),
+    lambda: enumerate_partitions_bounded(-1, 2),
+    lambda: enumerate_partitions_bounded(0, -3),
+    lambda: enumerate_partitions_bounded(3, 2.0),
+    lambda: enumerate_partitions_bounded(3, True),
+    lambda: [count_partitions(2.0)],
+    lambda: [count_partitions(True)],
+])
+def test_partition_functions_reject_bad_input(call):
+    with pytest.raises(PreconditionError):
+        list(call())
+
+
+def test_reduce_partition_returns_canonical_partitions():
+    # the result is built without Partition's validation: it must equal
+    # the validated partition with the same pairs
+    for p in (3, 5):
+        for n in range(1, 16):
+            for u in enumerate_partitions(n):
+                r = reduce_partition(p, u)
+                assert r == Partition(r.pairs) and r.pairs == Partition(r.pairs).pairs
+                assert all(mult >= 1 for _, mult in r.pairs)

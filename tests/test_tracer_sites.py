@@ -8,7 +8,9 @@ so this installs the tracer in a fresh interpreter and runs one traced
 verification on both backends, a ``compute`` cache miss and hit in
 text and in JSON, which reach the wrapped cache writer and reader, and
 one ``classical`` run, which reaches the wrapped ``SparsePoly.items``
-through ``specialize``.
+through ``specialize``, and one small ``lemma --name 3.2``, whose
+partitions must come through the wrapped
+``ubern.lemmas.enumerate_partitions_bounded``.
 """
 
 import os
@@ -52,6 +54,13 @@ code = ubern.cli.main(["classical", "--n-max", "4"])
 assert code == 0, code
 names = {span["name"] for span in tracer.spans if span["op"] == "classical"}
 assert "bernoulli.canonical_sort" in names, sorted(names)
+tracer.op = "lemma"
+code = ubern.cli.main(["lemma", "--name", "3.2", "--s-max", "1", "--i-max", "1"])
+assert code == 0, code
+names = {span["name"] for span in tracer.spans if span["op"] == "lemma"}
+assert any(name.startswith("lemmas.sweep") for name in names), sorted(names)
+visited = tracer.op_counts["lemma"]["ubern.lemmas.enumerate_partitions_bounded.visited"]
+assert visited > 0, dict(tracer.op_counts["lemma"])
 """
 
 
