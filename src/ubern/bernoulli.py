@@ -92,64 +92,47 @@ def tau_valuation(p: int, u: Partition) -> int:
 def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, int]]:
     """(u, tau_valuation(p, u)) for every partition u of n with v < k.
 
-    Yields in enumerate_partitions order, by an exact branch-and-bound.
-    Writing v = v((n+d-2)!) - sum_i [u_i v(i+1) + v(u_i!)], the per-part
-    gains are separable, so best[cap][r][dd] -- the largest total gain of
-    any partition of r into exactly dd parts, each <= cap -- is a knapsack
-    table built once per call.  The walk picks the largest part first,
-    multiplicity descending, and cuts a subtree only when no completion
-    can fall below k; the bound is tight, so it visits almost nothing
-    besides what it yields.
+    Yields in enumerate_partitions order, by an exact branch-and-bound on
+    v = v((n+d-2)!) - sum_i [u_i v(i+1) + v(u_i!)].  The walk picks the
+    largest part first, multiplicity descending, and cuts a subtree only
+    when no completion can fall below k.  Factorial valuations are
+    superadditive, v((a+b)!) >= v(a!) + v(b!) (binomials are integers), so
+    a completion of r into parts <= cap, after d parts and gain s so far,
+    has v >= v((n+d-2)!) - s - most[cap][r], with most[c][r] the largest
+    sum u_i v(i+1) over partitions of r into parts <= c: an unbounded
+    knapsack table of O(n^2) entries.  The bound is not tight (on the
+    shipped padic grid the walk checks 3,817 parts for 503 yields), but
+    every cut is exact.
     """
     _require_prime(p)
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
-    vfact = [0] * (max(2 * n - 2, n) + 1)
-    for i in range(1, len(vfact)):
-        vfact[i] = vfact[i - 1] + (vp_int(p, i) if i % p == 0 else 0)
-    vsucc = [0] + [vp_int(p, i + 1) if (i + 1) % p == 0 else 0 for i in range(1, n + 1)]
-
-    def gain(part: int, mult: int) -> int:
-        return mult * vsucc[part] + vfact[mult]
-
-    # best[c][r][dd]; -inf marks a (c, r, dd) that no partition realizes
-    best = [[[0]] + [[-math.inf] * (r + 1) for r in range(1, n + 1)]]
+    vfact = [_vp_factorial(p, i) for i in range(max(2 * n - 2, n + 1) + 1)]
+    most = [[0] * (n + 1)]  # seeds row 1; the walk never reads row 0
     for c in range(1, n + 1):
-        prev = best[-1]
-        row = []
-        for r in range(n + 1):
-            cur = list(prev[r])
-            for m in range(1, r // c + 1):
-                g = gain(c, m)
-                rest = r - c * m
-                src = prev[rest]
-                # fewer than ceil(rest/(c-1)) parts <= c-1 cannot make rest
-                lo = -(-rest // (c - 1)) if c > 1 else rest
-                for dd in range(lo, rest + 1):
-                    if src[dd] + g > cur[dd + m]:
-                        cur[dd + m] = src[dd] + g
-            row.append(cur)
-        best.append(row)
-
-    def floor(cap: int, r: int, d: int) -> int | float:
-        # least v_p(tau(u)) + gain so far, over completions of r into parts
-        # <= cap after d parts
-        return min(vfact[n + d + dd - 2] - b for dd, b in enumerate(best[cap][r]))
+        row = list(most[-1])
+        w = vfact[c + 1] - vfact[c]  # v(c+1)
+        for r in range(c, n + 1):
+            if row[r - c] + w > row[r]:
+                row[r] = row[r - c] + w
+        most.append(row)
 
     def walk(r, cap, d, s, tail):
+        base = vfact[max(n + d - 2, 0)] - s  # v(0!) at the root for n = 1
         for part in range(min(cap, r), 0, -1):
-            if floor(part, r, d) - s >= k:
-                break  # a smaller cap only raises the floor
+            if base - most[part][r] >= k:
+                break  # a smaller cap only raises the bound
+            w = vfact[part + 1] - vfact[part]
             for mult in range(r // part, 0, -1):
                 rest = r - part * mult
                 d2 = d + mult
-                s2 = s + gain(part, mult)
+                s2 = s + mult * w + vfact[mult]
                 pairs = ((part, mult),) + tail
                 if rest == 0:
                     v = vfact[n + d2 - 2] - s2
                     if v < k:
                         yield Partition._raw(pairs), v
-                elif floor(part - 1, rest, d2) - s2 < k:
+                elif part > 1 and vfact[n + d2 - 2] - s2 - most[part - 1][rest] < k:
                     yield from walk(rest, part - 1, d2, s2, pairs)
 
     yield from walk(n, n, 0, 0, ())

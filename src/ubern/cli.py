@@ -52,6 +52,11 @@ _LEMMA_BOUND_FLAGS = (
     "k-max", "a-max", "i-max", "n-max", "m-max", "l-max", "q-max", "r-max", "e-max", "s-max",
 )
 
+# largest --n-max of lemmas 4.1 and 4.2, where it is the exponent N of
+# k 2**N: 4.2 takes about 0.8 s at N = 10, and each step up about triples
+# the cost of both (4.1 at N = 16 had not finished after 110 s)
+_LEMMA_EXPONENT_MAX = 10
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -241,12 +246,15 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
+    if args.name in ("4.1", "4.2", "4.6", "4.7"):
         import inspect
 
-        ceiling = _ceiling(args)
         default = inspect.signature(SWEEPS[args.name]).parameters["n_max"].default
         n_max = overrides.get("n_max", default)
+        if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
+            ceiling = _ceiling(args)
+        else:  # double factorials of about k 2**n_max
+            ceiling = _LEMMA_EXPONENT_MAX
         if n_max > ceiling:
             raise PreconditionError(f"--n-max {n_max} exceeds the ceiling {ceiling}")
     result = run_sweep(args.name, **overrides)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,7 @@ from ubern.bernoulli import (
 )
 import ubern.bernoulli as bernoulli
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
-from ubern.padic import INFINITY, PadicScalar, vp
+from ubern.padic import INFINITY, PadicScalar, _vp_factorial, vp, vp_int
 from ubern.partitions import Partition, count_partitions, enumerate_partitions
 
 
@@ -357,6 +358,89 @@ def test_tau_valuations_below_matches_full_filter():
             for k in range(1, 7):
                 want = [(u, v) for u, v in vals if v < k]
                 assert list(tau_valuations_below(p, n, k)) == want, (p, n, k)
+
+
+def _tight_walk_reference(p, n, k):
+    # the former walk: best[c][r][dd], the largest gain over partitions of r
+    # into exactly dd parts <= c, gives a tight bound from an O(n^3) table
+    vfact = [0] * (max(2 * n - 2, n) + 1)
+    for i in range(1, len(vfact)):
+        vfact[i] = vfact[i - 1] + (vp_int(p, i) if i % p == 0 else 0)
+    vsucc = [0] + [vp_int(p, i + 1) if (i + 1) % p == 0 else 0 for i in range(1, n + 1)]
+
+    def gain(part, mult):
+        return mult * vsucc[part] + vfact[mult]
+
+    best = [[[0]] + [[-math.inf] * (r + 1) for r in range(1, n + 1)]]
+    for c in range(1, n + 1):
+        prev = best[-1]
+        row = []
+        for r in range(n + 1):
+            cur = list(prev[r])
+            for m in range(1, r // c + 1):
+                g = gain(c, m)
+                rest = r - c * m
+                src = prev[rest]
+                lo = -(-rest // (c - 1)) if c > 1 else rest
+                for dd in range(lo, rest + 1):
+                    if src[dd] + g > cur[dd + m]:
+                        cur[dd + m] = src[dd] + g
+            row.append(cur)
+        best.append(row)
+
+    def floor(cap, r, d):
+        return min(vfact[n + d + dd - 2] - b for dd, b in enumerate(best[cap][r]))
+
+    def walk(r, cap, d, s, tail):
+        for part in range(min(cap, r), 0, -1):
+            if floor(part, r, d) - s >= k:
+                break
+            for mult in range(r // part, 0, -1):
+                rest = r - part * mult
+                d2 = d + mult
+                s2 = s + gain(part, mult)
+                pairs = ((part, mult),) + tail
+                if rest == 0:
+                    v = vfact[n + d2 - 2] - s2
+                    if v < k:
+                        yield Partition(dict(pairs)), v
+                elif floor(part - 1, rest, d2) - s2 < k:
+                    yield from walk(rest, part - 1, d2, s2, pairs)
+
+    yield from walk(n, n, 0, 0, ())
+
+
+def test_tau_valuations_below_matches_tight_reference():
+    # the superadditive bound is looser than the former tight one, but it
+    # cuts only what cannot yield: same partitions, valuations and order
+    for p in (2, 3, 5, 7):
+        for n in range(1, 41):
+            for k in range(1, 6):
+                want = list(_tight_walk_reference(p, n, k))
+                assert list(tau_valuations_below(p, n, k)) == want, (p, n, k)
+
+
+def test_factorial_valuation_is_superadditive():
+    # v_p((a+b)!) >= v_p(a!) + v_p(b!), the walk's bound, against Legendre
+    for p in (2, 3, 5, 7):
+        legendre = [sum(a // p**i for i in range(1, 10)) for a in range(401)]
+        assert [_vp_factorial(p, a) for a in range(401)] == legendre
+        for a in range(201):
+            for b in range(201):
+                assert legendre[a + b] >= legendre[a] + legendre[b], (p, a, b)
+
+
+def test_tau_valuations_below_past_the_grid():
+    # n = 300, far past the shipped grid: keys distinct, in canonical order,
+    # each v the exact valuation and below k
+    p, k = 2, 3
+    got = list(tau_valuations_below(p, 300, k))
+    keys = [u for u, _ in got]
+    assert got and len(set(keys)) == len(keys)
+    assert keys == sorted(keys, key=Partition.sort_key)
+    for u, v in got:
+        assert u.weight == 300
+        assert v == tau_valuation(p, u) < k
 
 
 def test_tau_valuations_below_guards():

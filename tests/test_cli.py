@@ -208,6 +208,20 @@ def test_lemma_weight_sweeps_respect_ceiling(capsys, monkeypatch, name):
     assert run(capsys, "lemma", "--name", "4.1", "--n-max", "5", "--k-max", "3")[0] == 0
 
 
+@pytest.mark.parametrize("name", ["4.1", "4.2"])
+def test_lemma_exponent_sweeps_are_capped(capsys, monkeypatch, name):
+    # --n-max is the exponent N of k 2**N there, capped at 10 whatever the
+    # weight ceiling
+    code, out, err = run(capsys, "lemma", "--name", name, "--n-max", "11")
+    assert (code, out) == (2, "") and "ceiling 10" in err
+    monkeypatch.setenv("UBERN_N_CEILING", "200")
+    code, out, err = run(capsys, "lemma", "--name", name, "--n-max", "11")
+    assert (code, out) == (2, "") and "ceiling 10" in err
+    monkeypatch.setenv("UBERN_N_CEILING", "5")
+    small = ("--k-max", "1") + (("--a-max", "3") if name == "4.2" else ())
+    assert run(capsys, "lemma", "--name", name, "--n-max", "10", *small)[0] == 0
+
+
 def test_classical_examples(capsys):
     code, out, _ = run(capsys, "classical", "--n-max", "6")
     assert code == 0

@@ -468,3 +468,31 @@ def test_padic_terms_are_tau_to_the_modulus(case):
         for u, num, den in terms:
             assert den > 0
             assert vp(p, Fraction(num, den) - tau(u)) >= k
+
+
+def test_padic_holds_past_the_grid():
+    # every family past the n <= 60 grid, the ceiling raised by argument:
+    # 4.8 at n = 150, 200; 3.5 at n = 64, 108, 300; 4.9 at n = 56, 273
+    ceiling = 300
+    reports = [verify_theorem_4_8(n, backend="padic", n_ceiling=ceiling) for n in (150, 200)]
+    reports += [
+        verify_theorem_3_5(*case, backend="padic", n_ceiling=ceiling)
+        for case in ((3, 5, 27), (5, 2, 25), (7, 1, 49))
+    ]
+    reports += [
+        verify_theorem_4_9(*case, backend="padic", n_ceiling=ceiling)
+        for case in ((24, 1, 5), (17, 1, 8))
+    ]
+    assert [r.holds for r in reports] == [True] * 7
+    # not vacuous at n = 200: moving any right-hand-side coefficient by
+    # 2**(k-1) fails at exactly that monomial, moving it by 2**k does not
+    rhs, k = rhs_theorem_4_8(200)
+    assert len(rhs) == 9
+    for u, _ in rhs.items():
+        for shift, holds in ((2 ** (k - 1), False), (2**k, True)):
+            report = _verify_against_ubern(
+                200, rhs.add_term(u, shift), 2, k, {}, "padic", ceiling
+            )
+            assert report.holds is holds, (u, shift)
+            if not holds:
+                assert [(f.u, f.vp_diff) for f in report.failures] == [(u, k - 1)]
