@@ -282,14 +282,10 @@ class SparsePoly:
         )
 
 
-def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
-    """(u, num, den) with tau(u) = num/den for every partition u of n.
-
-    Yields in enumerate_partitions order; den = gamma(u) > 0 and the pair
-    is not reduced.  The (n+d-2)! numerators come from one factorial
-    table, and gamma(u) is a product over the runs of u of
-    run[part][mult] = (part+1)**mult * mult!, tabulated once per call.
-    """
+def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
+    """The two tables tau(u) of weight n is read from: fact[i] = i! for
+    i <= 2n - 2, and run[part][mult] = (part+1)**mult * mult!, the factor
+    of gamma(u) from one run, for part * mult <= n."""
     fact = [1] * (2 * n - 1)
     for i in range(1, 2 * n - 1):
         fact[i] = fact[i - 1] * i
@@ -299,6 +295,17 @@ def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
         for mult in range(1, n // part + 1):
             row.append(row[-1] * (part + 1) * mult)
         run.append(row)
+    return fact, run
+
+
+def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
+    """(u, num, den) with tau(u) = num/den for every partition u of n.
+
+    Yields in enumerate_partitions order; den = gamma(u) > 0 and the pair
+    is not reduced.  The (n+d-2)! numerators and the run factors of
+    gamma(u) come from _tau_tables.
+    """
+    fact, run = _tau_tables(n)
     for u in enumerate_partitions(n):
         d = 0
         den = 1

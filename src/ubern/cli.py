@@ -37,7 +37,7 @@ from .congruences import (
     verify_theorem_4_9,
 )
 from .errors import CacheError, CeilingExceeded, PreconditionError
-from .lemmas import SWEEPS, run_sweep
+from .lemmas import _EXPONENT_MAX, SWEEPS, run_sweep
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -51,11 +51,6 @@ _MAX_TEXT_ITEMS = 20
 _LEMMA_BOUND_FLAGS = (
     "k-max", "a-max", "i-max", "n-max", "m-max", "l-max", "q-max", "r-max", "e-max", "s-max",
 )
-
-# largest --n-max of lemmas 4.1 and 4.2, where it is the exponent N of
-# k 2**N: 4.2 takes about 0.8 s at N = 10, and each step up about triples
-# the cost of both (4.1 at N = 16 had not finished after 110 s)
-_LEMMA_EXPONENT_MAX = 10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +249,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
             ceiling = _ceiling(args)
         else:  # double factorials of about k 2**n_max
-            ceiling = _LEMMA_EXPONENT_MAX
+            ceiling = _EXPONENT_MAX
         if n_max > ceiling:
             raise PreconditionError(f"--n-max {n_max} exceeds the ceiling {ceiling}")
     result = run_sweep(args.name, **overrides)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
-    _tau_fractions,
+    _tau_tables,
     _tau_unit,
     classical_bernoulli,
     divided_ubern,
@@ -176,18 +176,19 @@ def _congruence_report(
 ) -> CongruenceReport:
     """Check the left-hand terms (u, num, den), den > 0, against B mod p**k.
 
-    The one congruence test: the exact backend feeds it every tau(u)
-    (_tau_fractions), the padic backend only the monomials that can fail
-    (_padic_terms), and poly_congruent a materialized polynomial.  A
-    monomial that no term names has left-hand side 0.  For a rational in
-    lowest terms and k >= 1, v_p >= k holds exactly when p**k divides the
-    numerator (a zero difference included), so each monomial costs one
-    integer test.  Where B has no term at u, that is the quotient of num
-    by den when it divides, else num over gcd(num, den); a Fraction is
-    built only where B has the key or the test fails.  The keys only in B
-    come after.  vp is computed for the failures alone, and only the
-    failure list is put in canonical order; keys are distinct, so that is
-    the order of the sorted union of both key sets.
+    The one congruence test: the exact backend feeds it the monomials
+    that can fail, found by testing every tau(u) (_exact_terms), the padic
+    backend the same monomials, found by a pruned walk (_padic_terms), and
+    poly_congruent a materialized polynomial.  A monomial that no term
+    names has left-hand side 0.  For a rational in lowest terms and
+    k >= 1, v_p >= k holds exactly when p**k divides the numerator (a zero
+    difference included), so each monomial costs one integer test.
+    Where B has no term at u, that is the quotient of num by den when it
+    divides, else num over gcd(num, den); a Fraction is built only where B
+    has the key or the test fails.  The keys only in B come after.  vp is
+    computed for the failures alone, and only the failure list is put in
+    canonical order; keys are distinct, so that is the order of the sorted
+    union of both key sets.
     """
     _require_prime(p)
     if k < 1:
@@ -248,6 +249,71 @@ def _padic_terms(
             yield u, unit, p**-v
 
 
+def _exact_terms(
+    n: int, rhs: SparsePoly, p: int, k: int
+) -> Iterator[tuple[Partition, int, int]]:
+    """(u, num, den) with tau(u) = num/den for each partition u of n with
+    tau(u) != 0 mod p**k, then each key of rhs of weight n not yet named:
+    the exact backend's term source, each monomial once.
+
+    The independent oracle: all p(n) partitions are visited and each
+    tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u) is tested with big integers by
+    the integer test of _congruence_report (the quotient when den | num,
+    else num over gcd(num, den), mod p**k); no valuation is computed.  The
+    sweep is the enumerate_partitions successor on one stack of runs
+    (part, mult, gamma, degree), gamma and degree taken over the runs up
+    to and including that one, so a step multiplies in the _tau_tables
+    factor of each run it changes, and a Partition is built only for a
+    yielded term.  The sweep's terms are those of _tau_fractions, in its
+    order: den = gamma(u), not reduced.
+    """
+    modulus = p**k
+    fact, run = _tau_tables(n)
+    pending = {u.pairs for u in rhs.keys() if u.weight == n}
+    runs = [(n, 1, n + 1, 1)]  # parts strictly decreasing
+    den, d = n + 1, 1
+    while True:
+        num = fact[n + d - 2]
+        q, r = divmod(num, den)
+        if (num // gcd(num, den) if r else q) % modulus:
+            pairs = tuple([(part, mult) for part, mult, _, _ in reversed(runs)])
+            pending.discard(pairs)
+            yield Partition._raw(pairs), (num if d % 2 else -num), den
+        # the enumerate_partitions successor: pop the trailing 1s, take one
+        # copy off the smallest part > 1, refill as copies of part - 1 and
+        # at most one smaller part
+        part, mult, _, _ = runs.pop()
+        rest = 0
+        if part == 1:
+            if not runs:
+                break
+            rest = mult
+            part, mult, _, _ = runs.pop()
+        _, _, den, d = runs[-1] if runs else (0, 0, 1, 0)
+        if mult > 1:
+            den *= run[part][mult - 1]
+            d += mult - 1
+            runs.append((part, mult - 1, den, d))
+        rest += part
+        part -= 1
+        q, r = divmod(rest, part)
+        den *= run[part][q]
+        d += q
+        runs.append((part, q, den, d))
+        if r:
+            den *= r + 1
+            d += 1
+            runs.append((r, 1, den, d))
+    for u in rhs.keys():
+        if u.pairs in pending:
+            d = u.degree
+            den = 1
+            for part, mult in u:
+                den *= run[part][mult]
+            num = fact[n + d - 2]
+            yield u, (num if d % 2 else -num), den
+
+
 def _verify_against_ubern(
     n: int,
     rhs: SparsePoly,
@@ -258,6 +324,13 @@ def _verify_against_ubern(
     n_ceiling: int,
     perturb: bool = False,
 ) -> CongruenceReport:
+    """Check divided_ubern(n) against rhs mod p**k on one backend.
+
+    Both backends are term sources for _congruence_report: "exact" tests
+    tau(u) of every partition of n with big integers (_exact_terms), the
+    independent oracle; "padic" walks only the u with v_p(tau(u)) < k and
+    reads their unit residues (_padic_terms).
+    """
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     if perturb:
@@ -266,8 +339,7 @@ def _verify_against_ubern(
         rhs = rhs.add_term(first, 1)
         context["perturbed"] = True
     if backend == "exact":
-        # the independent oracle: every tau(u) exactly, no valuation shortcut
-        terms = _tau_fractions(n)
+        terms = _exact_terms(n, rhs, p, k)
     elif backend == "padic":
         terms = _padic_terms(n, rhs, p, k)
     else:

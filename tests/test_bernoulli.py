@@ -25,6 +25,7 @@ from ubern.bernoulli import (
     write_coefficient_cache,
 )
 import ubern.bernoulli as bernoulli
+from ubern.congruences import _exact_terms
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
 from ubern.padic import INFINITY, PadicScalar, _vp_factorial, vp, vp_int
 from ubern.partitions import Partition, count_partitions, enumerate_partitions
@@ -358,6 +359,18 @@ def test_tau_valuations_below_matches_full_filter():
             for k in range(1, 7):
                 want = [(u, v) for u, v in vals if v < k]
                 assert list(tau_valuations_below(p, n, k)) == want, (p, n, k)
+
+
+def test_tau_valuations_below_matches_exact_oracle_past_32():
+    # the exact backend's term source tests every tau(u) with big integers;
+    # the walk must name the same partitions, in the same order, past the
+    # range where the full tau_valuation filter above is cheap
+    for n in range(34, 49, 2):
+        for k in (2, 3):
+            got = list(tau_valuations_below(2, n, k))
+            want = [u for u, _, _ in _exact_terms(n, SparsePoly(), 2, k)]
+            assert [u for u, _ in got] == want, (n, k)
+            assert all(v == vp(2, tau(u)) for u, v in got), (n, k)
 
 
 def _tight_walk_reference(p, n, k):

@@ -222,6 +222,18 @@ def test_lemma_exponent_sweeps_are_capped(capsys, monkeypatch, name):
     assert run(capsys, "lemma", "--name", name, "--n-max", "10", *small)[0] == 0
 
 
+def test_backends_agree_at_the_ceiling(capsys):
+    # n = 60: the exact oracle sweeps all 966,467 partitions, the padic walk
+    # a handful; --backend both exits 1 unless the two reports agree
+    code, out, err = run(
+        capsys, "verify", "--theorem", "4.8", "--n", "60", "--backend", "both",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["holds"] and doc["context"]["backend"] == "both"
+
+
 def test_classical_examples(capsys):
     code, out, _ = run(capsys, "classical", "--n-max", "6")
     assert code == 0

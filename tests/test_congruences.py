@@ -1,11 +1,14 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ubern.bernoulli import classical_bernoulli, divided_ubern, tau, tau_valuation
+import ubern.congruences as congruences
+from ubern.bernoulli import _tau_fractions, classical_bernoulli, divided_ubern, tau, tau_valuation
 from ubern.congruences import (
+    _exact_terms,
     _padic_terms,
     _verify_against_ubern,
     GRID_THEOREM_3_5,
@@ -168,13 +171,59 @@ def test_exact_stream_matches_materialised_grid():
         _assert_stream_matches_materialised(report, build(*args))
 
 
+# the three mutation controls: +1 on the first right-hand-side coefficient
+CONTROL_CASES = (
+    (verify_theorem_3_5, rhs_theorem_3_5, (5, 1, 5)),
+    (verify_theorem_4_8, lambda n: rhs_theorem_4_8(n)[0], (12,)),
+    (verify_theorem_4_9, rhs_theorem_4_9, (7, 1, 3)),
+)
+
+
+def _perturbed(rhs):
+    return rhs.add_term(rhs.items()[0][0], 1)
+
+
 def test_exact_stream_matches_materialised_controls():
-    for verify, build, args in ((verify_theorem_3_5, rhs_theorem_3_5, (5, 1, 5)),
-                                (verify_theorem_4_8, lambda n: rhs_theorem_4_8(n)[0], (12,)),
-                                (verify_theorem_4_9, rhs_theorem_4_9, (7, 1, 3))):
+    for verify, build, args in CONTROL_CASES:
         report = verify(*args, perturb=True)
-        rhs = build(*args)
-        _assert_stream_matches_materialised(report, rhs.add_term(rhs.items()[0][0], 1))
+        _assert_stream_matches_materialised(report, _perturbed(build(*args)))
+
+
+def test_exact_terms_sweep_every_partition():
+    # 2**k exceeds every numerator (2n-2)!, so no tau(u) is 0 mod 2**k and
+    # the sweep yields each partition: the terms of _tau_fractions, in order
+    for n in range(1, 31):
+        k = math.factorial(2 * n - 2).bit_length()
+        assert list(_exact_terms(n, SparsePoly(), 2, k)) == list(_tau_fractions(n)), n
+
+
+def test_exact_and_padic_terms_name_the_same_keys():
+    # the two term sources of the one congruence test name the same
+    # monomials, each once, on every shipped grid case and every control
+    cases = [(verify, build(*args), args) for verify, build, args in _grid_cases(60)]
+    assert len(cases) == 47
+    cases += [(verify, _perturbed(build(*args)), args) for verify, build, args in CONTROL_CASES]
+    for verify, rhs, args in cases:
+        report = verify(*args, backend="padic")
+        n, p, k = report.context["n"], report.prime, report.mod_exp
+        exact = list(_exact_terms(n, rhs, p, k))
+        keys = [u for u, _, _ in exact]
+        assert len(keys) == len(set(keys)), args
+        assert set(keys) == {u for u, _, _ in _padic_terms(n, rhs, p, k)}, args
+        assert all(Fraction(num, den) == tau(u) for u, num, den in exact), args
+
+
+def test_exact_backend_takes_no_valuation_shortcut(monkeypatch):
+    # the oracle holds with every valuation helper of the padic backend gone
+    def shortcut(*args):
+        raise AssertionError("valuation shortcut called")
+
+    for name in ("tau_valuation", "tau_valuations_below", "_tau_unit", "vp"):
+        monkeypatch.setattr(congruences, name, shortcut)
+    assert verify_theorem_4_8(40).holds
+    assert verify_theorem_3_5(5, 1, 5).holds
+    with pytest.raises(AssertionError, match="shortcut"):
+        verify_theorem_4_8(40, backend="padic")
 
 
 def test_exact_stream_missing_and_wrong_weight_rhs_keys():

@@ -30,6 +30,13 @@ def test_run_sweep_rejects_foreign_parameters():
         run_sweep("4.1", a_max=5)
 
 
+@pytest.mark.parametrize("name", ["4.1", "4.2"])
+def test_exponent_sweeps_are_capped_in_the_library(name):
+    # n_max is the exponent N of k 2**N; the cap holds without the CLI
+    with pytest.raises(PreconditionError, match="ceiling 10"):
+        run_sweep(name, n_max=11)
+
+
 def test_small_sweeps_hold():
     assert run_sweep("2.2", l_max=60).holds
     assert run_sweep("2.4", a_max=60).holds
