@@ -12,7 +12,7 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CacheError, CeilingExceeded, PreconditionError
 from .padic import (
@@ -400,39 +400,77 @@ def cache_file_name(n: int) -> str:
     return f"ubern_{n}.jsonl"
 
 
-def _term_formatter(n: int) -> Callable[[Partition, int, int], str]:
-    """(u, num, den) -> the cache line of u with coefficient num/den.
+def _tau_runs(n: int) -> Iterator[tuple[list[tuple[int, int, int, int, str]], int, int]]:
+    """(runs, num, den) with tau(u) = num/den for every partition u of n.
 
-    The bytes are those of json.dumps({"u": u.to_pairs(), "c": "num/den"},
-    separators=(",", ":")) and a newline; the "[part,mult]" texts of
-    partitions of n are formatted once per call.
+    The cache writer's sweep, in enumerate_partitions order: the successor
+    of enumerate_partitions on one stack of runs (part, mult, gamma,
+    degree, text), parts strictly decreasing.  gamma, degree and text are
+    taken over the runs up to and including that one, text being their
+    "[part,mult]" texts joined by commas, part ascending.  A step
+    multiplies in the _tau_tables factor of each run it changes and
+    prepends its text, so the top run holds den = gamma(u), the degree of
+    u and its serialized pairs; no Partition is built.  runs is the live
+    stack, valid until the next step.  The terms are those of
+    _tau_fractions: den > 0, the pair not reduced.
     """
-    runs = [[]] + [
-        ["[%d,%d]" % (part, mult) for mult in range(n // part + 1)]
+    fact, run = _tau_tables(n)
+    # "[part,mult]," for part * mult <= n; a run on an empty stack drops the comma
+    label = [[]] + [
+        ["[%d,%d]," % (part, mult) for mult in range(n // part + 1)]
         for part in range(1, n + 1)
     ]
-
-    def term(u: Partition, num: int, den: int) -> str:
-        pairs = ",".join([runs[part][mult] for part, mult in u._pairs])
-        return '{"u":[%s],"c":"%d/%d"}\n' % (pairs, num, den)
-
-    return term
+    runs = [(n, 1, n + 1, 1, label[n][1][:-1])]
+    den, d = n + 1, 1
+    while True:
+        num = fact[n + d - 2]
+        yield runs, (num if d % 2 else -num), den
+        # the enumerate_partitions successor: pop the trailing 1s, take one
+        # copy off the smallest part > 1, refill as copies of part - 1 and
+        # at most one smaller part
+        part, mult, _, _, _ = runs.pop()
+        rest = 0
+        if part == 1:
+            if not runs:
+                return
+            rest = mult
+            part, mult, _, _, _ = runs.pop()
+        _, _, den, d, text = runs[-1] if runs else (0, 0, 1, 0, "")
+        if mult > 1:
+            den *= run[part][mult - 1]
+            d += mult - 1
+            text = label[part][mult - 1] + text if text else label[part][mult - 1][:-1]
+            runs.append((part, mult - 1, den, d, text))
+        rest += part
+        part -= 1
+        q, r = divmod(rest, part)
+        den *= run[part][q]
+        d += q
+        text = label[part][q] + text if text else label[part][q][:-1]
+        runs.append((part, q, den, d, text))
+        if r:
+            den *= r + 1
+            d += 1
+            text = label[r][1] + text
+            runs.append((r, 1, den, d, text))
 
 
 def cache_lines(n: int) -> Iterator[str]:
     """The cache file of weight n, one newline-terminated line at a time.
 
-    The header {"n":n,"count":p(n)}, then the line of each partition of n
-    in enumerate_partitions order with tau(u) in lowest terms, from
-    _tau_fractions and one gcd: no Fraction or SparsePoly is built.
+    The header {"n":n,"count":p(n)}, then the line of each partition u of
+    n in enumerate_partitions order, {"u":[[part,mult],...],"c":"num/den"}
+    with tau(u) in lowest terms: the bytes of json.dumps with
+    separators=(",", ":") and a newline.  Each line is the text, gamma and
+    degree of the top run of the _tau_runs sweep, one factorial from the
+    _tau_tables and one gcd: no Partition, Fraction or SparsePoly is built.
     """
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
-    term = _term_formatter(n)
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
-    for u, num, den in _tau_fractions(n):
+    for runs, num, den in _tau_runs(n):
         g = math.gcd(num, den)
-        yield term(u, num // g, den // g)
+        yield '{"u":[%s],"c":"%d/%d"}\n' % (runs[-1][4], num // g, den // g)
 
 
 def write_coefficient_cache(path: Path, n: int) -> list[str]:
@@ -458,34 +496,39 @@ def write_coefficient_cache(path: Path, n: int) -> list[str]:
     return lines
 
 
+def _clip(line: str, width: int = 80) -> str:
+    # repr of at most width characters of line, so an error message stays short
+    return repr(line) if len(line) <= width else repr(line[:width]) + "..."
+
+
 def read_coefficient_cache(path: Path, n: int) -> list[str]:
     """The lines of a cache file written for weight n; anything else raises CacheError.
 
-    Accepted: the header of cache_lines(n), then exactly p(n) term lines,
-    line i that of the i-th partition in enumerate_partitions order with a
-    nonzero coefficient in lowest terms, each ending in a newline.  The
-    coefficient values themselves are not checked.
+    Accepted are exactly the bytes cache_lines(n) yields, coefficient
+    values included: line i of the file must equal line i of the stream,
+    newline and all, and nothing may follow the last term line.  The file
+    is compared in lockstep with the stream, and only its lines are kept.
     """
-    expected = count_partitions(n)
-    want = next(cache_lines(n))
-    term = _term_formatter(n)
+    expected = cache_lines(n)
+    want = next(expected)  # the header; a bad n raises PreconditionError here
     try:
         # newline="\n": lines end only at "\n", and nothing is translated
         with open(path, encoding="utf-8", newline="\n") as f:
-            lines = [f.readline()]
-            if lines[0] != want:
-                raise CacheError(f"{path}: header {lines[0]!r}, expected {want!r}")
-            for u, line in zip(enumerate_partitions(n), f):
-                num, _, den = line[line.rfind('"c":"') + 5:-3].partition("/")
-                a, b = int(num), int(den)
-                if not a or b < 1 or math.gcd(a, b) != 1 or line != term(u, a, b):
+            line = f.readline()
+            if line != want:
+                raise CacheError(f"{path}: header {_clip(line)}, expected {_clip(want)}")
+            lines = [line]
+            for want, line in zip(expected, f):
+                if line != want:
+                    u = want[5:want.index('],"c":"') + 1]  # after {"u":
                     raise CacheError(
-                        f"{path}: term line {len(lines)} is not the line of {u!r} "
-                        f"with a nonzero coefficient in lowest terms: {line!r}"
+                        f"{path}: term line {len(lines)} is not the line of u = {u}: "
+                        f"found {_clip(line)}, expected {_clip(want)}"
                     )
                 lines.append(line)
-            if len(lines) <= expected or f.readline():
-                raise CacheError(f"{path}: not exactly {expected} term lines")
+            count = count_partitions(n)
+            if len(lines) != count + 1 or f.readline():
+                raise CacheError(f"{path}: not exactly {count} term lines")
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
     except ValueError as exc:

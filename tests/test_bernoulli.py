@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -348,6 +350,79 @@ def test_cache_rejects_corruption(tmp_path: Path):
         (tmp_path / "ends.jsonl").write_bytes(text.encode())
         with pytest.raises(CacheError):
             read_coefficient_cache(tmp_path / "ends.jsonl", 7)
+
+
+def test_cache_rejects_wrong_values_in_canonical_form(tmp_path: Path):
+    # a coefficient changed but still in lowest terms, and a flipped sign,
+    # are not the writer's bytes
+    path = tmp_path / "ubern_7.jsonl"
+    lines = write_coefficient_cache(path, 7)
+    assert lines[1] == '{"u":[[7,1]],"c":"90/1"}\n'
+    for index, old, new in ((1, '"90/1"', '"91/1"'), (1, '"90/1"', '"-90/1"'), (7, '"-', '"')):
+        assert old in lines[index]
+        changed = lines[:index] + [lines[index].replace(old, new)] + lines[index + 1:]
+        path.write_text("".join(changed))
+        with pytest.raises(CacheError, match=f"term line {index} "):
+            read_coefficient_cache(path, 7)
+    # a weight outside the domain is the caller's error, not the file's
+    for bad in (0, -3, 2.0):
+        with pytest.raises(PreconditionError):
+            read_coefficient_cache(path, bad)
+
+
+def test_cache_error_message_is_bounded(tmp_path: Path):
+    path = tmp_path / "ubern_9.jsonl"
+    lines = write_coefficient_cache(path, 9)
+    huge = '{"u":[[1,9]],"c":"' + "7" * 2_000_000 + '/1"}\n'
+    for index, name in ((0, "header"), (3, "term line 3 ")):
+        path.write_text("".join(lines[:index] + [huge] + lines[index + 1:]))
+        with pytest.raises(CacheError) as info:
+            read_coefficient_cache(path, 9)
+        message = str(info.value)
+        assert name in message and len(message) < 400 + len(str(path)), message
+    # the message names the expected partition of that line
+    assert lines[3].startswith('{"u":[[2,1],[7,1]],')
+    assert "u = [[2,1],[7,1]]" in message
+
+
+def test_tau_runs_match_tau_fractions():
+    # the cache sweep against the independent reference: enumerate_partitions
+    # and a gamma product per partition
+    for n in range(1, 31):
+        got = 0
+        for (runs, num, den), (u, num2, den2) in zip(
+            bernoulli._tau_runs(n), bernoulli._tau_fractions(n)
+        ):
+            assert tuple((part, mult) for part, mult, *_ in reversed(runs)) == u.pairs
+            assert (num, den) == (num2, den2), (n, u)
+            assert runs[-1][4] == ",".join("[%d,%d]" % pm for pm in u.pairs), (n, u)
+            got += 1
+        assert got == count_partitions(n), n
+        assert sum(1 for _ in bernoulli._tau_runs(n)) == got, n
+
+
+def test_cache_lines_46_digest():
+    # the compute/46 sha256 pinned in perfbench/reference.json
+    digest = "d44705caf8a1acda5770d00f3bd4c3a12f1d4ddb3373c72be216508b8d2691f0"
+    text = "".join(cache_lines(46))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_cache_reader_streams(tmp_path: Path):
+    # the reader compares the file with cache_lines(n) in lockstep, so its
+    # peak is the lines it returns plus one expected line, not two lists
+    path = tmp_path / "ubern_30.jsonl"
+    write_coefficient_cache(path, 30)
+    read_coefficient_cache(path, 30)  # warm the tables and the imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lines = read_coefficient_cache(path, 30)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == count_partitions(30) + 1
+    assert peak - base < 1.5 * (held - base), (peak - base, held - base)
 
 
 def test_tau_valuations_below_matches_full_filter():

@@ -121,6 +121,22 @@ def test_compute_cache_reordered_exits_3(capsys, tmp_path: Path):
     assert "cache error" in err
 
 
+def test_compute_cache_wrong_value_exits_3(capsys, tmp_path: Path):
+    # a wrong coefficient in canonical form does not load
+    run(capsys, "compute", "--n", "7", "--cache-dir", str(tmp_path))
+    path = tmp_path / "ubern_7.jsonl"
+    text = path.read_text()
+    assert '"c":"90/1"' in text
+    for wrong in ('"c":"91/1"', '"c":"-90/1"'):
+        path.write_text(text.replace('"c":"90/1"', wrong, 1))
+        for fmt in ("json", "text"):
+            code, out, err = run(
+                capsys, "compute", "--n", "7", "--cache-dir", str(tmp_path), "--format", fmt
+            )
+            assert (code, out) == (3, ""), (wrong, fmt)
+            assert "cache error" in err and "term line 1 " in err
+
+
 def test_compute_cache_bad_header_exits_3(capsys, tmp_path: Path):
     (tmp_path / "ubern_6.jsonl").write_text("[1,2]\n")
     code, _, err = run(capsys, "compute", "--n", "6", "--cache-dir", str(tmp_path))
