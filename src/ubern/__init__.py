@@ -16,7 +16,6 @@ from .bernoulli import (
     format_rational,
     gamma,
     parse_rational,
-    poly_vp,
     read_coefficient_cache,
     specialize,
     tau,

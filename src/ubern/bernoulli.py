@@ -16,12 +16,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import CacheError, CeilingExceeded, PreconditionError
 from .padic import (
-    INFINITY,
     PadicScalar,
     _require_prime,
     _unit_factorials,
     _vp_factorial,
-    vp,
     vp_int,
 )
 from .partitions import Partition, count_partitions, enumerate_partitions
@@ -36,7 +34,6 @@ __all__ = [
     "format_rational",
     "gamma",
     "parse_rational",
-    "poly_vp",
     "read_coefficient_cache",
     "specialize",
     "tau",
@@ -204,14 +201,14 @@ class SparsePoly:
         self._canonical = False
 
     @classmethod
-    def _from_enumeration(cls, terms: dict[Partition, Fraction], n: int) -> "SparsePoly":
-        # terms: nonzero coefficients keyed in enumerate_partitions(n) order,
-        # which is already canonical, so items() needs no sort
+    def _wrap(cls, terms: dict, weight_tag: int | None = None, canonical: bool = False):
+        # terms: nonzero Fraction coefficients, taken as they are; canonical
+        # if keyed in enumerate_partitions order, so items() needs no sort
         self = object.__new__(cls)
         self._terms = terms
-        self.weight_tag = n
+        self.weight_tag = weight_tag
         self._ordered = None
-        self._canonical = True
+        self._canonical = canonical
         return self
 
     def items(self) -> list[tuple[Partition, Fraction]]:
@@ -244,34 +241,12 @@ class SparsePoly:
     def __repr__(self) -> str:
         return f"SparsePoly({len(self._terms)} terms, weight_tag={self.weight_tag})"
 
-    def _merged_tag(self, other: "SparsePoly") -> int | None:
-        return self.weight_tag if self.weight_tag == other.weight_tag else None
-
-    def _combined(self, other: "SparsePoly", sign: int) -> "SparsePoly":
-        # self + sign * other, dropping the keys that cancel
-        d = dict(self._terms)
-        for u, c in other._terms.items():
-            s = d.get(u, 0) + sign * c
-            if s:
-                d[u] = s
-            else:
-                d.pop(u, None)
-        return SparsePoly(d, self._merged_tag(other))
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self._combined(other, -1)
-
-    def scale(self, c: Fraction | int) -> "SparsePoly":
-        c = Fraction(c)
-        if not c:
-            return SparsePoly({}, self.weight_tag)
-        return SparsePoly({u: c * v for u, v in self._terms.items()}, self.weight_tag)
-
     def add_term(self, u: Partition, c: Fraction | int) -> "SparsePoly":
-        return self + SparsePoly({u: Fraction(c)})
+        terms = dict(self._terms)
+        terms[u] = terms.get(u, 0) + Fraction(c)
+        if not terms[u]:
+            del terms[u]
+        return SparsePoly._wrap(terms)
 
     def times_monomial(self, extra: Mapping[int, int]) -> "SparsePoly":
         """Multiply every monomial by c^extra (shift all exponent vectors)."""
@@ -327,7 +302,7 @@ def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     terms = {u: Fraction(num, den) for u, num, den in _tau_fractions(n)}
-    return SparsePoly._from_enumeration(terms, n)
+    return SparsePoly._wrap(terms, n, canonical=True)
 
 
 def specialize(poly: SparsePoly, values: Mapping[int, Fraction | int]) -> Fraction:
@@ -372,16 +347,6 @@ def classical_bernoulli(n: int) -> Fraction:
             acc += math.comb(m + 1, j) * _BERNOULLI[j]
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
-
-
-def poly_vp(p: int, poly: SparsePoly) -> int | float:
-    """min coefficient valuation; INFINITY for the zero polynomial."""
-    best: int | float = INFINITY
-    for c in poly._terms.values():
-        v = vp(p, c)
-        if v < best:
-            best = v
-    return best
 
 
 # -- serialization ----------------------------------------------------

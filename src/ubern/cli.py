@@ -9,6 +9,7 @@ identical inputs; progress notes go to stderr so stdout stays canonical.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -53,6 +54,7 @@ _LEMMA_BOUND_FLAGS = (
 )
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ubern",

@@ -220,20 +220,21 @@ def _congruence_report(
 
 
 def _padic_terms(
-    n: int, rhs: SparsePoly, p: int, k: int
+    n: int, rhs: SparsePoly, p: int, k: int, low: dict | None = None
 ) -> Iterator[tuple[Partition, int, int]]:
     """(u, num, den) for each monomial of divided_ubern(n) that can break
     the congruence with rhs mod p**k: the padic backend's term source.
 
     Those are the u with v_p(tau(u)) < k, which the exact branch-and-bound
-    walk tau_valuations_below finds without visiting the bulk of the p(n)
-    partitions, and the keys of rhs of weight n.  Each value is p**v times
-    the unit residue of tau(u) mod p**(k - vmin), vmin <= 0 the least
-    valuation on either side (the walk has every negative one, as k >= 1),
-    so it is tau(u) mod p**k at least: verdicts and vp_diff below k are
-    exact.  The unit residues share one unit-factorial table up to 2n - 2.
+    walk tau_valuations_below (run here, or by the caller: low) finds
+    without visiting the bulk of the p(n) partitions, and the keys of rhs
+    of weight n.  Each value is p**v times the unit residue of tau(u) mod
+    p**(k - vmin), vmin <= 0 the least valuation on either side (the walk
+    has every negative one, as k >= 1), so it is tau(u) mod p**k at least:
+    verdicts and vp_diff below k are exact.  The unit residues share one
+    unit-factorial table up to 2n - 2.
     """
-    low = dict(tau_valuations_below(p, n, k))
+    low = dict(tau_valuations_below(p, n, k) if low is None else low)
     for u in rhs.keys():
         if u.weight == n and u not in low:
             low[u] = tau_valuation(p, u)
@@ -323,13 +324,14 @@ def _verify_against_ubern(
     backend: str,
     n_ceiling: int,
     perturb: bool = False,
+    low: dict | None = None,
 ) -> CongruenceReport:
     """Check divided_ubern(n) against rhs mod p**k on one backend.
 
     Both backends are term sources for _congruence_report: "exact" tests
     tau(u) of every partition of n with big integers (_exact_terms), the
     independent oracle; "padic" walks only the u with v_p(tau(u)) < k and
-    reads their unit residues (_padic_terms).
+    reads their unit residues (_padic_terms), reusing the walk low if given.
     """
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
@@ -341,10 +343,47 @@ def _verify_against_ubern(
     if backend == "exact":
         terms = _exact_terms(n, rhs, p, k)
     elif backend == "padic":
-        terms = _padic_terms(n, rhs, p, k)
+        terms = _padic_terms(n, rhs, p, k, low)
     else:
         raise PreconditionError(f"unknown backend {backend!r}")
     return _congruence_report(terms, rhs, p, k, context)
+
+
+def _lifting_walks(
+    p: int, n: int, m: int, k: int, shift: dict[int, int], backend: str, n_ceiling: int
+) -> tuple[dict | None, list[tuple[Partition, Fraction]] | None]:
+    """(low, terms) of a 3.5 or 4.9 case, n checked against the ceiling
+    first; (None, None) off the padic backend.  low is the walk at n, terms
+    the m-part (b, tau(b)) of c^shift * divided_ubern(m) that can matter:
+    the walk at m, c_m (its shift is the first shifted key: --perturb) and
+    each b whose shift low names, so a failure there shows the full rhs.
+    Any other shifted key has v_p >= k on both sides and no term names it.
+    """
+    if n > n_ceiling:
+        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
+    if backend != "padic":
+        return None, None
+    low = dict(tau_valuations_below(p, n, k))
+    [(part, mult)] = shift.items()
+    bases = {Partition({m: 1}), *(b for b, _ in tau_valuations_below(p, m, k))}
+    bases.update(u.merged({part: -mult}) for u in low if u.multiplicity(part) >= mult)
+    return low, [(b, tau(b)) for b in bases]
+
+
+def _lifted_rhs(terms: Iterable, shift: dict[int, int], corrections: list) -> SparsePoly:
+    """c^shift times the m-part terms (b, tau(b)) plus the corrections
+    (u, c), as one dict: the 3.5 and 4.9 right-hand sides.  A correction
+    key c^shift b whose b the terms skip gets tau(b) too: every key is full.
+    """
+    rhs = {b.merged(shift): c for b, c in terms}
+    [(part, mult)] = shift.items()
+    for u, c in corrections:
+        if u not in rhs and u.multiplicity(part) >= mult:
+            c += tau(u.merged({part: -mult}))
+        rhs[u] = rhs.get(u, 0) + c
+        if not rhs[u]:
+            del rhs[u]
+    return SparsePoly._wrap(rhs)
 
 
 # -- family 3.5 (odd primes) -------------------------------------------
@@ -391,30 +430,27 @@ def _theorem_3_5_params(p: int, s: int, l: int) -> tuple[int, int, int]:
 
 
 def rhs_theorem_3_5(
-    p: int, s: int, l: int, *, n_ceiling: int = DEFAULT_N_CEILING
+    p: int, s: int, l: int, *, n_ceiling: int = DEFAULT_N_CEILING, terms: Iterable | None = None
 ) -> SparsePoly:
     """Right-hand side of family 3.5 at (p, s, l); weight n = (s+l)(p-1).
 
     The correction coefficient is the exact rational difference
     tau_pure(n) - tau_pure(m): each summand alone is not p-integral, only
     the difference is constrained by the congruence.  For p = 3 the extra
-    c2^(l+s-4) c8 term carries 0, +l or -l according to s mod 3.
+    c2^(l+s-4) c8 term carries 0, +l or -l according to s mod 3.  terms:
+    the m-part (_lifted_rhs), by default all of divided_ubern(m).
     """
     N, m, n = _theorem_3_5_params(p, s, l)
-    del N
-    poly = divided_ubern(m, n_ceiling=n_ceiling).times_monomial({p - 1: l})
-    poly = poly.add_term(
-        Partition({p - 1: l + s}), tau_pure(p, n) - tau_pure(p, m)
-    )
-    if p == 3 and l + s >= 4:
+    corrections = [(Partition({p - 1: l + s}), tau_pure(p, n) - tau_pure(p, m))]
+    if p == 3 and l + s >= 4 and s % 3 != 1:
         # psi vanishes for s = 1 mod 3 and carries +-l otherwise; the signs
         # are pinned by exact arithmetic on the verification grid (at s = 3
         # the whole coefficient is psi, and it equals +l, not -l)
-        r = s % 3
-        psi = 0 if r == 1 else (l if r == 0 else -l)
-        if psi:
-            poly = poly.add_term(Partition({2: l + s - 4, 8: 1}), psi)
-    return poly
+        psi = l if s % 3 == 0 else -l
+        corrections.append((Partition({2: l + s - 4, 8: 1}), Fraction(psi)))
+    if terms is None:
+        terms = divided_ubern(m, n_ceiling=n_ceiling)._terms.items()
+    return _lifted_rhs(terms, {p - 1: l}, corrections)
 
 
 def verify_theorem_3_5(
@@ -428,7 +464,8 @@ def verify_theorem_3_5(
 ) -> CongruenceReport:
     """Check divided_ubern(n) against rhs_theorem_3_5 mod p**(N+1)."""
     N, m, n = _theorem_3_5_params(p, s, l)
-    rhs = rhs_theorem_3_5(p, s, l, n_ceiling=n_ceiling)
+    low, terms = _lifting_walks(p, n, m, N + 1, {p - 1: l}, backend, n_ceiling)
+    rhs = rhs_theorem_3_5(p, s, l, n_ceiling=n_ceiling, terms=terms)
     context = {
         "theorem": "3.5",
         "p": p,
@@ -440,7 +477,7 @@ def verify_theorem_3_5(
         "backend": backend,
     }
     return _verify_against_ubern(
-        n, rhs, p, N + 1, context, backend, n_ceiling, perturb=perturb
+        n, rhs, p, N + 1, context, backend, n_ceiling, perturb=perturb, low=low
     )
 
 
@@ -598,20 +635,20 @@ def _theorem_4_9_correction(
 
 
 def _rhs_theorem_4_9(
-    m: int, k: int, N: int, *, n_ceiling: int
+    m: int, k: int, N: int, *, n_ceiling: int, terms: Iterable | None = None
 ) -> tuple[SparsePoly, list[dict]]:
-    l, n = _theorem_4_9_params(m, k, N)
-    del n
-    poly = divided_ubern(m, n_ceiling=n_ceiling).times_monomial({1: l})
-    truncated: list[dict] = []
+    l, _ = _theorem_4_9_params(m, k, N)
+    corrections, truncated = [], []
     for exps, coeff in _theorem_4_9_correction(m, k, N):
         if exps.get(1, 0) < 0:
             truncated.append(
                 {"u": sorted([p, e] for p, e in exps.items()), "c": format_rational(coeff)}
             )
-            continue
-        poly = poly.add_term(Partition(exps), coeff)
-    return poly, truncated
+        else:
+            corrections.append((Partition(exps), coeff))
+    if terms is None:
+        terms = divided_ubern(m, n_ceiling=n_ceiling)._terms.items()
+    return _lifted_rhs(terms, {1: l}, corrections), truncated
 
 
 def rhs_theorem_4_9(
@@ -619,8 +656,7 @@ def rhs_theorem_4_9(
 ) -> SparsePoly:
     """Right-hand side of family 4.9; terms with negative c1 exponents
     are emitted only when the exponent is nonnegative."""
-    poly, _ = _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling)
-    return poly
+    return _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling)[0]
 
 
 def verify_theorem_4_9(
@@ -634,7 +670,8 @@ def verify_theorem_4_9(
 ) -> CongruenceReport:
     """Check divided_ubern(m + k*2**N) against rhs_theorem_4_9 mod 2**(N+1)."""
     l, n = _theorem_4_9_params(m, k, N)
-    rhs, truncated = _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling)
+    low, terms = _lifting_walks(2, n, m, N + 1, {1: l}, backend, n_ceiling)
+    rhs, truncated = _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling, terms=terms)
     context = {
         "theorem": "4.9",
         "m": m,
@@ -652,7 +689,7 @@ def verify_theorem_4_9(
             {"u": [[1, n - 24], [3, 8]], "why": "only present for m >= 16"}
         ]
     return _verify_against_ubern(
-        n, rhs, 2, N + 1, context, backend, n_ceiling, perturb=perturb
+        n, rhs, 2, N + 1, context, backend, n_ceiling, perturb=perturb, low=low
     )
 
 

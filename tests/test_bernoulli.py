@@ -17,7 +17,6 @@ from ubern.bernoulli import (
     format_rational,
     gamma,
     parse_rational,
-    poly_vp,
     read_coefficient_cache,
     specialize,
     tau,
@@ -29,7 +28,7 @@ from ubern.bernoulli import (
 import ubern.bernoulli as bernoulli
 from ubern.congruences import _exact_terms
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
-from ubern.padic import INFINITY, PadicScalar, _vp_factorial, vp, vp_int
+from ubern.padic import PadicScalar, _vp_factorial, vp, vp_int
 from ubern.partitions import Partition, count_partitions, enumerate_partitions
 
 
@@ -197,28 +196,30 @@ def test_oracle_equivalence_prefix():
         assert n * specialize(divided_ubern(n), vals) == classical_bernoulli(n)
 
 
-def test_poly_vp_examples():
-    assert poly_vp(3, SparsePoly()) == INFINITY
-    assert poly_vp(3, divided_ubern(2)) == -1
-    assert poly_vp(5, divided_ubern(2)) == 0
-
-
 def test_clarke_p_integrality():
+    # divided_ubern(n) is p-integral unless (p-1) | n: the least v_p of its
+    # exact coefficients, which at n = 2 is -1 for p = 3 and 0 for p = 5
+    def least(p, n):
+        return min(vp(p, c) for _, c in divided_ubern(n).items())
+
+    assert (least(3, 2), least(5, 2)) == (-1, 0)
     for p in (3, 5, 7):
         for n in range(1, 31):
             if n % (p - 1):
-                assert poly_vp(p, divided_ubern(n)) >= 0
+                assert least(p, n) >= 0
 
 
 def test_sparse_poly_algebra():
     u1, u2 = Partition({1: 2}), Partition({2: 1})
     a = SparsePoly({u1: Fraction(1, 2), u2: Fraction(1)})
-    b = SparsePoly({u1: Fraction(1, 2)})
-    diff = a - b
-    assert len(diff) == 1 and diff.get(u2) == 1
-    assert (diff + b).get(u1) == Fraction(1, 2)
-    assert a.scale(2).get(u1) == 1
-    assert a.add_term(u2, -1).get(u2) == 0
+    # add_term copies once: a cancelled key is dropped, a new one inserted,
+    # and a is left as it was
+    cancelled = a.add_term(u2, -1)
+    assert len(cancelled) == 1 and u2 not in cancelled and cancelled.get(u2) == 0
+    added = a.add_term(Partition({1: 1}), 3)
+    assert added.get(Partition({1: 1})) == 3 and added.get(u1) == Fraction(1, 2)
+    assert len(a) == 2 and a.get(u2) == 1
+    assert a.add_term(u1, Fraction(1, 2)).get(u1) == 1
     shifted = a.times_monomial({2: 3})
     assert shifted.get(Partition({1: 2, 2: 3})) == Fraction(1, 2)
     assert shifted.weight_tag is None

@@ -307,3 +307,47 @@ def test_env_cache_dir(capsys, monkeypatch, tmp_path: Path):
     monkeypatch.setenv("UBERN_CACHE_DIR", str(tmp_path))
     assert run(capsys, "compute", "--n", "4")[0] == 0
     assert (tmp_path / "ubern_4.jsonl").exists()
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    # successive main() calls parse with one parser, and nothing of one
+    # call's arguments or environment reaches the next
+    import argparse
+
+    import ubern.cli as cli
+
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    argv = ("verify", "--theorem", "4.8", "--n", "12", "--backend", "padic")
+    assert run(capsys, *argv, "--perturb")[0] == 1
+    assert run(capsys, *argv)[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is cli.build_parser()
+    monkeypatch.setenv("UBERN_N_CEILING", "11")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "n=12 exceeds the ceiling 11" in err
+
+
+@pytest.mark.parametrize("backend", ["exact", "padic"])
+@pytest.mark.parametrize("argv, n", [
+    (("--theorem", "3.5", "--p", "3", "--s", "31", "--l", "3"), 68),
+    (("--theorem", "4.9", "--m", "61", "--k", "1", "--N", "3"), 69),
+])
+def test_verify_ceiling_names_n(capsys, monkeypatch, backend, argv, n):
+    # the weight checked is n, not the m of the right-hand side, and it is
+    # checked before any right-hand side is built
+    import ubern.congruences as congruences
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("right-hand side built above the ceiling")
+
+    monkeypatch.setattr(congruences, "divided_ubern", refuse)
+    monkeypatch.setattr(congruences, "tau_valuations_below", refuse)
+    code, out, err = run(capsys, "verify", *argv, "--backend", backend)
+    assert (code, out) == (2, "")
+    assert err == f"error: n={n} exceeds the ceiling 60\n"

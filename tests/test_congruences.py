@@ -222,6 +222,7 @@ def test_exact_backend_takes_no_valuation_shortcut(monkeypatch):
         monkeypatch.setattr(congruences, name, shortcut)
     assert verify_theorem_4_8(40).holds
     assert verify_theorem_3_5(5, 1, 5).holds
+    assert verify_theorem_4_9(16, 3, 3).holds
     with pytest.raises(AssertionError, match="shortcut"):
         verify_theorem_4_8(40, backend="padic")
 
@@ -521,18 +522,22 @@ def test_padic_terms_are_tau_to_the_modulus(case):
 
 def test_padic_holds_past_the_grid():
     # every family past the n <= 60 grid, the ceiling raised by argument:
-    # 4.8 at n = 150, 200; 3.5 at n = 64, 108, 300; 4.9 at n = 56, 273
+    # 4.8 at n = 150, 200; 3.5 at n = 64, 108, 300 and at m = 62, 80, 120,
+    # 124; 4.9 at n = 56, 273 and at m = 61..64.  No divided_ubern(m) is
+    # built: the right-hand sides come from the walk
     ceiling = 300
     reports = [verify_theorem_4_8(n, backend="padic", n_ceiling=ceiling) for n in (150, 200)]
     reports += [
         verify_theorem_3_5(*case, backend="padic", n_ceiling=ceiling)
-        for case in ((3, 5, 27), (5, 2, 25), (7, 1, 49))
+        for case in ((3, 5, 27), (5, 2, 25), (7, 1, 49),
+                     (3, 31, 3), (5, 20, 5), (3, 60, 27), (3, 62, 27))
     ]
     reports += [
         verify_theorem_4_9(*case, backend="padic", n_ceiling=ceiling)
-        for case in ((24, 1, 5), (17, 1, 8))
+        for case in ((24, 1, 5), (17, 1, 8), *((m, k, 3) for m in range(61, 65) for k in (1, 3)))
     ]
-    assert [r.holds for r in reports] == [True] * 7
+    assert [r.holds for r in reports] == [True] * 19
+    assert [r.context["m"] for r in reports[5:9]] == [62, 80, 120, 124]
     # not vacuous at n = 200: moving any right-hand-side coefficient by
     # 2**(k-1) fails at exactly that monomial, moving it by 2**k does not
     rhs, k = rhs_theorem_4_8(200)
@@ -545,3 +550,138 @@ def test_padic_holds_past_the_grid():
             assert report.holds is holds, (u, shift)
             if not holds:
                 assert [(f.u, f.vp_diff) for f in report.failures] == [(u, k - 1)]
+
+    # and at m = 62 (3.5 at (3, 31, 3), n = 68), on the right-hand side the
+    # padic backend builds from the walk
+    report, [rhs] = _padic_rhs(verify_theorem_3_5, (3, 31, 3), n_ceiling=ceiling)
+    p, k, n = report.prime, report.mod_exp, report.context["n"]
+    assert report.holds and len(rhs) > 2
+    for u, _ in rhs.items():
+        for shift, holds in ((p ** (k - 1), False), (p**k, True)):
+            moved = _verify_against_ubern(n, rhs.add_term(u, shift), p, k, {}, "padic", ceiling)
+            assert moved.holds is holds, (u, shift)
+            if not holds:
+                assert [(f.u, f.vp_diff) for f in moved.failures] == [(u, k - 1)]
+
+
+def _padic_rhs(verify, args, **kwargs):
+    # the padic report of verify(*args) and a list of the one right-hand
+    # side it checked, caught on the way into the one congruence test
+    seen = []
+    report = congruences._congruence_report
+
+    def spy(terms, B, *rest):
+        seen.append(B)
+        return report(terms, B, *rest)
+
+    congruences._congruence_report = spy
+    try:
+        return verify(*args, backend="padic", **kwargs), seen
+    finally:
+        congruences._congruence_report = report
+
+
+def _lifted_rhs(verify, args, terms=None, n_ceiling=DEFAULT_N_CEILING):
+    # the right-hand side of a 3.5 or 4.9 case on the m-part terms, by
+    # default all of divided_ubern(m)
+    if verify is verify_theorem_3_5:
+        return rhs_theorem_3_5(*args, n_ceiling=n_ceiling, terms=terms)
+    return congruences._rhs_theorem_4_9(*args, n_ceiling=n_ceiling, terms=terms)[0]
+
+
+LIFTED_CASES = [(verify_theorem_3_5, args) for args in GRID_THEOREM_3_5] + [
+    (verify_theorem_4_9, args) for args in GRID_THEOREM_4_9
+]
+
+
+def test_padic_rhs_is_the_full_rhs_where_it_matters():
+    # the padic right-hand side keeps each key at its full coefficient and
+    # leaves out only keys with v_p >= k on both sides; its padic report,
+    # with --perturb and without, is the report on the full right-hand side.
+    # 4.8 has no m-part, so its padic right-hand side is the full one: with
+    # the 32 lifted cases, that is every one of the 47 grid cases
+    for n in GRID_THEOREM_4_8:
+        report, [rhs] = _padic_rhs(verify_theorem_4_8, (n,))
+        assert rhs == rhs_theorem_4_8(n)[0]
+    assert len(LIFTED_CASES) + len(GRID_THEOREM_4_8) == 47
+    kept = total = 0
+    for verify, args in LIFTED_CASES:
+        full = _lifted_rhs(verify, args)
+        for perturb in (True, False):
+            lazy_report, [lazy] = _padic_rhs(verify, args, perturb=perturb)
+            p, k, n = lazy_report.prime, lazy_report.mod_exp, lazy_report.context["n"]
+            context = {key: v for key, v in lazy_report.context.items() if key != "perturbed"}
+            full_report = _verify_against_ubern(
+                n, full, p, k, context, "padic", DEFAULT_N_CEILING, perturb=perturb
+            )
+            assert lazy_report.to_json() == full_report.to_json(), (args, perturb)
+        # the --perturb control hits the first key of the full right-hand side
+        assert lazy.items()[0][0] == full.items()[0][0], args
+        for u in lazy.keys():
+            assert lazy.get(u) == full.get(u), (args, u)
+        for u in full.keys() - lazy.keys():
+            assert tau_valuation(p, u) >= k and vp(p, full.get(u)) >= k, (args, u)
+        # a correction key gets tau of its base even from no m-part terms
+        corrections = _lifted_rhs(verify, args, terms=[])
+        assert all(c == full.get(u) for u, c in corrections.items()), args
+        kept, total = kept + len(lazy), total + len(full)
+    assert 3 * kept < total, (kept, total)
+
+
+@pytest.mark.parametrize("case", [(verify_theorem_3_5, (3, 3, 3)), (verify_theorem_4_9, (7, 1, 3))])
+def test_padic_rhs_boundary_moves_match_the_full_rhs(case):
+    # every p**(k-1) and p**k move of a BOUNDARY_CASES right-hand side gives
+    # the same padic report on the padic and on the full right-hand side; a
+    # key the padic side left out is moved from its full coefficient
+    verify, args = case
+    report, [lazy] = _padic_rhs(verify, args)
+    p, k, n = report.prime, report.mod_exp, report.context["n"]
+    full = _lifted_rhs(verify, args)
+    for u, c in full.items():
+        for shift in (p ** (k - 1), p**k):
+            on_lazy = lazy.add_term(u, shift if u in lazy else c + shift)
+            lazy_report, full_report = (
+                _verify_against_ubern(n, rhs, p, k, {}, "padic", DEFAULT_N_CEILING)
+                for rhs in (on_lazy, full.add_term(u, shift))
+            )
+            assert lazy_report.to_json() == full_report.to_json(), (args, u, shift)
+            assert lazy_report.holds is (shift == p**k)
+
+
+def test_padic_lifted_families_never_build_divided_ubern(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("divided_ubern called")
+
+    monkeypatch.setattr(congruences, "divided_ubern", refuse)
+    for verify, args in LIFTED_CASES:
+        assert verify(*args, backend="padic").holds, args
+        assert len(verify(*args, backend="padic", perturb=True).failures) == 1, args
+    with pytest.raises(AssertionError, match="divided_ubern"):
+        verify_theorem_3_5(3, 3, 3)
+
+
+@pytest.mark.parametrize("verify, args", [(verify_theorem_3_5, (3, 31, 3)), (verify_theorem_4_9, (66, 1, 3))])
+def test_padic_rhs_shows_the_full_rhs_at_real_failures(verify, args):
+    # mod p**(k+1) these m > 60 cases fail (the moduli are sharp), also at
+    # keys c^shift b with v_p(tau(b)) > k that only the walk at n names;
+    # each failure shows the full right-hand side, tau(b) plus any
+    # correction, as the exact backend would where divided_ubern(m) is
+    # out of reach
+    report = verify(*args, backend="padic", n_ceiling=100)
+    ctx = report.context
+    p, k, n, m, l = report.prime, report.mod_exp + 1, ctx["n"], ctx["m"], ctx["l"]
+    part, mult = (p - 1, l) if verify is verify_theorem_3_5 else (1, l)
+    low, terms = congruences._lifting_walks(p, n, m, k, {part: mult}, "padic", 100)
+    rhs = _lifted_rhs(verify, args, terms=terms, n_ceiling=100)
+    failures = _verify_against_ubern(n, rhs, p, k, {}, "padic", 100, low=low).failures
+    corrections = _lifted_rhs(verify, args, terms=[])
+    named_by_low = 0
+    for f in failures:
+        base = f.u.merged({part: -mult}) if f.u.multiplicity(part) >= mult else None
+        if f.u in corrections:
+            want = corrections.get(f.u)
+        else:
+            want = Fraction(0) if base is None else tau(base)
+        assert f.rhs == format_rational(want), f.u
+        named_by_low += base is not None and tau_valuation(p, base) >= k
+    assert failures and named_by_low, (len(failures), named_by_low)
