@@ -86,6 +86,44 @@ def tau_valuation(p: int, u: Partition) -> int:
     return _vp_factorial(p, u.weight + u.degree - 2) - _gamma_valuation(p, u)
 
 
+def _valuation_tables(p: int, n: int) -> tuple[list[int], list[list[int]]]:
+    """The two tables v_p(tau(u)) of weight <= n is read from, for a prime p.
+
+    vfact[i] = v_p(i!) for i <= max(2n - 2, n), and gain[part][mult] =
+    mult v_p(part+1) + v_p(mult!), the term of v_p(gamma(u)) from one
+    run, for part * mult <= n.  So for u of weight n and degree d,
+    v_p(tau(u)) = vfact[n+d-2] - sum of gain over the runs of u, the
+    formula tau_valuation and _gamma_valuation state per partition.
+    """
+    size = max(2 * n - 2, n) + 1
+    # Legendre: v_p(i!) = k + v_p(k!) for k = i // p, one value per block of p
+    vfact = [0] * p
+    for k in range(1, size // p + 1):
+        vfact += [k + vfact[k]] * p
+    del vfact[size:]
+    gain = [[0]]
+    for part in range(1, n + 1):
+        row = vfact[: n // part + 1]  # v_p(mult!), when p does not divide part+1
+        if (part + 1) % p == 0:
+            v = vp_int(p, part + 1)
+            row = [mult * v + f for mult, f in enumerate(row)]
+        gain.append(row)
+    return vfact, gain
+
+
+def _runs_valuations(
+    vfact: list[int], gain: list[list[int]], u: Partition
+) -> tuple[int, int, int]:
+    """(degree, v_p(gamma(u)), v_p(tau(u))) in one pass over the runs of u,
+    from the _valuation_tables of a weight >= the weight of u."""
+    n = d = g = 0
+    for part, mult in u._pairs:
+        n += part * mult
+        d += mult
+        g += gain[part][mult]
+    return d, g, vfact[n + d - 2] - g
+
+
 def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, int]]:
     """(u, tau_valuation(p, u)) for every partition u of n with v < k.
 
@@ -99,16 +137,17 @@ def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, in
     sum u_i v(i+1) over partitions of r into parts <= c: an unbounded
     knapsack table of O(n^2) entries.  The bound is not tight (on the
     shipped padic grid the walk checks 3,817 parts for 503 yields), but
-    every cut is exact.
+    every cut is exact.  v(i!) and the gain of each run are read from
+    _valuation_tables.
     """
     _require_prime(p)
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
-    vfact = [_vp_factorial(p, i) for i in range(max(2 * n - 2, n + 1) + 1)]
+    vfact, gain = _valuation_tables(p, n)
     most = [[0] * (n + 1)]  # seeds row 1; the walk never reads row 0
     for c in range(1, n + 1):
         row = list(most[-1])
-        w = vfact[c + 1] - vfact[c]  # v(c+1)
+        w = gain[c][1]  # v(c+1)
         for r in range(c, n + 1):
             if row[r - c] + w > row[r]:
                 row[r] = row[r - c] + w
@@ -119,11 +158,11 @@ def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, in
         for part in range(min(cap, r), 0, -1):
             if base - most[part][r] >= k:
                 break  # a smaller cap only raises the bound
-            w = vfact[part + 1] - vfact[part]
+            gains = gain[part]
             for mult in range(r // part, 0, -1):
                 rest = r - part * mult
                 d2 = d + mult
-                s2 = s + mult * w + vfact[mult]
+                s2 = s + gains[mult]
                 pairs = ((part, mult),) + tail
                 if rest == 0:
                     v = vfact[n + d2 - 2] - s2
@@ -247,14 +286,6 @@ class SparsePoly:
         if not terms[u]:
             del terms[u]
         return SparsePoly._wrap(terms)
-
-    def times_monomial(self, extra: Mapping[int, int]) -> "SparsePoly":
-        """Multiply every monomial by c^extra (shift all exponent vectors)."""
-        shift = sum(part * mult for part, mult in extra.items())
-        tag = None if self.weight_tag is None else self.weight_tag + shift
-        return SparsePoly(
-            {u.merged(extra): c for u, c in self._terms.items()}, tag
-        )
 
 
 def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:

@@ -22,8 +22,10 @@ from typing import Iterable, Iterator
 from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
+    _runs_valuations,
     _tau_tables,
     _tau_unit,
+    _valuation_tables,
     classical_bernoulli,
     divided_ubern,
     format_rational,
@@ -730,9 +732,10 @@ def check_corollary_3_4(p: int, s: int, i: int) -> CongruenceReport:
     bound = s * (p - 2) - 1
     failures = []
     checked = 0
+    vfact, gain = _valuation_tables(p, n)
     for u in enumerate_partitions_bounded(n, i + 1):
         checked += 1
-        v = tau_valuation(p, u)
+        v = _runs_valuations(vfact, gain, u)[2]
         if v < bound:
             failures.append(CongruenceFailure(u, str(v), str(bound), v - bound))
     context = {

@@ -12,13 +12,12 @@ Identity ids mirror the verifier rule ids ("2.1" .. "2.6", "3.2",
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .bernoulli import _gamma_valuation, tau_valuation
+from .bernoulli import _runs_valuations, _valuation_tables, tau_valuation
 from .errors import PreconditionError
 from .padic import double_factorial, f_sum, f_term, g_func, vp, vp_int, vp_factorial
 from .partitions import (
@@ -219,7 +218,10 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
     failures: list[dict] = []
     checked = 0
     for p in (3, 5):
-        # (is_reduced, tau_valuation) per reduced image: many inputs share one
+        # n grows with s and i, so one table serves every weight of p
+        vfact, gain = _valuation_tables(p, (s_max * (p - 1) + i_max) * p - i_max)
+        # (is_reduced, weight, degree, tau_valuation) per reduced image, read
+        # from the per-partition formulas: many inputs share one image
         images = {}
         for s in range(1, s_max + 1):
             for i in range(i_max + 1):
@@ -228,14 +230,16 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
                 for u in enumerate_partitions_bounded(n, i + 1):
                     checked += 1
                     r = reduce_partition(p, u)
-                    known = images.get(r)
+                    known = images.get(r._pairs)  # a tuple key hashes in C
                     if known is None:
-                        known = images[r] = (is_reduced(p, r), tau_valuation(p, r))
+                        known = images[r._pairs] = (
+                            is_reduced(p, r), r.weight, r.degree, tau_valuation(p, r)
+                        )
                     ok = (
                         known[0]
-                        and r.weight == n
-                        and r.degree <= i + 1
-                        and tau_valuation(p, u) >= known[1]
+                        and known[1] == n
+                        and known[2] <= i + 1
+                        and _runs_valuations(vfact, gain, u)[2] >= known[3]
                     )
                     if not ok:
                         failures.append(
@@ -280,12 +284,19 @@ def lemma_4_2(k_max: int = 9, a_max: int = 30, n_max: int = 8) -> LemmaSweepResu
     for N in range(3, n_max + 1):
         for k in range(1, k_max + 1):
             base = k * 2**N
+            w = double_factorial(base - 3)
+            # the three products at a = 2; each later a multiplies one more
+            # odd factor into each
+            ratio = 1  # (base+3)(base+5)...(base+2a-3)
+            dfa = 1  # (2a-3)!!
+            big = w * (base - 1) * (base + 1)  # (base+2a-3)!!
             for a in range(2, a_max + 1):
-                ratio = math.prod(range(base + 3, base + 2 * a - 2, 2))
-                dfa = double_factorial(2 * a - 3)
+                if a > 2:
+                    ratio *= base + 2 * a - 3
+                    dfa *= 2 * a - 3
+                    big *= base + 2 * a - 3
                 detail["i"] += 1
                 detail["ii"] += 1
-                big = double_factorial(base + 2 * a - 3)
                 if a % 2 == 0:
                     mod_i = 2 ** (N + 1 + min(vp_int(2, a), N - 1))
                     ok_i = (ratio - dfa) % mod_i == 0
@@ -299,7 +310,6 @@ def lemma_4_2(k_max: int = 9, a_max: int = 30, n_max: int = 8) -> LemmaSweepResu
                     failures.append({"part": "ii", "k": k, "N": N, "a": a})
             if k % 2:
                 detail["iii"] += 1
-                w = double_factorial(base - 3)
                 exponent = (k - 1) // 2 if N == 3 else (k + 1) // 2
                 sign = -1 if exponent % 2 else 1
                 ok = (w + 1 - sign * 2 ** (N + 1)) % 2 ** (N + 3) == 0
@@ -360,9 +370,13 @@ def lemma_4_4(
                     detail["i"] += 1
                     if (lhs_i - rhs_i - delta_r) % modulus:
                         failures.append({"part": "i", "N": N, "k": k, "q": q, "r": r})
+                    # integers at a = 0; step a multiplies in one factor each
+                    lhs = fact[2 * big] // (2**big * fact[l + q] * fact[r])
+                    rhs = fact[2 * small] // (2**small * fact[q] * fact[r])
                     for a in range(a_max + 1):
-                        lhs = fact[2 * big + a] // (2**big * fact[l + q] * fact[r])
-                        rhs = fact[2 * small + a] // (2**small * fact[q] * fact[r])
+                        if a:
+                            lhs *= 2 * big + a
+                            rhs *= 2 * small + a
                         if a <= 1:
                             detail["ii"] += 1
                             if (lhs - rhs - delta_r) % modulus:
@@ -437,19 +451,18 @@ def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
         raise PreconditionError("n_max must be >= 1")
     failures = []
     checked = 0
+    vfact, gain = _valuation_tables(2, n_max)
     for n in range(1, n_max + 1):
         for u in enumerate_partitions(n):
             checked += 1
-            u1 = u.multiplicity(1)
-            u3 = u.multiplicity(3)
-            u7 = u.multiplicity(7)
-            e = (
-                _gamma_valuation(2, u)
-                - vp_factorial(2, 2 * u1)
-                - 2 * u3
-                - vp_factorial(2, u3)
-            )
-            offset = n + u.degree - 2 - 2 * (u1 + 2 * u3 + e)
+            mults = dict(u._pairs)
+            u1 = mults.get(1, 0)
+            u3 = mults.get(3, 0)
+            u7 = mults.get(7, 0)
+            d, g, _ = _runs_valuations(vfact, gain, u)
+            # v2((2 u1)!) = u1 + v2(u1!)
+            e = g - (u1 + vfact[u1]) - 2 * u3 - vfact[u3]
+            offset = n + d - 2 - 2 * (u1 + 2 * u3 + e)
             ndot = n - u1 - 3 * u3
             if ndot == 0:
                 ok, want = offset == -2, "-2"
@@ -470,18 +483,20 @@ def lemma_4_7(n_max: int = 24) -> LemmaSweepResult:
         raise PreconditionError("n_max must be >= 1")
     failures = []
     checked = 0
+    vfact, gain = _valuation_tables(2, n_max)
     for n in range(1, n_max + 1):
         for u in enumerate_partitions(n):
-            u1 = u.multiplicity(1)
-            u3 = u.multiplicity(3)
-            u7 = u.multiplicity(7)
+            mults = dict(u._pairs)
+            u1 = mults.get(1, 0)
+            u3 = mults.get(3, 0)
+            u7 = mults.get(7, 0)
             ndot = n - u1 - 3 * u3
             if ndot <= 0:
                 continue
             checked += 1
             slack = 3 if (u7 and ndot == 7 * u7) else 1
             bound = u3 + (ndot + 1) // 2 - slack
-            v = tau_valuation(2, u)
+            v = _runs_valuations(vfact, gain, u)[2]
             if v < bound:
                 failures.append({"u": u.to_pairs(), "v": str(v), "bound": str(bound)})
     return LemmaSweepResult("4.7", checked, failures)
@@ -505,14 +520,25 @@ SWEEPS: dict[str, Callable[..., LemmaSweepResult]] = {
 
 
 def run_sweep(name: str, **overrides) -> LemmaSweepResult:
-    """Run one sweep by id; unknown ids or parameters raise PreconditionError."""
+    """Run one sweep by id.
+
+    An unknown id or parameter, a negative bound, and bounds under which
+    the sweep checks nothing raise PreconditionError: a "holds" over no
+    instance would read as a proof.
+    """
     func = SWEEPS.get(name)
     if func is None:
         raise PreconditionError(f"unknown lemma id {name!r}")
     import inspect
 
     accepted = set(inspect.signature(func).parameters)
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in accepted:
             raise PreconditionError(f"lemma {name} does not take parameter {key!r}")
-    return func(**overrides)
+        if value is not None and value < 0:
+            raise PreconditionError(f"lemma {name}: {key} must be >= 0, got {value}")
+    result = func(**overrides)
+    if not result.checked:
+        bounds = ", ".join(f"{key}={value}" for key, value in overrides.items())
+        raise PreconditionError(f"lemma {name} checks no instance at {bounds}")
+    return result

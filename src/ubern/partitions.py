@@ -269,7 +269,9 @@ def reduce_partition(p: int, u: Partition) -> Partition:
     if not u:
         raise PreconditionError("cannot reduce the empty partition")
     counts: dict[int, int] = {}
-    for part, mult in u:
+    residual = 0  # weight of u minus the weight of counts
+    for part, mult in u._pairs:
+        residual += part * mult
         succ = part + 1
         if succ % p == 0:
             alpha = 0
@@ -278,12 +280,13 @@ def reduce_partition(p: int, u: Partition) -> Partition:
                 alpha += 1
             target = part if succ == 1 else p**alpha - 1
             counts[target] = counts.get(target, 0) + mult
+            residual -= target * mult
         elif mult >= p:
             moved = -(-mult // (p - 1)) - 1
             if moved:
                 counts[p - 1] = counts.get(p - 1, 0) + moved
+                residual -= (p - 1) * moved
         # else: dropped
-    residual = u.weight - sum(part * mult for part, mult in counts.items())
     if residual > 0:
         counts[residual] = counts.get(residual, 0) + 1
     # every part is positive and every count >= 1

@@ -238,6 +238,23 @@ def test_lemma_exponent_sweeps_are_capped(capsys, monkeypatch, name):
     assert run(capsys, "lemma", "--name", name, "--n-max", "10", *small)[0] == 0
 
 
+@pytest.mark.parametrize("name, flag, value, message", [
+    ("2.1", "--a-max", "-5", "a_max must be >= 0"),
+    ("4.3", "--a-max", "-1", "a_max must be >= 0"),
+    ("2.6", "--q-max", "-1", "q_max must be >= 0"),
+    ("4.4", "--q-max", "-1", "q_max must be >= 0"),
+    ("3.2", "--s-max", "0", "checks no instance"),
+    ("2.2", "--l-max", "0", "checks no instance"),
+    ("4.5", "--k-max", "0", "checks no instance"),
+])
+def test_lemma_bad_bounds_are_usage_errors(capsys, name, flag, value, message):
+    # a negative bound, or one under which the sweep checks nothing, is a
+    # usage error (exit 2, nothing on stdout), never a counterexample (exit 1)
+    # nor a "holds" over zero instances
+    code, out, err = run(capsys, "lemma", "--name", name, flag, value)
+    assert (code, out) == (2, "") and message in err
+
+
 def test_backends_agree_at_the_ceiling(capsys):
     # n = 60: the exact oracle sweeps all 966,467 partitions, the padic walk
     # a handful; --backend both exits 1 unless the two reports agree

@@ -1,12 +1,22 @@
+import functools
+import math
+
 import pytest
 
 import ubern.lemmas as lemmas
-from ubern.bernoulli import tau_valuation
+from ubern.bernoulli import (
+    _gamma_valuation,
+    _runs_valuations,
+    _valuation_tables,
+    tau_valuation,
+)
+from ubern.congruences import CongruenceFailure, CongruenceReport, check_corollary_3_4
 from ubern.errors import PreconditionError
 from ubern.lemmas import SWEEPS, LemmaSweepResult, run_sweep
-from ubern.padic import vp_int
+from ubern.padic import double_factorial, vp_factorial, vp_int
 from ubern.partitions import (
     Partition,
+    enumerate_partitions,
     enumerate_partitions_bounded,
     is_reduced,
     reduce_partition,
@@ -122,16 +132,251 @@ def _lemma_3_2_reference(s_max=3, i_max=4):
     return LemmaSweepResult("3.2", checked, failures)
 
 
+def _lemma_4_2_reference(k_max=9, a_max=30, n_max=8):
+    # reference: every double-factorial product built afresh per instance
+    failures = []
+    detail = {"i": 0, "ii": 0, "iii": 0}
+    for N in range(3, n_max + 1):
+        for k in range(1, k_max + 1):
+            base = k * 2**N
+            for a in range(2, a_max + 1):
+                ratio = math.prod(range(base + 3, base + 2 * a - 2, 2))
+                dfa = double_factorial(2 * a - 3)
+                detail["i"] += 1
+                detail["ii"] += 1
+                big = double_factorial(base + 2 * a - 3)
+                if a % 2 == 0:
+                    mod_i = 2 ** (N + 1 + min(vp_int(2, a), N - 1))
+                    ok_i = (ratio - dfa) % mod_i == 0
+                    ok_ii = (big - dfa) % 2 ** (N + 1) == 0
+                else:
+                    ok_i = (ratio - dfa - base) % 2 ** (N + 1) == 0
+                    ok_ii = (big - dfa - base) % 2 ** (N + 1) == 0
+                if not ok_i:
+                    failures.append({"part": "i", "k": k, "N": N, "a": a})
+                if not ok_ii:
+                    failures.append({"part": "ii", "k": k, "N": N, "a": a})
+            if k % 2:
+                detail["iii"] += 1
+                w = double_factorial(base - 3)
+                exponent = (k - 1) // 2 if N == 3 else (k + 1) // 2
+                sign = -1 if exponent % 2 else 1
+                ok = (w + 1 - sign * 2 ** (N + 1)) % 2 ** (N + 3) == 0
+                ok = ok and (w + 1 - 2 ** (N + 1)) % 2 ** (N + 2) == 0
+                if not ok:
+                    failures.append({"part": "iii", "k": k, "N": N})
+    return LemmaSweepResult("4.2", sum(detail.values()), failures, detail)
+
+
+def _lemma_4_4_reference(q_max=8, r_max=8, a_max=16, e_max=4):
+    # reference: each factorial quotient by one exact division per instance
+    failures = []
+    detail = {"i": 0, "ii": 0, "iii": 0, "iv": 0}
+    fact = [math.factorial(i) for i in range(2 * (3 * 2**6 + q_max + 2 * r_max) + a_max + 1)]
+    for N in range(3, 7):
+        modulus = 2 ** (N + 1)
+        for k in (1, 3):
+            l = k * 2**N
+            for q in range(q_max + 1):
+                for r in range(r_max + 1):
+                    delta_r = l if r in (1, 2) else 0
+                    big = l + q + 2 * r
+                    small = q + 2 * r
+                    lhs_i = fact[big] // (fact[l + q] * fact[r])
+                    rhs_i = fact[small] // (fact[q] * fact[r])
+                    detail["i"] += 1
+                    if (lhs_i - rhs_i - delta_r) % modulus:
+                        failures.append({"part": "i", "N": N, "k": k, "q": q, "r": r})
+                    for a in range(a_max + 1):
+                        lhs = fact[2 * big + a] // (2**big * fact[l + q] * fact[r])
+                        rhs = fact[2 * small + a] // (2**small * fact[q] * fact[r])
+                        where = {"N": N, "k": k, "q": q, "r": r, "a": a}
+                        if a <= 1:
+                            detail["ii"] += 1
+                            if (lhs - rhs - delta_r) % modulus:
+                                failures.append({"part": "ii", **where})
+                        for e in range(1, e_max + 1):
+                            if a >= 2 * e:
+                                detail["iii"] += 1
+                                if (lhs - rhs) % 2 ** (N + e):
+                                    failures.append({"part": "iii", **where, "e": e})
+                            if a >= 2 * (e + 1):
+                                detail["iv"] += 1
+                                if (lhs - rhs) % (modulus * 2**e):
+                                    failures.append({"part": "iv", **where, "e": e})
+    return LemmaSweepResult("4.4", sum(detail.values()), failures, detail)
+
+
+def _lemma_4_6_reference(n_max=24):
+    # reference: the per-partition valuation formulas on every partition
+    failures = []
+    checked = 0
+    for n in range(1, n_max + 1):
+        for u in enumerate_partitions(n):
+            checked += 1
+            u1, u3, u7 = u.multiplicity(1), u.multiplicity(3), u.multiplicity(7)
+            e = _gamma_valuation(2, u) - vp_factorial(2, 2 * u1) - 2 * u3 - vp_factorial(2, u3)
+            offset = n + u.degree - 2 - 2 * (u1 + 2 * u3 + e)
+            ndot = n - u1 - 3 * u3
+            if ndot == 0:
+                ok, want = offset == -2, "-2"
+            elif ndot == 2:
+                ok, want = offset == 1, "1"
+            elif u7 and ndot == 7 * u7 and u7 & (u7 - 1) == 0:
+                ok, want = offset == 0, "0"
+            else:
+                ok, want = offset >= 2, ">=2"
+            if not ok:
+                failures.append({"u": u.to_pairs(), "offset": str(offset), "want": want})
+    return LemmaSweepResult("4.6", checked, failures)
+
+
+def _lemma_4_7_reference(n_max=24):
+    # reference: tau_valuation on every partition the bound covers
+    failures = []
+    checked = 0
+    for n in range(1, n_max + 1):
+        for u in enumerate_partitions(n):
+            u1, u3, u7 = u.multiplicity(1), u.multiplicity(3), u.multiplicity(7)
+            ndot = n - u1 - 3 * u3
+            if ndot <= 0:
+                continue
+            checked += 1
+            slack = 3 if (u7 and ndot == 7 * u7) else 1
+            bound = u3 + (ndot + 1) // 2 - slack
+            v = tau_valuation(2, u)
+            if v < bound:
+                failures.append({"u": u.to_pairs(), "v": str(v), "bound": str(bound)})
+    return LemmaSweepResult("4.7", checked, failures)
+
+
+def _check_corollary_3_4_reference(p, s, i):
+    # reference: tau_valuation on every input
+    m = s * (p - 1)
+    n = (m + i) * p - i
+    bound = s * (p - 2) - 1
+    failures = []
+    checked = 0
+    for u in enumerate_partitions_bounded(n, i + 1):
+        checked += 1
+        v = tau_valuation(p, u)
+        if v < bound:
+            failures.append(CongruenceFailure(u, str(v), str(bound), v - bound))
+    context = {
+        "corollary": "3.4", "p": p, "s": s, "i": i, "n": n, "bound": bound,
+        "degree_max": i + 1, "checked": checked,
+    }
+    return CongruenceReport(not failures, p, max(bound, 0), context, failures)
+
+
+def _corollary_3_4_grid(check, grid=((3, 4, 4), (5, 2, 2))):
+    # check at every (p, s, i) with 1 <= s <= s_max and 0 <= i <= i_max for
+    # each (p, s_max, i_max) of grid; the default is the acceptance grid
+    reports = [
+        check(p, s, i).to_json()
+        for p, s_max, i_max in grid
+        for s in range(1, s_max + 1)
+        for i in range(i_max + 1)
+    ]
+    checked = sum(report["context"]["checked"] for report in reports)
+    return LemmaSweepResult("3.4", checked, reports)
+
+
 @pytest.mark.parametrize("name, reference, bounds", [
     ("2.2", _lemma_2_2_reference, {}),
     ("2.2", _lemma_2_2_reference, {"l_max": 77}),
     ("3.2", _lemma_3_2_reference, {}),
     ("3.2", _lemma_3_2_reference, {"s_max": 4, "i_max": 1}),
+    ("4.2", _lemma_4_2_reference, {}),
+    ("4.2", _lemma_4_2_reference, {"k_max": 4, "a_max": 11, "n_max": 5}),
+    ("4.4", _lemma_4_4_reference, {}),
+    ("4.4", _lemma_4_4_reference, {"q_max": 3, "r_max": 2, "a_max": 7, "e_max": 2}),
+    ("4.6", _lemma_4_6_reference, {}),
+    ("4.6", _lemma_4_6_reference, {"n_max": 9}),
+    ("4.7", _lemma_4_7_reference, {}),
+    ("4.7", _lemma_4_7_reference, {"n_max": 9}),
+    ("3.4", functools.partial(_corollary_3_4_grid, _check_corollary_3_4_reference), {}),
+    ("3.4", functools.partial(_corollary_3_4_grid, _check_corollary_3_4_reference),
+     {"grid": ((3, 2, 3), (5, 1, 1))}),
 ])
 def test_sweeps_match_their_references(name, reference, bounds):
-    got = run_sweep(name, **bounds)
+    # 3.4 is the corollary grid, one report per case, in place of a sweep
+    if name == "3.4":
+        got = _corollary_3_4_grid(check_corollary_3_4, **bounds)
+    else:
+        got = run_sweep(name, **bounds)
     want = reference(**bounds)
     assert (got.checked, got.detail, got.failures) == (want.checked, want.detail, want.failures)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_valuation_tables_match_the_per_partition_formulas(p):
+    for n in range(1, 31):
+        vfact, gain = _valuation_tables(p, n)
+        assert vfact == [vp_factorial(p, i) for i in range(max(2 * n - 2, n) + 1)]
+        assert [len(row) for row in gain] == [1] + [n // part + 1 for part in range(1, n + 1)]
+        for u in enumerate_partitions(n):
+            got = _runs_valuations(vfact, gain, u)
+            assert got == (u.degree, _gamma_valuation(p, u), tau_valuation(p, u))
+    # lemma 3.2's largest weight, at its degree budget
+    vfact, gain = _valuation_tables(p, 76)
+    for u in enumerate_partitions_bounded(76, 5):
+        got = _runs_valuations(vfact, gain, u)
+        assert got == (u.degree, _gamma_valuation(p, u), tau_valuation(p, u))
+
+
+# the instance count of each sweep at its defaults: the work the identity
+# sweeps do, which no machine changes
+DEFAULT_CHECKED = {
+    "2.1": 18506, "2.2": 1500, "2.4": 3015, "2.5": 800, "2.6": 1428, "3.2": 30341,
+    "4.1": 454, "4.2": 3162, "4.3": 1038, "4.4": 58968, "4.5": 243, "4.6": 7337,
+    "4.7": 7221,
+}
+
+
+def test_default_sweeps_check_pinned_counts(monkeypatch):
+    calls = []
+
+    def counted(p, u):
+        calls.append((p, u))
+        return tau_valuation(p, u)
+
+    monkeypatch.setattr(lemmas, "tau_valuation", counted)
+    checked = {}
+    for name in SWEEPS:
+        result = run_sweep(name)
+        assert result.holds, name
+        checked[name] = result.checked
+    assert checked == DEFAULT_CHECKED
+    assert sum(checked.values()) == 134013
+    # lemma 3.2 reads each input's valuation from the table and calls the
+    # per-partition formula once per distinct reduced image of each p
+    assert len(calls) == len(set(calls)) == 142
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("2.1", {"a_max": -5}),
+    ("2.6", {"q_max": -1}),
+    ("4.3", {"a_max": -1}),
+    ("4.4", {"q_max": -1}),
+    ("4.1", {"n_max": -1}),
+    ("2.5", {"trials": -1}),
+])
+def test_negative_bounds_are_refused(name, bounds):
+    with pytest.raises(PreconditionError, match="must be >= 0"):
+        run_sweep(name, **bounds)
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("3.2", {"s_max": 0}),
+    ("2.2", {"l_max": 0}),
+    ("4.5", {"k_max": 0}),
+    ("4.3", {"i_max": 0}),
+    ("2.5", {"trials": 0}),
+])
+def test_sweeps_that_check_nothing_are_refused(name, bounds):
+    with pytest.raises(PreconditionError, match="checks no instance"):
+        run_sweep(name, **bounds)
 
 
 def test_lemma_3_2_memo_cannot_hide_a_broken_reduction(monkeypatch):

@@ -192,6 +192,36 @@ def test_reduce_matches_displayed_formula_exhaustively():
                 assert reduce_partition(p, u) == _reduce_by_displayed_formula(p, u)
 
 
+def _reduce_two_passes(p, u):
+    # reference: the rewrite rules per part, then the residual weight from a
+    # second pass over the rewritten counts
+    counts = {}
+    for part, mult in u:
+        succ = part + 1
+        if succ % p == 0:
+            alpha = 0
+            while succ % p == 0:
+                succ //= p
+                alpha += 1
+            target = part if succ == 1 else p**alpha - 1
+            counts[target] = counts.get(target, 0) + mult
+        elif mult >= p:
+            moved = -(-mult // (p - 1)) - 1
+            if moved:
+                counts[p - 1] = counts.get(p - 1, 0) + moved
+    residual = u.weight - sum(part * mult for part, mult in counts.items())
+    if residual > 0:
+        counts[residual] = counts.get(residual, 0) + 1
+    return Partition(counts)
+
+
+def test_reduce_matches_the_two_pass_reference():
+    for p in (3, 5, 7):
+        for n in range(1, 26):
+            for u in enumerate_partitions(n):
+                assert reduce_partition(p, u).pairs == _reduce_two_passes(p, u).pairs
+
+
 def test_reduce_matches_displayed_formula_random():
     rng = random.Random(2024)
     for _ in range(200):
