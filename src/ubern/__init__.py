@@ -19,7 +19,6 @@ from .bernoulli import (
     read_coefficient_cache,
     specialize,
     tau,
-    tau_padic,
     tau_valuation,
     tau_valuations_below,
     write_coefficient_cache,
@@ -44,7 +43,6 @@ from .errors import CacheError, CeilingExceeded, PreconditionError
 from .lemmas import SWEEPS, LemmaSweepResult, run_sweep
 from .padic import (
     INFINITY,
-    PadicScalar,
     digit_sum,
     double_factorial,
     f_sum,

@@ -1,9 +1,10 @@
 """Divided universal Bernoulli numbers as sparse partition polynomials.
 
 The weight-n object is a finite map from partitions of n to exact
-rational coefficients.  Two scalar backends coexist: exact rationals
-(the correctness oracle) and truncated p-adic scalars (the fast path for
-residue checks, which never materializes the large factorials).
+rational coefficients, the correctness oracle.  The padic backend reads
+a coefficient without forming it: tau_valuation takes v_p(tau(u)) from
+digit sums, and _tau_unit takes its unit residue mod p**k from one
+_unit_factorials table.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CacheError, CeilingExceeded, PreconditionError
-from .padic import (
-    PadicScalar,
-    _require_prime,
-    _unit_factorials,
-    _vp_factorial,
-    vp_int,
-)
+from .padic import _require_prime, _vp_factorial, vp_int
 from .partitions import Partition, count_partitions, enumerate_partitions
 
 __all__ = [
@@ -37,7 +32,6 @@ __all__ = [
     "read_coefficient_cache",
     "specialize",
     "tau",
-    "tau_padic",
     "tau_valuation",
     "tau_valuations_below",
     "write_coefficient_cache",
@@ -191,18 +185,6 @@ def _tau_unit(p: int, u: Partition, ufact: list[int], m: int) -> int:
     if u.degree % 2 == 0:
         unit = (m - unit) % m
     return unit
-
-
-def tau_padic(p: int, u: Partition, k: int) -> PadicScalar:
-    """tau(u) as a PadicScalar at relative precision k (fast path)."""
-    if not u:
-        raise PreconditionError("tau needs a nonempty partition")
-    if k < 1:
-        raise PreconditionError("precision k must be >= 1")
-    v = tau_valuation(p, u)
-    # n + d covers both n + d - 2 and every multiplicity, even for u = c1
-    ufact = _unit_factorials(p, u.weight + u.degree, k)
-    return PadicScalar(p, v, _tau_unit(p, u, ufact, p**k), k)
 
 
 class SparsePoly:

@@ -38,7 +38,7 @@ from .congruences import (
     verify_theorem_4_9,
 )
 from .errors import CacheError, CeilingExceeded, PreconditionError
-from .lemmas import _EXPONENT_MAX, SWEEPS, run_sweep
+from .lemmas import SWEEPS, run_sweep
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -243,15 +243,12 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.name in ("4.1", "4.2", "4.6", "4.7"):
+    if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
         import inspect
 
         default = inspect.signature(SWEEPS[args.name]).parameters["n_max"].default
         n_max = overrides.get("n_max", default)
-        if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
-            ceiling = _ceiling(args)
-        else:  # double factorials of about k 2**n_max
-            ceiling = _EXPONENT_MAX
+        ceiling = _ceiling(args)
         if n_max > ceiling:
             raise PreconditionError(f"--n-max {n_max} exceeds the ceiling {ceiling}")
     result = run_sweep(args.name, **overrides)

@@ -8,14 +8,12 @@ no integer sentinel is ever used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 
 __all__ = [
     "INFINITY",
-    "PadicScalar",
     "digit_sum",
     "double_factorial",
     "f_sum",
@@ -200,148 +198,3 @@ def f_sum(a: int, i: int) -> int:
     prod = math.prod(range(a + 1, a + 2 * i + 1))
     return sum(prod // (a + j) for j in range(1, 2 * i + 1))
 
-
-@dataclass(frozen=True)
-class PadicScalar:
-    """A scalar p**valuation * unit with the unit known mod p**precision.
-
-    The zero mark (unit == 0) is exact zero.  Two scalars combine only
-    when their primes match; the result precision is the minimum of the
-    operand precisions after any valuation alignment.
-    """
-
-    prime: int
-    valuation: int
-    unit: int
-    precision: int
-
-    def __post_init__(self) -> None:
-        _require_prime(self.prime)
-        if self.precision < 1:
-            raise PreconditionError("precision must be >= 1")
-        if self.unit:
-            if not 1 <= self.unit < self.prime**self.precision:
-                raise ValueError("unit out of range for the stated precision")
-            if self.unit % self.prime == 0:
-                raise ValueError("unit must be coprime to p")
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int, precision: int) -> "PadicScalar":
-        return cls(p, 0, 0, precision)
-
-    @classmethod
-    def from_rational(cls, p: int, q: Fraction | int, precision: int) -> "PadicScalar":
-        """Embed an exact rational at the given relative precision."""
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero(p, precision)
-        m = p**precision
-        num, den = q.numerator, q.denominator
-        v = 0
-        if num % p == 0:
-            v = vp_int(p, num)
-            num //= p**v
-        elif den % p == 0:
-            v = -vp_int(p, den)
-            den //= p ** (-v)
-        unit = num * pow(den, -1, m) % m
-        return cls(p, v, unit, precision)
-
-    # -- queries -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.unit == 0
-
-    def vp(self) -> int | float:
-        return INFINITY if self.is_zero else self.valuation
-
-    def to_fraction(self) -> Fraction:
-        """A rational representative of the stored residue class."""
-        if self.is_zero:
-            return Fraction(0)
-        if self.valuation >= 0:
-            return Fraction(self.unit * self.prime**self.valuation)
-        return Fraction(self.unit, self.prime ** (-self.valuation))
-
-    def agrees_with(self, other: "PadicScalar") -> bool:
-        """Equality to the common (relative) precision."""
-        self._check_partner(other)
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.valuation != other.valuation:
-            return False
-        k = min(self.precision, other.precision)
-        m = self.prime**k
-        return (self.unit - other.unit) % m == 0
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _check_partner(self, other: "PadicScalar") -> None:
-        if not isinstance(other, PadicScalar):
-            raise TypeError("expected a PadicScalar")
-        if other.prime != self.prime:
-            raise ValueError("cannot combine scalars of different primes")
-
-    def __neg__(self) -> "PadicScalar":
-        if self.is_zero:
-            return self
-        m = self.prime**self.precision
-        return PadicScalar(self.prime, self.valuation, (m - self.unit) % m, self.precision)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_partner(other)
-        k = min(self.precision, other.precision)
-        if self.is_zero or other.is_zero:
-            return PadicScalar.zero(self.prime, k)
-        m = self.prime**k
-        return PadicScalar(
-            self.prime,
-            self.valuation + other.valuation,
-            self.unit * other.unit % m,
-            k,
-        )
-
-    def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_partner(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero mark")
-        k = min(self.precision, other.precision)
-        if self.is_zero:
-            return PadicScalar.zero(self.prime, k)
-        m = self.prime**k
-        return PadicScalar(
-            self.prime,
-            self.valuation - other.valuation,
-            self.unit * pow(other.unit, -1, m) % m,
-            k,
-        )
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_partner(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.valuation > other.valuation:
-            return other + self
-        shift = other.valuation - self.valuation
-        k = min(self.precision, other.precision + shift)
-        p = self.prime
-        m = p**k
-        s = (self.unit + other.unit * p**shift) % m if shift < k else self.unit % m
-        if s == 0:
-            # cancellation below working precision: zero mark
-            return PadicScalar.zero(p, k)
-        t = vp_int(p, s)
-        if t >= k:
-            return PadicScalar.zero(p, k)
-        if t:
-            s //= p**t
-            k -= t
-        return PadicScalar(p, self.valuation + t, s % p**k, k)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        return self + (-other)

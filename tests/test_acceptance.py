@@ -10,11 +10,12 @@ import time
 from fractions import Fraction
 
 from ubern.bernoulli import (
+    _tau_unit,
     classical_bernoulli,
     divided_ubern,
     specialize,
     tau,
-    tau_padic,
+    tau_valuation,
 )
 from ubern.cli import main as cli_main
 from ubern.congruences import (
@@ -28,7 +29,7 @@ from ubern.congruences import (
     verify_theorem_4_9,
 )
 from ubern.lemmas import run_sweep
-from ubern.padic import PadicScalar
+from ubern.padic import _unit_factorials, vp
 from ubern.partitions import count_partitions, enumerate_partitions
 
 
@@ -144,11 +145,16 @@ def test_criterion_7_backend_cross_check():
     bad = 0
     for n in range(1, 21):
         for u in enumerate_partitions(n):
+            exact = tau(u)
             for p in (2, 3, 5):
-                exact = tau(u)
+                v = vp(p, exact)
+                bad += tau_valuation(p, u) != v
+                w = exact / Fraction(p) ** v  # the exact unit part
                 for k in range(1, 6):
-                    if tau_padic(p, u, k) != PadicScalar.from_rational(p, exact, k):
-                        bad += 1
+                    m = p**k
+                    ufact = _unit_factorials(p, n + u.degree, k)
+                    unit = w.numerator * pow(w.denominator, -1, m) % m
+                    bad += _tau_unit(p, u, ufact, m) != unit
     disagreements = []
     for p, s, l in GRID_THEOREM_3_5:
         if (s + l) * (p - 1) > 24:
@@ -174,7 +180,7 @@ def test_criterion_7_backend_cross_check():
     _report(
         "7",
         bad == 0 and not disagreements,
-        f"tau embeddings w<=20 and both-backend reports n<=24 "
+        f"tau valuations and units w<=20 and both-backend reports n<=24 "
         f"({time.time() - start:.1f}s)",
     )
 

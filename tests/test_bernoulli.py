@@ -10,6 +10,7 @@ import pytest
 
 from ubern.bernoulli import (
     SparsePoly,
+    _tau_unit,
     cache_file_name,
     cache_lines,
     classical_bernoulli,
@@ -20,7 +21,6 @@ from ubern.bernoulli import (
     read_coefficient_cache,
     specialize,
     tau,
-    tau_padic,
     tau_valuation,
     tau_valuations_below,
     write_coefficient_cache,
@@ -28,7 +28,7 @@ from ubern.bernoulli import (
 import ubern.bernoulli as bernoulli
 from ubern.congruences import _exact_terms
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
-from ubern.padic import PadicScalar, _vp_factorial, vp, vp_int
+from ubern.padic import _unit_factorials, _vp_factorial, vp, vp_int
 from ubern.partitions import Partition, count_partitions, enumerate_partitions
 
 
@@ -56,25 +56,39 @@ def test_tau_valuation_agrees_with_exact():
                 assert tau_valuation(p, u) == vp(p, t)
 
 
-def test_tau_padic_examples():
-    x = tau_padic(3, Partition({2: 1}), 2)
-    assert (x.valuation, x.unit) == (-1, 1)
-    y = tau_padic(2, Partition({1: 1}), 3)
-    assert (y.valuation, y.unit) == (-1, 1)
-    z = tau_padic(3, Partition({2: 3}), 2)
-    assert z.valuation == -2
-    assert z == PadicScalar.from_rational(3, Fraction(280, 9), 2)
+def _unit_residue(p, q, k):
+    """Unit part of the nonzero rational q mod p**k, read off q itself."""
+    w = q / Fraction(p) ** vp(p, q)
+    return w.numerator * pow(w.denominator, -1, p**k) % p**k
 
 
-def test_tau_padic_matches_exact_at_high_precision():
+def test_tau_unit_examples():
+    # tau({2:1}) = 1/3, tau({1:1}) = 1/2, tau({2:3}) = 280/9 = 1 mod 9 after
+    # its 3**-2, and tau({1:2}) = -1/4
+    for p, parts, k, v, unit in (
+        (3, {2: 1}, 2, -1, 1),
+        (2, {1: 1}, 3, -1, 1),
+        (3, {2: 3}, 2, -2, 1),
+        (2, {1: 2}, 3, -2, 7),
+        (3, {1: 2}, 2, 0, 2),
+    ):
+        u = Partition(parts)
+        ufact = _unit_factorials(p, u.weight + u.degree, k)
+        assert tau_valuation(p, u) == vp(p, tau(u)) == v
+        assert _tau_unit(p, u, ufact, p**k) == _unit_residue(p, tau(u), k) == unit
+
+
+def test_tau_unit_matches_exact_at_high_precision():
     # the padic backend's working precision reaches 10 at p = 2 on the
     # shipped grids; the acceptance pin covers precisions 1..5
     for n in range(1, 13):
         for u in enumerate_partitions(n):
             exact = tau(u)
             for p in (2, 3, 5):
+                assert tau_valuation(p, u) == vp(p, exact), (p, u)
                 for k in range(6, 11):
-                    assert tau_padic(p, u, k) == PadicScalar.from_rational(p, exact, k), (
+                    ufact = _unit_factorials(p, n + u.degree, k)
+                    assert _tau_unit(p, u, ufact, p**k) == _unit_residue(p, exact, k), (
                         p, u, k,
                     )
 

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from ubern.errors import PreconditionError
 from ubern.padic import (
     INFINITY,
-    PadicScalar,
     _unit_factorials,
     digit_sum,
     double_factorial,
@@ -127,108 +125,3 @@ def test_f_term_is_exact():
                 total += term
             assert total == f_sum(a, i)
 
-
-def test_padic_scalar_embedding_round_trip():
-    rng = random.Random(7)
-    for _ in range(300):
-        p = rng.choice((2, 3, 5, 7))
-        k = rng.randrange(1, 6)
-        num = rng.randrange(-400, 401) or 1
-        den = rng.randrange(1, 400)
-        q = Fraction(num, den)
-        x = PadicScalar.from_rational(p, q, k)
-        v = vp(p, q)
-        assert x.vp() == v
-        diff = q - x.to_fraction()
-        if diff:
-            assert vp(p, diff) >= v + k
-        if v >= 0:
-            # nonnegative valuation: reproduced mod p**k exactly
-            assert diff == 0 or vp(p, diff) >= k
-
-
-def test_padic_scalar_zero_and_validation():
-    z = PadicScalar.zero(5, 3)
-    assert z.is_zero and z.vp() == INFINITY and z.to_fraction() == 0
-    assert PadicScalar.from_rational(3, 0, 2).is_zero
-    with pytest.raises(ValueError):
-        PadicScalar(3, 0, 6, 2)  # unit divisible by p
-    with pytest.raises(ValueError):
-        PadicScalar(3, 0, 9, 2)  # unit out of range
-    with pytest.raises(PreconditionError):
-        PadicScalar(4, 0, 1, 2)
-
-
-def test_padic_scalar_prime_mismatch():
-    a = PadicScalar.from_rational(3, 2, 3)
-    b = PadicScalar.from_rational(5, 2, 3)
-    with pytest.raises(ValueError):
-        a + b
-
-
-def test_padic_scalar_arithmetic_against_fractions():
-    rng = random.Random(13)
-    for _ in range(400):
-        p = rng.choice((2, 3, 5))
-        k = rng.randrange(2, 7)
-        qs = []
-        for _ in range(2):
-            num = rng.randrange(-50, 51) or 3
-            den = rng.randrange(1, 50)
-            shift = rng.randrange(-3, 4)
-            qs.append(Fraction(num, den) * Fraction(p) ** shift)
-        q1, q2 = qs
-        e1 = PadicScalar.from_rational(p, q1, k)
-        e2 = PadicScalar.from_rational(p, q2, k)
-        prod = e1 * e2
-        assert prod.agrees_with(PadicScalar.from_rational(p, q1 * q2, prod.precision))
-        quot = e1 / e2
-        assert quot.agrees_with(PadicScalar.from_rational(p, q1 / q2, quot.precision))
-        total = e1 + e2
-        exact = q1 + q2
-        if total.is_zero:
-            assert exact == 0 or vp(p, exact) >= min(vp(p, q1), vp(p, q2)) + k
-        else:
-            assert total.valuation == vp(p, exact)
-            residual = total.to_fraction() - exact
-            assert residual == 0 or vp(p, residual) >= total.valuation + total.precision
-
-
-def test_padic_scalar_precision_combination():
-    a = PadicScalar.from_rational(3, Fraction(1, 2), 5)
-    b = PadicScalar.from_rational(3, 7, 2)
-    assert (a * b).precision == 2
-    shifted = PadicScalar.from_rational(3, 9 * 7, 2)
-    # adding a higher-valuation term keeps the base precision window
-    assert (a + shifted).precision == min(5, 2 + shifted.valuation - a.valuation)
-
-
-def test_padic_scalar_division_against_fractions():
-    rng = random.Random(29)
-    for _ in range(300):
-        p = rng.choice((2, 3, 5, 7))
-        k1, k2 = rng.randrange(1, 7), rng.randrange(1, 7)
-        q1, q2 = (
-            Fraction(sign * rng.randrange(1, 60), rng.randrange(1, 60))
-            * Fraction(p) ** rng.randrange(-3, 4)
-            for sign in (1, -1)
-        )
-        quot = PadicScalar.from_rational(p, q1, k1) / PadicScalar.from_rational(p, q2, k2)
-        assert quot.precision == min(k1, k2)
-        assert quot.valuation == vp(p, q1) - vp(p, q2)
-        assert quot.agrees_with(PadicScalar.from_rational(p, q1 / q2, quot.precision))
-
-
-def test_padic_scalar_division_edges():
-    a = PadicScalar.from_rational(3, Fraction(2, 9), 4)
-    b = PadicScalar.from_rational(3, 45, 2)
-    quot = a / b
-    assert (quot.valuation, quot.precision) == (-4, 2)
-    assert quot.agrees_with(PadicScalar.from_rational(3, Fraction(2, 405), 2))
-    zero = PadicScalar.zero(3, 5)
-    q0 = zero / b
-    assert q0.is_zero and q0.precision == 2
-    with pytest.raises(ZeroDivisionError):
-        a / zero
-    with pytest.raises(ZeroDivisionError):
-        zero / zero
