@@ -111,7 +111,7 @@ def _runs_valuations(
     """(degree, v_p(gamma(u)), v_p(tau(u))) in one pass over the runs of u,
     from the _valuation_tables of a weight >= the weight of u."""
     n = d = g = 0
-    for part, mult in u._pairs:
+    for part, mult in u:
         n += part * mult
         d += mult
         g += gain[part][mult]
@@ -297,7 +297,7 @@ def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
     for u in enumerate_partitions(n):
         d = 0
         den = 1
-        for part, mult in u._pairs:
+        for part, mult in u:
             d += mult
             den *= run[part][mult]
         num = fact[n + d - 2]

@@ -170,7 +170,7 @@ def _report_text(report: CongruenceReport) -> None:
     params = ", ".join(
         f"{k}={v}"
         for k, v in ctx.items()
-        if k not in ("theorem", "corollary", "check", "backend", "truncated_terms")
+        if k not in ("theorem", "corollary", "check", "backend")
     )
     verdict = "HOLDS" if report.holds else "FAILS"
     print(

@@ -231,8 +231,9 @@ def _padic_terms(
     walk tau_valuations_below (run here, or by the caller: low) finds
     without visiting the bulk of the p(n) partitions, and the keys of rhs
     of weight n.  Each value is p**v times the unit residue of tau(u) mod
-    p**(k - vmin), vmin <= 0 the least valuation on either side (the walk
-    has every negative one, as k >= 1), so it is tau(u) mod p**k at least:
+    p**(k - vmin), vmin <= 0 the least valuation of a named tau(u) (the
+    walk has every negative one, as k >= 1).  As v >= vmin, the value is
+    tau(u) mod p**(k + max(0, v)) at least, whatever the right-hand side:
     verdicts and vp_diff below k are exact.  The unit residues share one
     unit-factorial table up to 2n - 2.
     """
@@ -240,7 +241,7 @@ def _padic_terms(
     for u in rhs.keys():
         if u.weight == n and u not in low:
             low[u] = tau_valuation(p, u)
-    vmin = min([0, *low.values(), *(vp(p, c) for c in rhs._terms.values())])
+    vmin = min([0, *low.values()])
     precision = k - vmin
     m = p**precision
     ufact = _unit_factorials(p, 2 * n - 2, precision)
@@ -268,20 +269,21 @@ def _exact_terms(
     to and including that one, so a step multiplies in the _tau_tables
     factor of each run it changes, and a Partition is built only for a
     yielded term.  The sweep's terms are those of _tau_fractions, in its
-    order: den = gamma(u), not reduced.
+    order: den = gamma(u), not reduced; a key of rhs the sweep did not
+    name comes as the reduced tau(u).
     """
     modulus = p**k
     fact, run = _tau_tables(n)
-    pending = {u.pairs for u in rhs.keys() if u.weight == n}
+    pending = {u for u in rhs.keys() if u.weight == n}
     runs = [(n, 1, n + 1, 1)]  # parts strictly decreasing
     den, d = n + 1, 1
     while True:
         num = fact[n + d - 2]
         q, r = divmod(num, den)
         if (num // gcd(num, den) if r else q) % modulus:
-            pairs = tuple([(part, mult) for part, mult, _, _ in reversed(runs)])
-            pending.discard(pairs)
-            yield Partition._raw(pairs), (num if d % 2 else -num), den
+            u = Partition._raw([(part, mult) for part, mult, _, _ in reversed(runs)])
+            pending.discard(u)
+            yield u, (num if d % 2 else -num), den
         # the enumerate_partitions successor: pop the trailing 1s, take one
         # copy off the smallest part > 1, refill as copies of part - 1 and
         # at most one smaller part
@@ -308,13 +310,9 @@ def _exact_terms(
             d += 1
             runs.append((r, 1, den, d))
     for u in rhs.keys():
-        if u.pairs in pending:
-            d = u.degree
-            den = 1
-            for part, mult in u:
-                den *= run[part][mult]
-            num = fact[n + d - 2]
-            yield u, (num if d % 2 else -num), den
+        if u in pending:
+            t = tau(u)
+            yield u, t.numerator, t.denominator
 
 
 def _verify_against_ubern(
@@ -638,27 +636,22 @@ def _theorem_4_9_correction(
 
 def _rhs_theorem_4_9(
     m: int, k: int, N: int, *, n_ceiling: int, terms: Iterable | None = None
-) -> tuple[SparsePoly, list[dict]]:
+) -> SparsePoly:
+    # every c1 exponent of a correction is >= 0 on the domain: m >= 2N+1 >= 7
+    # and l >= 8, so n >= 15 (odd m), n >= 18 (m = 2 mod 4), n >= 24 (c3^8)
     l, _ = _theorem_4_9_params(m, k, N)
-    corrections, truncated = [], []
-    for exps, coeff in _theorem_4_9_correction(m, k, N):
-        if exps.get(1, 0) < 0:
-            truncated.append(
-                {"u": sorted([p, e] for p, e in exps.items()), "c": format_rational(coeff)}
-            )
-        else:
-            corrections.append((Partition(exps), coeff))
+    corrections = [(Partition(exps), c) for exps, c in _theorem_4_9_correction(m, k, N)]
     if terms is None:
         terms = divided_ubern(m, n_ceiling=n_ceiling)._terms.items()
-    return _lifted_rhs(terms, {1: l}, corrections), truncated
+    return _lifted_rhs(terms, {1: l}, corrections)
 
 
 def rhs_theorem_4_9(
     m: int, k: int, N: int, *, n_ceiling: int = DEFAULT_N_CEILING
 ) -> SparsePoly:
-    """Right-hand side of family 4.9; terms with negative c1 exponents
-    are emitted only when the exponent is nonnegative."""
-    return _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling)[0]
+    """Right-hand side of family 4.9: c1^l * divided_ubern(m) plus the
+    corrections of _theorem_4_9_correction."""
+    return _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling)
 
 
 def verify_theorem_4_9(
@@ -673,7 +666,7 @@ def verify_theorem_4_9(
     """Check divided_ubern(m + k*2**N) against rhs_theorem_4_9 mod 2**(N+1)."""
     l, n = _theorem_4_9_params(m, k, N)
     low, terms = _lifting_walks(2, n, m, N + 1, {1: l}, backend, n_ceiling)
-    rhs, truncated = _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling, terms=terms)
+    rhs = _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling, terms=terms)
     context = {
         "theorem": "4.9",
         "m": m,
@@ -684,8 +677,6 @@ def verify_theorem_4_9(
         "case": ("i", "ii", "iii", "iv")[(0 if m % 2 else 1 if m % 4 else 2 if m % 8 else 3)],
         "backend": backend,
     }
-    if truncated:
-        context["truncated_terms"] = truncated
     if m % 8 == 0 and m < 16:
         context["omitted_terms"] = [
             {"u": [[1, n - 24], [3, 8]], "why": "only present for m >= 16"}

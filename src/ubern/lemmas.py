@@ -230,9 +230,9 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
                 for u in enumerate_partitions_bounded(n, i + 1):
                     checked += 1
                     r = reduce_partition(p, u)
-                    known = images.get(r._pairs)  # a tuple key hashes in C
+                    known = images.get(r)
                     if known is None:
-                        known = images[r._pairs] = (
+                        known = images[r] = (
                             is_reduced(p, r), r.weight, r.degree, tau_valuation(p, r)
                         )
                     ok = (
@@ -455,7 +455,7 @@ def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
     for n in range(1, n_max + 1):
         for u in enumerate_partitions(n):
             checked += 1
-            mults = dict(u._pairs)
+            mults = dict(u)
             u1 = mults.get(1, 0)
             u3 = mults.get(3, 0)
             u7 = mults.get(7, 0)
@@ -486,7 +486,7 @@ def lemma_4_7(n_max: int = 24) -> LemmaSweepResult:
     vfact, gain = _valuation_tables(2, n_max)
     for n in range(1, n_max + 1):
         for u in enumerate_partitions(n):
-            mults = dict(u._pairs)
+            mults = dict(u)
             u1 = mults.get(1, 0)
             u3 = mults.get(3, 0)
             u7 = mults.get(7, 0)

@@ -1,8 +1,10 @@
 """Integer partitions as sparse exponent vectors.
 
-A partition u is stored as (part, multiplicity) pairs with every stored
-multiplicity >= 1.  Its weight is the partitioned integer sum(i * u_i),
-its degree the number of parts counted with multiplicity sum(u_i).
+A partition u is the tuple of its (part, multiplicity) pairs, part
+ascending, with every multiplicity >= 1: a Partition is that tuple, so it
+equals, hashes and iterates like it.  Its weight is the partitioned
+integer sum(i * u_i), its degree the number of parts counted with
+multiplicity sum(u_i).
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ __all__ = [
 ]
 
 
-class Partition:
-    """Immutable map part-size -> multiplicity, hashable, zero-free."""
+class Partition(tuple):
+    """Immutable map part-size -> multiplicity, as its validated
+    (part, mult) pairs, part ascending, zero-free.
 
-    __slots__ = ("_pairs",)
+    Tuple order is not the canonical order of partitions: sort_key is.
+    """
 
-    def __init__(self, parts: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    __slots__ = ()
+
+    def __new__(cls, parts: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = parts.items() if isinstance(parts, Mapping) else tuple(parts)
         pairs = []
         last = 0
@@ -43,14 +49,12 @@ class Partition:
             last = part
             if mult:
                 pairs.append((part, mult))
-        self._pairs = tuple(pairs)
+        return tuple.__new__(cls, pairs)
 
     @classmethod
-    def _raw(cls, pairs: tuple[tuple[int, int], ...]) -> "Partition":
+    def _raw(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":
         # internal fast path: pairs already sorted ascending and validated
-        self = object.__new__(cls)
-        self._pairs = pairs
-        return self
+        return tuple.__new__(cls, pairs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "Partition":
@@ -68,60 +72,39 @@ class Partition:
         return cls(checked)
 
     @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._pairs
-
-    @property
     def weight(self) -> int:
-        return sum(part * mult for part, mult in self._pairs)
+        return sum(part * mult for part, mult in self)
 
     @property
     def degree(self) -> int:
-        return sum(mult for _, mult in self._pairs)
+        return sum(mult for _, mult in self)
 
     def multiplicity(self, part: int) -> int:
-        for p, m in self._pairs:
+        for p, m in self:
             if p == part:
                 return m
         return 0
 
     def merged(self, extra: Mapping[int, int]) -> "Partition":
         """New partition with the multiplicities of `extra` added in."""
-        counts = dict(self._pairs)
+        counts = dict(self)
         for part, mult in extra.items():
             counts[part] = counts.get(part, 0) + mult
         return Partition(counts)
 
     def to_pairs(self) -> list[list[int]]:
         """Serialized form: [[part, mult], ...], part ascending."""
-        return [[part, mult] for part, mult in self._pairs]
+        return [[part, mult] for part, mult in self]
 
     def sort_key(self) -> tuple:
         """Orders by weight, then descending-lexicographic by largest part."""
         expanded = []
-        for part, mult in reversed(self._pairs):
+        for part, mult in reversed(self):
             expanded.extend([-part] * mult)
         return (self.weight, tuple(expanded))
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self._pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return hash(self._pairs)
-
     def __repr__(self) -> str:
-        body = ", ".join(f"{p}: {m}" for p, m in self._pairs)
+        body = ", ".join(f"{p}: {m}" for p, m in self)
         return "Partition({%s})" % body
 
 
@@ -147,7 +130,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     raw = Partition._raw
     runs = [(n, 1)]
     while True:
-        yield raw(tuple(reversed(runs)))
+        yield raw(reversed(runs))
         part, mult = runs.pop()
         rest = 0
         if part == 1:
@@ -181,7 +164,7 @@ def enumerate_partitions_bounded(n: int, max_degree: int) -> Iterator[Partition]
     runs = [(n, 1)]
     degree = 1
     while True:
-        yield raw(tuple(reversed(runs)))
+        yield raw(reversed(runs))
         rest = 0
         while True:
             if not runs:
@@ -270,7 +253,7 @@ def reduce_partition(p: int, u: Partition) -> Partition:
         raise PreconditionError("cannot reduce the empty partition")
     counts: dict[int, int] = {}
     residual = 0  # weight of u minus the weight of counts
-    for part, mult in u._pairs:
+    for part, mult in u:
         residual += part * mult
         succ = part + 1
         if succ % p == 0:
@@ -290,4 +273,4 @@ def reduce_partition(p: int, u: Partition) -> Partition:
     if residual > 0:
         counts[residual] = counts.get(residual, 0) + 1
     # every part is positive and every count >= 1
-    return Partition._raw(tuple(sorted(counts.items())))
+    return Partition._raw(sorted(counts.items()))

@@ -403,9 +403,9 @@ def test_tau_runs_match_tau_fractions():
         for (runs, num, den), (u, num2, den2) in zip(
             bernoulli._tau_runs(n), bernoulli._tau_fractions(n)
         ):
-            assert tuple((part, mult) for part, mult, *_ in reversed(runs)) == u.pairs
+            assert tuple((part, mult) for part, mult, *_ in reversed(runs)) == u
             assert (num, den) == (num2, den2), (n, u)
-            assert runs[-1][4] == ",".join("[%d,%d]" % pm for pm in u.pairs), (n, u)
+            assert runs[-1][4] == ",".join("[%d,%d]" % pm for pm in u), (n, u)
             got += 1
         assert got == count_partitions(n), n
         assert sum(1 for _ in bernoulli._tau_runs(n)) == got, n

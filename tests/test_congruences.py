@@ -355,6 +355,19 @@ def test_rhs_theorem_4_9_pinned_coefficients():
     assert rhs16.get(Partition({1: 24})) == tau(Partition({1: 16})) + head
 
 
+def test_theorem_4_9_correction_exponents_are_nonnegative():
+    # every correction is a monomial: its c1 exponent never drops below 0
+    # on the domain (m >= 2N+1, k odd, N >= 3), and reaches 0 at its edge
+    exponents = [
+        exps.get(1, 0)
+        for N in range(3, 7)
+        for k in (1, 3, 5, 7)
+        for m in range(2 * N + 1, 2 * N + 60)
+        for exps, _ in congruences._theorem_4_9_correction(m, k, N)
+    ]
+    assert min(exponents) == 0
+
+
 def test_rhs_theorem_4_9_c3_8_term_rules():
     # m = 16 carries the c3^8 term, m = 8 must not (even when the exponent
     # is nonnegative): the exact weight-32 coefficient sits above mod 16
@@ -586,7 +599,7 @@ def _lifted_rhs(verify, args, terms=None, n_ceiling=DEFAULT_N_CEILING):
     # default all of divided_ubern(m)
     if verify is verify_theorem_3_5:
         return rhs_theorem_3_5(*args, n_ceiling=n_ceiling, terms=terms)
-    return congruences._rhs_theorem_4_9(*args, n_ceiling=n_ceiling, terms=terms)[0]
+    return congruences._rhs_theorem_4_9(*args, n_ceiling=n_ceiling, terms=terms)
 
 
 LIFTED_CASES = [(verify_theorem_3_5, args) for args in GRID_THEOREM_3_5] + [

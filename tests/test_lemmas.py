@@ -382,7 +382,7 @@ def test_sweeps_that_check_nothing_are_refused(name, bounds):
 def test_lemma_3_2_memo_cannot_hide_a_broken_reduction(monkeypatch):
     def drops_a_part(p, u):
         r = reduce_partition(p, u)
-        return Partition(r.pairs[1:]) if len(r) > 1 else r
+        return Partition(r[1:]) if len(r) > 1 else r
 
     monkeypatch.setattr(lemmas, "reduce_partition", drops_a_part)
     result = run_sweep("3.2", s_max=1, i_max=2)

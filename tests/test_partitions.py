@@ -46,6 +46,32 @@ def test_from_pairs_round_trip():
             Partition.from_pairs(pairs)
 
 
+def test_partition_is_its_pair_tuple():
+    u = Partition({3: 1, 1: 2})
+    pairs = ((1, 2), (3, 1))
+    assert isinstance(u, tuple) and u == pairs and pairs == u
+    assert hash(u) == hash(pairs) and tuple(u) == pairs
+    assert Partition() == () and Partition._raw(iter(pairs)) == u
+    # the tuple's own equality, hashing and iteration serve, and no
+    # per-instance dict is added
+    assert Partition.__slots__ == ()
+    for name in ("__eq__", "__hash__", "__iter__", "__len__", "__bool__"):
+        assert name not in vars(Partition), name
+
+
+def test_partition_keys_find_pair_tuples():
+    table = {u: i for i, u in enumerate(enumerate_partitions(6))}
+    assert table[((1, 1), (2, 1), (3, 1))] == table[Partition({1: 1, 2: 1, 3: 1})]
+    assert ((6, 1),) in table and ((1, 6),) in table
+
+
+def test_sort_key_is_the_canonical_order_not_tuple_order():
+    us = [u for n in range(8) for u in enumerate_partitions(n)]
+    shuffled = us[::-1]
+    assert sorted(shuffled, key=Partition.sort_key) == us
+    assert sorted(shuffled) != us
+
+
 def test_enumerate_weight_zero():
     assert list(enumerate_partitions(0)) == [Partition()]
 
@@ -85,14 +111,14 @@ def _reference_runs(n, cap):
 
 def test_enumeration_matches_recursive_reference():
     for n in range(26):
-        got = [u.pairs for u in enumerate_partitions(n)]
+        got = list(enumerate_partitions(n))
         assert got == [tuple(reversed(runs)) for runs in _reference_runs(n, n)]
 
 
 def test_enumeration_is_descending_lex():
     def expanded(u):
         out = []
-        for part, mult in reversed(u.pairs):
+        for part, mult in reversed(u):
             out.extend([part] * mult)
         return out
 
@@ -219,7 +245,7 @@ def test_reduce_matches_the_two_pass_reference():
     for p in (3, 5, 7):
         for n in range(1, 26):
             for u in enumerate_partitions(n):
-                assert reduce_partition(p, u).pairs == _reduce_two_passes(p, u).pairs
+                assert reduce_partition(p, u) == _reduce_two_passes(p, u)
 
 
 def test_reduce_matches_displayed_formula_random():
@@ -275,7 +301,7 @@ def test_bounded_enumeration_matches_recursive_reference():
     for n in range(31):
         for dmax in range(n + 2):
             want = [tuple(reversed(runs)) for runs in _runs_bounded(n, n, dmax)]
-            got = [u.pairs for u in enumerate_partitions_bounded(n, dmax)]
+            got = list(enumerate_partitions_bounded(n, dmax))
             assert got == want, (n, dmax)
 
 
@@ -304,5 +330,5 @@ def test_reduce_partition_returns_canonical_partitions():
         for n in range(1, 16):
             for u in enumerate_partitions(n):
                 r = reduce_partition(p, u)
-                assert r == Partition(r.pairs) and r.pairs == Partition(r.pairs).pairs
-                assert all(mult >= 1 for _, mult in r.pairs)
+                assert type(r) is Partition and r == Partition(r)
+                assert all(mult >= 1 for _, mult in r)

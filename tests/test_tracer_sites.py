@@ -5,7 +5,8 @@ perfbench/tracer.py replaces module attributes such as
 from outside the program.  A refactor that removes one of them breaks
 ``perfbench/run.py --trace 1`` without failing any other tier-1 test,
 so this installs the tracer in a fresh interpreter and runs one traced
-verification on both backends, one on the exact backend whose
+verification on both backends, plain and with ``--perturb`` (only a
+failure reaches the wrapped ``vp``), one on the exact backend whose
 right-hand side enumerates through the wrapped
 ``ubern.bernoulli.enumerate_partitions``, a ``compute`` cache miss and hit in
 text and in JSON, which reach the wrapped cache writer and reader, and
@@ -34,7 +35,13 @@ install(tracer, ubern)
 tracer.op = "check"
 code = ubern.cli.main(["verify", "--theorem", "4.8", "--n", "12", "--backend", "both"])
 assert code == 0, code
-assert tracer.spans and tracer.counts["padic.vp.calls"], dict(tracer.counts)
+assert tracer.spans, dict(tracer.counts)
+# vp is taken of failures alone: the perturbed run reaches the wrapped name
+code = ubern.cli.main(
+    ["verify", "--theorem", "4.8", "--n", "12", "--backend", "both", "--perturb"]
+)
+assert code == 1, code
+assert tracer.counts["padic.vp.calls"], dict(tracer.counts)
 # the padic work runs inside its congruences.verify span, which the
 # congruences.padic_report_s figure is read from
 assert any(span["name"] == "congruences.verify" and span["backend"] == "padic"
