@@ -253,12 +253,9 @@ def _padic_terms(
             yield u, unit, p**-v
 
 
-def _exact_terms(
-    n: int, rhs: SparsePoly, p: int, k: int
-) -> Iterator[tuple[Partition, int, int]]:
-    """(u, num, den) with tau(u) = num/den for each partition u of n with
-    tau(u) != 0 mod p**k, then each key of rhs of weight n not yet named:
-    the exact backend's term source, each monomial once.
+def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int, int]]]:
+    """(u, (num, den)) with tau(u) = num/den for each partition u of n with
+    tau(u) != 0 mod p**k, in _tau_fractions order: the exact backend's sweep.
 
     The independent oracle: all p(n) partitions are visited and each
     tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u) is tested with big integers by
@@ -268,13 +265,10 @@ def _exact_terms(
     (part, mult, gamma, degree), gamma and degree taken over the runs up
     to and including that one, so a step multiplies in the _tau_tables
     factor of each run it changes, and a Partition is built only for a
-    yielded term.  The sweep's terms are those of _tau_fractions, in its
-    order: den = gamma(u), not reduced; a key of rhs the sweep did not
-    name comes as the reduced tau(u).
+    yielded term.  den = gamma(u), not reduced.
     """
     modulus = p**k
     fact, run = _tau_tables(n)
-    pending = {u for u in rhs.keys() if u.weight == n}
     runs = [(n, 1, n + 1, 1)]  # parts strictly decreasing
     den, d = n + 1, 1
     while True:
@@ -282,8 +276,7 @@ def _exact_terms(
         q, r = divmod(num, den)
         if (num // gcd(num, den) if r else q) % modulus:
             u = Partition._raw([(part, mult) for part, mult, _, _ in reversed(runs)])
-            pending.discard(u)
-            yield u, (num if d % 2 else -num), den
+            yield u, ((num if d % 2 else -num), den)
         # the enumerate_partitions successor: pop the trailing 1s, take one
         # copy off the smallest part > 1, refill as copies of part - 1 and
         # at most one smaller part
@@ -309,8 +302,19 @@ def _exact_terms(
             den *= r + 1
             d += 1
             runs.append((r, 1, den, d))
+
+
+def _exact_terms(
+    n: int, rhs: SparsePoly, p: int, k: int, low: dict | None = None
+) -> Iterator[tuple[Partition, int, int]]:
+    """(u, num, den) for each u that _exact_sweep names (run here, or by
+    the caller: low), then each key of rhs of weight n not in low, as the
+    reduced tau(u): the exact backend's term source, each monomial once."""
+    low = dict(_exact_sweep(p, n, k) if low is None else low)
+    for u, (num, den) in low.items():
+        yield u, num, den
     for u in rhs.keys():
-        if u in pending:
+        if u.weight == n and u not in low:
             t = tau(u)
             yield u, t.numerator, t.denominator
 
@@ -331,7 +335,7 @@ def _verify_against_ubern(
     Both backends are term sources for _congruence_report: "exact" tests
     tau(u) of every partition of n with big integers (_exact_terms), the
     independent oracle; "padic" walks only the u with v_p(tau(u)) < k and
-    reads their unit residues (_padic_terms), reusing the walk low if given.
+    reads their unit residues (_padic_terms).  Each reuses a given sweep low.
     """
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
@@ -341,7 +345,7 @@ def _verify_against_ubern(
         rhs = rhs.add_term(first, 1)
         context["perturbed"] = True
     if backend == "exact":
-        terms = _exact_terms(n, rhs, p, k)
+        terms = _exact_terms(n, rhs, p, k, low)
     elif backend == "padic":
         terms = _padic_terms(n, rhs, p, k, low)
     else:
@@ -351,21 +355,22 @@ def _verify_against_ubern(
 
 def _lifting_walks(
     p: int, n: int, m: int, k: int, shift: dict[int, int], backend: str, n_ceiling: int
-) -> tuple[dict | None, list[tuple[Partition, Fraction]] | None]:
-    """(low, terms) of a 3.5 or 4.9 case, n checked against the ceiling
-    first; (None, None) off the padic backend.  low is the walk at n, terms
-    the m-part (b, tau(b)) of c^shift * divided_ubern(m) that can matter:
-    the walk at m, c_m (its shift is the first shifted key: --perturb) and
-    each b whose shift low names, so a failure there shows the full rhs.
-    Any other shifted key has v_p >= k on both sides and no term names it.
+) -> tuple[dict, list[tuple[Partition, Fraction]]]:
+    """(low, terms) of a 3.5 or 4.9 case, backend and n checked first.  low
+    is the backend's own sweep at n, terms the m-part (b, tau(b)) of
+    c^shift * divided_ubern(m) that can matter: its sweep at m, c_m (its
+    shift is the first shifted key: --perturb) and each b whose shift low
+    names, so a failure there shows the full rhs.  Any other key c^shift b
+    has tau(b) = tau(c^shift b) = 0 mod p**k and no term names it.
     """
+    if backend not in ("exact", "padic"):
+        raise PreconditionError(f"unknown backend {backend!r}")
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
-    if backend != "padic":
-        return None, None
-    low = dict(tau_valuations_below(p, n, k))
+    sweep = _exact_sweep if backend == "exact" else tau_valuations_below
+    low = dict(sweep(p, n, k))
     [(part, mult)] = shift.items()
-    bases = {Partition({m: 1}), *(b for b, _ in tau_valuations_below(p, m, k))}
+    bases = {Partition({m: 1}), *(b for b, _ in sweep(p, m, k))}
     bases.update(u.merged({part: -mult}) for u in low if u.multiplicity(part) >= mult)
     return low, [(b, tau(b)) for b in bases]
 
@@ -465,7 +470,7 @@ def verify_theorem_3_5(
     """Check divided_ubern(n) against rhs_theorem_3_5 mod p**(N+1)."""
     N, m, n = _theorem_3_5_params(p, s, l)
     low, terms = _lifting_walks(p, n, m, N + 1, {p - 1: l}, backend, n_ceiling)
-    rhs = rhs_theorem_3_5(p, s, l, n_ceiling=n_ceiling, terms=terms)
+    rhs = rhs_theorem_3_5(p, s, l, terms=terms)
     context = {
         "theorem": "3.5",
         "p": p,
@@ -635,7 +640,7 @@ def _theorem_4_9_correction(
 
 
 def _rhs_theorem_4_9(
-    m: int, k: int, N: int, *, n_ceiling: int, terms: Iterable | None = None
+    m: int, k: int, N: int, *, n_ceiling: int = DEFAULT_N_CEILING, terms: Iterable | None = None
 ) -> SparsePoly:
     # every c1 exponent of a correction is >= 0 on the domain: m >= 2N+1 >= 7
     # and l >= 8, so n >= 15 (odd m), n >= 18 (m = 2 mod 4), n >= 24 (c3^8)
@@ -666,7 +671,7 @@ def verify_theorem_4_9(
     """Check divided_ubern(m + k*2**N) against rhs_theorem_4_9 mod 2**(N+1)."""
     l, n = _theorem_4_9_params(m, k, N)
     low, terms = _lifting_walks(2, n, m, N + 1, {1: l}, backend, n_ceiling)
-    rhs = _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling, terms=terms)
+    rhs = _rhs_theorem_4_9(m, k, N, terms=terms)
     context = {
         "theorem": "4.9",
         "m": m,

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -566,7 +567,7 @@ def test_padic_holds_past_the_grid():
 
     # and at m = 62 (3.5 at (3, 31, 3), n = 68), on the right-hand side the
     # padic backend builds from the walk
-    report, [rhs] = _padic_rhs(verify_theorem_3_5, (3, 31, 3), n_ceiling=ceiling)
+    report, [rhs] = _selected_rhs(verify_theorem_3_5, (3, 31, 3), "padic", n_ceiling=ceiling)
     p, k, n = report.prime, report.mod_exp, report.context["n"]
     assert report.holds and len(rhs) > 2
     for u, _ in rhs.items():
@@ -577,9 +578,10 @@ def test_padic_holds_past_the_grid():
                 assert [(f.u, f.vp_diff) for f in moved.failures] == [(u, k - 1)]
 
 
-def _padic_rhs(verify, args, **kwargs):
-    # the padic report of verify(*args) and a list of the one right-hand
-    # side it checked, caught on the way into the one congruence test
+def _selected_rhs(verify, args, backend, **kwargs):
+    # the report of verify(*args) on backend and a list of the one
+    # right-hand side it checked, caught on the way into the one
+    # congruence test
     seen = []
     report = congruences._congruence_report
 
@@ -589,7 +591,7 @@ def _padic_rhs(verify, args, **kwargs):
 
     congruences._congruence_report = spy
     try:
-        return verify(*args, backend="padic", **kwargs), seen
+        return verify(*args, backend=backend, **kwargs), seen
     finally:
         congruences._congruence_report = report
 
@@ -608,69 +610,127 @@ LIFTED_CASES = [(verify_theorem_3_5, args) for args in GRID_THEOREM_3_5] + [
 
 
 def test_padic_rhs_is_the_full_rhs_where_it_matters():
-    # the padic right-hand side keeps each key at its full coefficient and
-    # leaves out only keys with v_p >= k on both sides; its padic report,
-    # with --perturb and without, is the report on the full right-hand side.
-    # 4.8 has no m-part, so its padic right-hand side is the full one: with
-    # the 32 lifted cases, that is every one of the 47 grid cases
-    for n in GRID_THEOREM_4_8:
-        report, [rhs] = _padic_rhs(verify_theorem_4_8, (n,))
-        assert rhs == rhs_theorem_4_8(n)[0]
+    # the right-hand side each backend selects with its own sweeps keeps
+    # each key at its full coefficient and leaves out only keys with
+    # v_p >= k on both sides; its report, with --perturb and without, is
+    # the report on the full right-hand side.  4.8 has no m-part, so its
+    # right-hand side is the full one: with the 32 lifted cases, that is
+    # every one of the 47 grid cases
     assert len(LIFTED_CASES) + len(GRID_THEOREM_4_8) == 47
-    kept = total = 0
-    for verify, args in LIFTED_CASES:
-        full = _lifted_rhs(verify, args)
-        for perturb in (True, False):
-            lazy_report, [lazy] = _padic_rhs(verify, args, perturb=perturb)
-            p, k, n = lazy_report.prime, lazy_report.mod_exp, lazy_report.context["n"]
-            context = {key: v for key, v in lazy_report.context.items() if key != "perturbed"}
-            full_report = _verify_against_ubern(
-                n, full, p, k, context, "padic", DEFAULT_N_CEILING, perturb=perturb
-            )
-            assert lazy_report.to_json() == full_report.to_json(), (args, perturb)
-        # the --perturb control hits the first key of the full right-hand side
-        assert lazy.items()[0][0] == full.items()[0][0], args
-        for u in lazy.keys():
-            assert lazy.get(u) == full.get(u), (args, u)
-        for u in full.keys() - lazy.keys():
-            assert tau_valuation(p, u) >= k and vp(p, full.get(u)) >= k, (args, u)
-        # a correction key gets tau of its base even from no m-part terms
-        corrections = _lifted_rhs(verify, args, terms=[])
-        assert all(c == full.get(u) for u, c in corrections.items()), args
-        kept, total = kept + len(lazy), total + len(full)
-    assert 3 * kept < total, (kept, total)
+    for backend in ("exact", "padic"):
+        for n in GRID_THEOREM_4_8:
+            report, [rhs] = _selected_rhs(verify_theorem_4_8, (n,), backend)
+            assert rhs == rhs_theorem_4_8(n)[0]
+        kept = total = 0
+        for verify, args in LIFTED_CASES:
+            full = _lifted_rhs(verify, args)
+            for perturb in (True, False):
+                lazy_report, [lazy] = _selected_rhs(verify, args, backend, perturb=perturb)
+                p, k, n = lazy_report.prime, lazy_report.mod_exp, lazy_report.context["n"]
+                context = {key: v for key, v in lazy_report.context.items()
+                           if key != "perturbed"}
+                full_report = _verify_against_ubern(
+                    n, full, p, k, context, backend, DEFAULT_N_CEILING, perturb=perturb
+                )
+                assert lazy_report.to_json() == full_report.to_json(), (args, perturb)
+            # the --perturb control hits the first key of the full right-hand side
+            assert lazy.items()[0][0] == full.items()[0][0], args
+            for u in lazy.keys():
+                assert lazy.get(u) == full.get(u), (args, u)
+            for u in full.keys() - lazy.keys():
+                assert tau_valuation(p, u) >= k and vp(p, full.get(u)) >= k, (args, u)
+            # a correction key gets tau of its base even from no m-part terms
+            corrections = _lifted_rhs(verify, args, terms=[])
+            assert all(c == full.get(u) for u, c in corrections.items()), args
+            kept, total = kept + len(lazy), total + len(full)
+        assert (kept, total) == (453, 2150), backend
 
 
 @pytest.mark.parametrize("case", [(verify_theorem_3_5, (3, 3, 3)), (verify_theorem_4_9, (7, 1, 3))])
 def test_padic_rhs_boundary_moves_match_the_full_rhs(case):
-    # every p**(k-1) and p**k move of a BOUNDARY_CASES right-hand side gives
-    # the same padic report on the padic and on the full right-hand side; a
-    # key the padic side left out is moved from its full coefficient
+    # on each backend, every p**(k-1) and p**k move of a BOUNDARY_CASES
+    # right-hand side gives the same report on the right-hand side that
+    # backend selects and on the full one; a key the selected side left out
+    # is moved from its full coefficient
     verify, args = case
-    report, [lazy] = _padic_rhs(verify, args)
-    p, k, n = report.prime, report.mod_exp, report.context["n"]
     full = _lifted_rhs(verify, args)
-    for u, c in full.items():
-        for shift in (p ** (k - 1), p**k):
-            on_lazy = lazy.add_term(u, shift if u in lazy else c + shift)
-            lazy_report, full_report = (
-                _verify_against_ubern(n, rhs, p, k, {}, "padic", DEFAULT_N_CEILING)
-                for rhs in (on_lazy, full.add_term(u, shift))
+    for backend in ("exact", "padic"):
+        report, [lazy] = _selected_rhs(verify, args, backend)
+        p, k, n = report.prime, report.mod_exp, report.context["n"]
+        for u, c in full.items():
+            for shift in (p ** (k - 1), p**k):
+                on_lazy = lazy.add_term(u, shift if u in lazy else c + shift)
+                lazy_report, full_report = (
+                    _verify_against_ubern(n, rhs, p, k, {}, backend, DEFAULT_N_CEILING)
+                    for rhs in (on_lazy, full.add_term(u, shift))
+                )
+                assert lazy_report.to_json() == full_report.to_json(), (backend, u, shift)
+                assert lazy_report.holds is (shift == p**k)
+
+
+def test_exact_report_on_the_selected_rhs_is_the_full_rhs_report():
+    # past the modulus the congruences fail, at keys the selection must
+    # keep: at k, k+1 and k+2 on the lifted grid, the exact report on the
+    # right-hand side the exact sweeps select is the one on the full public
+    # right-hand side, failure for failure
+    failures = 0
+    for verify, args in LIFTED_CASES:
+        ctx = verify(*args).context
+        p = ctx.get("p", 2)
+        part = p - 1 if verify is verify_theorem_3_5 else 1
+        full = _lifted_rhs(verify, args)
+        for k in range(ctx["N"] + 1, ctx["N"] + 4):
+            low, terms = congruences._lifting_walks(
+                p, ctx["n"], ctx["m"], k, {part: ctx["l"]}, "exact", DEFAULT_N_CEILING
             )
-            assert lazy_report.to_json() == full_report.to_json(), (args, u, shift)
-            assert lazy_report.holds is (shift == p**k)
+            selected, whole = (
+                _verify_against_ubern(ctx["n"], rhs, p, k, {}, "exact", DEFAULT_N_CEILING, low=w)
+                for rhs, w in ((_lifted_rhs(verify, args, terms=terms), low), (full, None))
+            )
+            assert selected.to_json() == whole.to_json(), (args, k)
+            failures += len(whole.failures)
+    assert failures == 1514
 
 
-def test_padic_lifted_families_never_build_divided_ubern(monkeypatch):
+def test_lifted_families_never_build_divided_ubern(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("divided_ubern called")
 
     monkeypatch.setattr(congruences, "divided_ubern", refuse)
     for verify, args in LIFTED_CASES:
-        assert verify(*args, backend="padic").holds, args
-        assert len(verify(*args, backend="padic", perturb=True).failures) == 1, args
-    with pytest.raises(AssertionError, match="divided_ubern"):
-        verify_theorem_3_5(3, 3, 3)
+        for backend in ("exact", "padic"):
+            assert verify(*args, backend=backend).holds, (args, backend)
+            report = verify(*args, backend=backend, perturb=True)
+            assert len(report.failures) == 1, (args, backend)
+
+
+def test_unknown_backend_fails_before_any_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept before the backend was checked")
+
+    for name in ("divided_ubern", "tau_valuations_below", "_exact_sweep"):
+        monkeypatch.setattr(congruences, name, refuse)
+    for call in (
+        lambda: verify_theorem_4_9(40, 1, 3, backend="foo"),
+        lambda: verify_theorem_3_5(3, 3, 3, backend="foo"),
+        lambda: verify_theorem_4_8(40, backend="foo"),
+    ):
+        with pytest.raises(PreconditionError, match="unknown backend 'foo'"):
+            call()
+
+
+def test_exact_lifted_verify_holds_no_divided_ubern_in_memory():
+    # the exact oracle keeps only the terms that can matter, at n and at m,
+    # so its peak stays far below the 3.9 MB that divided_ubern(30) took
+    verify_theorem_4_9(30, 1, 3)  # warm the imports
+    tracemalloc.start()
+    try:
+        report = verify_theorem_4_9(30, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("verify, args", [(verify_theorem_3_5, (3, 31, 3)), (verify_theorem_4_9, (66, 1, 3))])
@@ -678,8 +738,7 @@ def test_padic_rhs_shows_the_full_rhs_at_real_failures(verify, args):
     # mod p**(k+1) these m > 60 cases fail (the moduli are sharp), also at
     # keys c^shift b with v_p(tau(b)) > k that only the walk at n names;
     # each failure shows the full right-hand side, tau(b) plus any
-    # correction, as the exact backend would where divided_ubern(m) is
-    # out of reach
+    # correction, checked here where divided_ubern(m) is out of reach
     report = verify(*args, backend="padic", n_ceiling=100)
     ctx = report.context
     p, k, n, m, l = report.prime, report.mod_exp + 1, ctx["n"], ctx["m"], ctx["l"]

@@ -6,8 +6,8 @@ from outside the program.  A refactor that removes one of them breaks
 ``perfbench/run.py --trace 1`` without failing any other tier-1 test,
 so this installs the tracer in a fresh interpreter and runs one traced
 verification on both backends, plain and with ``--perturb`` (only a
-failure reaches the wrapped ``vp``), one on the exact backend whose
-right-hand side enumerates through the wrapped
+failure reaches the wrapped ``vp``), one public 3.5 right-hand side,
+whose ``divided_ubern(m)`` enumerates through the wrapped
 ``ubern.bernoulli.enumerate_partitions``, a ``compute`` cache miss and hit in
 text and in JSON, which reach the wrapped cache writer and reader, and
 one ``classical`` run, which reaches the wrapped ``SparsePoly.items``
@@ -46,15 +46,13 @@ assert tracer.counts["padic.vp.calls"], dict(tracer.counts)
 # congruences.padic_report_s figure is read from
 assert any(span["name"] == "congruences.verify" and span["backend"] == "padic"
            for span in tracer.spans), [span["name"] for span in tracer.spans]
-# the exact backend sweeps the partitions of n itself; divided_ubern(m) of a
-# right-hand side still comes through the wrapped enumeration: at (3, 3, 3)
-# that is m = 6, p(6) = 11 partitions
-tracer.op = "check-3.5"
-code = ubern.cli.main(["verify", "--theorem", "3.5", "--p", "3", "--s", "3", "--l", "3",
-                       "--backend", "exact"])
-assert code == 0, code
-visited = tracer.op_counts["check-3.5"]["ubern.bernoulli.enumerate_partitions.visited"]
-assert visited == 11, dict(tracer.op_counts["check-3.5"])
+# both backends sweep the partitions of n and m themselves; the public
+# right-hand side builds all of divided_ubern(m) through the wrapped
+# enumeration: at (3, 3, 3) that is m = 6, p(6) = 11 partitions
+tracer.op = "rhs-3.5"
+ubern.congruences.rhs_theorem_3_5(3, 3, 3)
+visited = tracer.op_counts["rhs-3.5"]["ubern.bernoulli.enumerate_partitions.visited"]
+assert visited == 11, dict(tracer.op_counts["rhs-3.5"])
 wanted = {"bernoulli.cache_write", "bernoulli.cache_read"}
 for n, fmt in (("8", "text"), ("9", "json")):
     tracer.op = "compute-" + fmt
