@@ -270,10 +270,12 @@ class SparsePoly:
         return SparsePoly._wrap(terms)
 
 
-def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
-    """The two tables tau(u) of weight n is read from: fact[i] = i! for
-    i <= 2n - 2, and run[part][mult] = (part+1)**mult * mult!, the factor
-    of gamma(u) from one run, for part * mult <= n."""
+def _tau_tables(n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The three tables tau(u) of weight n is read from: fact[i] = i! for
+    i <= 2n - 2, run[part][mult] = (part+1)**mult * mult!, the factor of
+    gamma(u) from one run, for part * mult <= n, and tail[rem][j] =
+    run[2][j] * run[1][rem-2j], the gamma of the tail 2**j 1**(rem-2j)
+    that _tau_prefixes leaves after a prefix, for rem <= n."""
     fact = [1] * (2 * n - 1)
     for i in range(1, 2 * n - 1):
         fact[i] = fact[i - 1] * i
@@ -283,7 +285,72 @@ def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
         for mult in range(1, n // part + 1):
             row.append(row[-1] * (part + 1) * mult)
         run.append(row)
-    return fact, run
+    twos = run[2] if n >= 2 else [1]  # n = 1 has no row for part 2
+    tail = [[twos[j] * run[1][rem - 2 * j] for j in range(rem // 2 + 1)] for rem in range(n + 1)]
+    return fact, run, tail
+
+
+def _tau_prefixes(
+    n: int, run: list[list[int]]
+) -> Iterator[tuple[list[tuple[int, int, int, int, str]], int]]:
+    """(runs, rem) for each prefix of the partitions of n, in
+    enumerate_partitions order: the walk both full sweeps share.
+
+    A partition u of n is its prefix, the runs of parts >= 3, plus the
+    tail 2**j 1**(rem-2j) of the weight rem the prefix leaves.  The
+    partitions with one prefix come next to each other in
+    enumerate_partitions order, j falling from rem // 2 to 0, so a sweep
+    visits each prefix once and closes its tails in an inner loop, reading
+    their gamma from the tail table of _tau_tables.  The walk is the
+    enumerate_partitions successor on the prefix alone, run on one stack
+    of runs (part, mult, gamma, degree, text), parts strictly decreasing,
+    over a base entry (0, 0, 1, 0, "") for the empty prefix.  gamma,
+    degree and text are taken over the runs up to and including that one,
+    text being their "[part,mult]" texts joined by commas, part ascending.
+    A step multiplies in the run factor of each run it changes and
+    prepends its text, so runs[-1] holds the prefix's gamma, degree and
+    serialized pairs; no Partition is built.  runs is the live stack,
+    valid until the next step.
+    """
+    # "[part,mult]," for part * mult <= n; a run on the base drops the comma
+    label = [[]] + [
+        ["[%d,%d]," % (part, mult) for mult in range(n // part + 1)]
+        for part in range(1, n + 1)
+    ]
+    runs = [(0, 0, 1, 0, "")]
+    rem = n
+    if n >= 3:
+        runs.append((n, 1, n + 1, 1, label[n][1][:-1]))
+        rem = 0
+    while True:
+        yield runs, rem
+        # the enumerate_partitions successor after the last tail 1**rem: take
+        # one copy off the smallest prefix part, refill it and the rem 1s as
+        # copies of part - 1 and at most one smaller part; a refill part
+        # below 3 is the next prefix's tail
+        part, mult, _, _, _ = runs.pop()
+        if not part:
+            return
+        rem += part
+        _, _, gamma, d, text = runs[-1]
+        if mult > 1:
+            gamma *= run[part][mult - 1]
+            d += mult - 1
+            text = label[part][mult - 1] + text if text else label[part][mult - 1][:-1]
+            runs.append((part, mult - 1, gamma, d, text))
+        part -= 1
+        if part >= 3:
+            q, rem = divmod(rem, part)
+            gamma *= run[part][q]
+            d += q
+            text = label[part][q] + text if text else label[part][q][:-1]
+            runs.append((part, q, gamma, d, text))
+            if rem >= 3:
+                gamma *= rem + 1
+                d += 1
+                text = label[rem][1] + text
+                runs.append((rem, 1, gamma, d, text))
+                rem = 0
 
 
 def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
@@ -293,7 +360,7 @@ def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
     is not reduced.  The (n+d-2)! numerators and the run factors of
     gamma(u) come from _tau_tables.
     """
-    fact, run = _tau_tables(n)
+    fact, run, _ = _tau_tables(n)
     for u in enumerate_partitions(n):
         d = 0
         den = 1
@@ -378,77 +445,42 @@ def cache_file_name(n: int) -> str:
     return f"ubern_{n}.jsonl"
 
 
-def _tau_runs(n: int) -> Iterator[tuple[list[tuple[int, int, int, int, str]], int, int]]:
-    """(runs, num, den) with tau(u) = num/den for every partition u of n.
-
-    The cache writer's sweep, in enumerate_partitions order: the successor
-    of enumerate_partitions on one stack of runs (part, mult, gamma,
-    degree, text), parts strictly decreasing.  gamma, degree and text are
-    taken over the runs up to and including that one, text being their
-    "[part,mult]" texts joined by commas, part ascending.  A step
-    multiplies in the _tau_tables factor of each run it changes and
-    prepends its text, so the top run holds den = gamma(u), the degree of
-    u and its serialized pairs; no Partition is built.  runs is the live
-    stack, valid until the next step.  The terms are those of
-    _tau_fractions: den > 0, the pair not reduced.
-    """
-    fact, run = _tau_tables(n)
-    # "[part,mult]," for part * mult <= n; a run on an empty stack drops the comma
-    label = [[]] + [
-        ["[%d,%d]," % (part, mult) for mult in range(n // part + 1)]
-        for part in range(1, n + 1)
-    ]
-    runs = [(n, 1, n + 1, 1, label[n][1][:-1])]
-    den, d = n + 1, 1
-    while True:
-        num = fact[n + d - 2]
-        yield runs, (num if d % 2 else -num), den
-        # the enumerate_partitions successor: pop the trailing 1s, take one
-        # copy off the smallest part > 1, refill as copies of part - 1 and
-        # at most one smaller part
-        part, mult, _, _, _ = runs.pop()
-        rest = 0
-        if part == 1:
-            if not runs:
-                return
-            rest = mult
-            part, mult, _, _, _ = runs.pop()
-        _, _, den, d, text = runs[-1] if runs else (0, 0, 1, 0, "")
-        if mult > 1:
-            den *= run[part][mult - 1]
-            d += mult - 1
-            text = label[part][mult - 1] + text if text else label[part][mult - 1][:-1]
-            runs.append((part, mult - 1, den, d, text))
-        rest += part
-        part -= 1
-        q, r = divmod(rest, part)
-        den *= run[part][q]
-        d += q
-        text = label[part][q] + text if text else label[part][q][:-1]
-        runs.append((part, q, den, d, text))
-        if r:
-            den *= r + 1
-            d += 1
-            text = label[r][1] + text
-            runs.append((r, 1, den, d, text))
-
-
 def cache_lines(n: int) -> Iterator[str]:
     """The cache file of weight n, one newline-terminated line at a time.
 
     The header {"n":n,"count":p(n)}, then the line of each partition u of
     n in enumerate_partitions order, {"u":[[part,mult],...],"c":"num/den"}
     with tau(u) in lowest terms: the bytes of json.dumps with
-    separators=(",", ":") and a newline.  Each line is the text, gamma and
-    degree of the top run of the _tau_runs sweep, one factorial from the
-    _tau_tables and one gcd: no Partition, Fraction or SparsePoly is built.
+    separators=(",", ":") and a newline.  The lines come from the
+    _tau_prefixes walk: each is the "[1,r],[2,j]," text of its tail
+    prepended to the prefix text, the prefix gamma times the tail gamma,
+    one factorial from the _tau_tables and one gcd.  No Partition,
+    Fraction or SparsePoly is built.
     """
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
-    for runs, num, den in _tau_runs(n):
-        g = math.gcd(num, den)
-        yield '{"u":[%s],"c":"%d/%d"}\n' % (runs[-1][4], num // g, den // g)
+    fact, run, tail = _tau_tables(n)
+    # heads[rem][j] = "[1,rem-2j],[2,j],", the text of the tail tail[rem][j]
+    heads = [
+        [("[1,%d]," % (rem - 2 * j) if rem - 2 * j else "") + ("[2,%d]," % j if j else "")
+         for j in range(rem // 2 + 1)]
+        for rem in range(n + 1)
+    ]
+    for runs, rem in _tau_prefixes(n, run):
+        _, _, gamma, degree, text = runs[-1]
+        d = degree + rem  # the degree of u at j = 0, one less per 2
+        top = n + d - 2
+        # the empty prefix: the tail text ends the pairs, without its comma
+        texts = heads[rem] if text else [head[:-1] for head in heads[rem]]
+        gammas = tail[rem]
+        for j in range(rem // 2, -1, -1):
+            num = fact[top - j]
+            den = gamma * gammas[j]
+            g = math.gcd(num, den)
+            yield '{"u":[%s%s],"c":"%d/%d"}\n' % (
+                texts[j], text, (num if (d - j) % 2 else -num) // g, den // g
+            )
 
 
 def write_coefficient_cache(path: Path, n: int) -> list[str]:

@@ -23,6 +23,7 @@ from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
     _runs_valuations,
+    _tau_prefixes,
     _tau_tables,
     _tau_unit,
     _valuation_tables,
@@ -258,50 +259,40 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     tau(u) != 0 mod p**k, in _tau_fractions order: the exact backend's sweep.
 
     The independent oracle: all p(n) partitions are visited and each
-    tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u) is tested with big integers by
-    the integer test of _congruence_report (the quotient when den | num,
-    else num over gcd(num, den), mod p**k); no valuation is computed.  The
-    sweep is the enumerate_partitions successor on one stack of runs
-    (part, mult, gamma, degree), gamma and degree taken over the runs up
-    to and including that one, so a step multiplies in the _tau_tables
-    factor of each run it changes, and a Partition is built only for a
+    tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u) is tested with big integers; no
+    valuation is computed.  The outer loop walks the prefixes of u, its
+    runs of parts >= 3 (_tau_prefixes); the inner loop closes each
+    prefix's tails 2**j 1**(rem-2j), j falling from rem // 2 to 0.  Per u
+    that is one table lookup and one product, p**k gamma(u) = p**k
+    gamma(prefix) * tail[rem][j], and one remainder that screens tau(u):
+    when p**k gamma(u) divides (n+d-2)!, tau(u) is p**k times an integer,
+    so it is 0 mod p**k and skipped.  The screen is only sufficient, so
+    every other u gets the integer test of _congruence_report (the
+    quotient when den | num, else num over gcd(num, den), mod p**k), and
+    the yields are that test's alone.  A Partition is built only for a
     yielded term.  den = gamma(u), not reduced.
     """
     modulus = p**k
-    fact, run = _tau_tables(n)
-    runs = [(n, 1, n + 1, 1)]  # parts strictly decreasing
-    den, d = n + 1, 1
-    while True:
-        num = fact[n + d - 2]
-        q, r = divmod(num, den)
-        if (num // gcd(num, den) if r else q) % modulus:
-            u = Partition._raw([(part, mult) for part, mult, _, _ in reversed(runs)])
-            yield u, ((num if d % 2 else -num), den)
-        # the enumerate_partitions successor: pop the trailing 1s, take one
-        # copy off the smallest part > 1, refill as copies of part - 1 and
-        # at most one smaller part
-        part, mult, _, _ = runs.pop()
-        rest = 0
-        if part == 1:
-            if not runs:
-                break
-            rest = mult
-            part, mult, _, _ = runs.pop()
-        _, _, den, d = runs[-1] if runs else (0, 0, 1, 0)
-        if mult > 1:
-            den *= run[part][mult - 1]
-            d += mult - 1
-            runs.append((part, mult - 1, den, d))
-        rest += part
-        part -= 1
-        q, r = divmod(rest, part)
-        den *= run[part][q]
-        d += q
-        runs.append((part, q, den, d))
-        if r:
-            den *= r + 1
-            d += 1
-            runs.append((r, 1, den, d))
+    fact, run, tail = _tau_tables(n)
+    for runs, rem in _tau_prefixes(n, run):
+        _, _, gamma, degree, _ = runs[-1]
+        d = degree + rem  # the degree of u at j = 0, one less per 2
+        top = n + d - 2
+        screen = gamma * modulus
+        gammas = tail[rem]
+        for j in range(rem // 2, -1, -1):
+            num = fact[top - j]
+            if num % (screen * gammas[j]) == 0:
+                continue
+            den = gamma * gammas[j]
+            q, r = divmod(num, den)
+            if (num // gcd(num, den) if r else q) % modulus:
+                ones = rem - 2 * j
+                pairs = [(1, ones)] if ones else []
+                if j:
+                    pairs.append((2, j))
+                pairs += [(part, mult) for part, mult, _, _, _ in runs[:0:-1]]
+                yield Partition._raw(pairs), ((num if (d - j) % 2 else -num), den)
 
 
 def _exact_terms(

@@ -19,12 +19,22 @@ from typing import Callable
 
 from .bernoulli import _runs_valuations, _valuation_tables, tau_valuation
 from .errors import PreconditionError
-from .padic import double_factorial, f_sum, f_term, g_func, vp, vp_int, vp_factorial
+from .padic import (
+    _require_odd_prime,
+    _require_prime,
+    _vp_factorial,
+    double_factorial,
+    f_sum,
+    f_term,
+    g_func,
+    vp,
+    vp_int,
+)
 from .partitions import (
+    _is_reduced,
+    _reduce_partition,
     enumerate_partitions,
     enumerate_partitions_bounded,
-    is_reduced,
-    reduce_partition,
 )
 
 __all__ = ["LemmaSweepResult", "SWEEPS", "run_sweep"]
@@ -82,26 +92,28 @@ def lemma_2_1(l_max: int = 2000, a_max: int = 2000) -> LemmaSweepResult:
     detail = {"products": 0, "shift": 0, "digit-sum": 0, "bound": 0}
     rng = random.Random(_SEED)
     primes = (2, 3, 5)
+    for p in primes:
+        _require_prime(p)  # once: the loops below call the unchecked core
     for _ in range(500):
         p = primes[rng.randrange(3)]
         a = rng.randrange(0, a_max + 1)
         b = rng.randrange(0, a_max + 1)
         detail["products"] += 1
-        if vp_factorial(p, a * b) < vp_factorial(p, a) + vp_factorial(p, b):
+        if _vp_factorial(p, a * b) < _vp_factorial(p, a) + _vp_factorial(p, b):
             failures.append({"part": "products", "p": p, "a": a, "b": b})
     for p in primes:
         for l in range(l_max + 1):
             detail["shift"] += 1
-            base = vp_factorial(p, l)
-            if vp_factorial(p, l * p) != l + base:
+            base = _vp_factorial(p, l)
+            if _vp_factorial(p, l * p) != l + base:
                 failures.append({"part": "shift", "p": p, "l": l, "t": 1})
             for t in (2, 3):
-                if vp_factorial(p, l * p**t) != l * (p**t - 1) // (p - 1) + base:
+                if _vp_factorial(p, l * p**t) != l * (p**t - 1) // (p - 1) + base:
                     failures.append({"part": "shift", "p": p, "l": l, "t": t})
         for a in range(a_max + 1):
             detail["digit-sum"] += 1
-            v = vp_factorial(p, a)
-            if v != _brute_factorial_vp(p, a) or v != vp_factorial(p, (a // p) * p):
+            v = _vp_factorial(p, a)
+            if v != _brute_factorial_vp(p, a) or v != _vp_factorial(p, (a // p) * p):
                 failures.append({"part": "digit-sum", "p": p, "a": a})
             if a >= 1:
                 detail["bound"] += 1
@@ -133,10 +145,11 @@ def lemma_2_4(a_max: int = 200) -> LemmaSweepResult:
     failures: list[dict] = []
     checked = 0
     for p in (3, 5, 7):
+        _require_prime(p)
         for k in range(1, p + 1):
             for a in range(a_max + 1):
                 checked += 1
-                va = vp_factorial(p, a)
+                va = _vp_factorial(p, a)
                 vk = vp_int(p, a + k)
                 ok = va == vk - 1 if a == p - k else va >= vk
                 if not ok:
@@ -150,12 +163,13 @@ def lemma_2_5(trials: int = 400) -> LemmaSweepResult:
     rng = random.Random(_SEED)
     checked = 0
     for p in (3, 5):
+        _require_prime(p)
         for _ in range(trials):
             digits = [rng.randrange(0, 13) for _ in range(rng.randrange(1, 6))]
             total = sum(h * p**j for j, h in enumerate(digits))
-            bound = sum(j * h + vp_factorial(p, h) for j, h in enumerate(digits))
+            bound = sum(j * h + _vp_factorial(p, h) for j, h in enumerate(digits))
             checked += 1
-            if vp_factorial(p, total) < bound:
+            if _vp_factorial(p, total) < bound:
                 failures.append({"p": p, "digits": digits})
     return LemmaSweepResult("2.5", checked, failures)
 
@@ -218,6 +232,7 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
     failures: list[dict] = []
     checked = 0
     for p in (3, 5):
+        _require_odd_prime(p)  # once: the loops below call the unchecked cores
         # n grows with s and i, so one table serves every weight of p
         vfact, gain = _valuation_tables(p, (s_max * (p - 1) + i_max) * p - i_max)
         # (is_reduced, weight, degree, tau_valuation) per reduced image, read
@@ -229,11 +244,11 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
                 n = (m + i) * p - i
                 for u in enumerate_partitions_bounded(n, i + 1):
                     checked += 1
-                    r = reduce_partition(p, u)
+                    r = _reduce_partition(p, u)
                     known = images.get(r)
                     if known is None:
                         known = images[r] = (
-                            is_reduced(p, r), r.weight, r.degree, tau_valuation(p, r)
+                            _is_reduced(p, r), r.weight, r.degree, tau_valuation(p, r)
                         )
                     ok = (
                         known[0]

@@ -223,6 +223,11 @@ def _power_of_p_minus_one(p: int, part: int) -> bool:
 def is_reduced(p: int, u: Partition) -> bool:
     """True iff every part is p**a - 1 except at most one, of multiplicity 1."""
     _require_odd_prime(p)
+    return _is_reduced(p, u)
+
+
+def _is_reduced(p: int, u: Partition) -> bool:
+    # is_reduced without the check, for sweeps that checked p once
     exceptional = 0
     for part, mult in u:
         if _power_of_p_minus_one(p, part):
@@ -251,6 +256,11 @@ def reduce_partition(p: int, u: Partition) -> Partition:
     _require_odd_prime(p)
     if not u:
         raise PreconditionError("cannot reduce the empty partition")
+    return _reduce_partition(p, u)
+
+
+def _reduce_partition(p: int, u: Partition) -> Partition:
+    # reduce_partition without the checks, for sweeps that checked p once
     counts: dict[int, int] = {}
     residual = 0  # weight of u minus the weight of counts
     for part, mult in u:

@@ -395,20 +395,29 @@ def test_cache_error_message_is_bounded(tmp_path: Path):
     assert "u = [[2,1],[7,1]]" in message
 
 
-def test_tau_runs_match_tau_fractions():
-    # the cache sweep against the independent reference: enumerate_partitions
-    # and a gamma product per partition
+def test_tau_prefixes_match_tau_fractions():
+    # the shared prefix walk, each prefix closed by its tails 2**j 1**(rem-2j)
+    # from the tail table, against the independent reference:
+    # enumerate_partitions and a gamma product per partition
     for n in range(1, 31):
+        fact, run, tail = bernoulli._tau_tables(n)
+        want = bernoulli._tau_fractions(n)
         got = 0
-        for (runs, num, den), (u, num2, den2) in zip(
-            bernoulli._tau_runs(n), bernoulli._tau_fractions(n)
-        ):
-            assert tuple((part, mult) for part, mult, *_ in reversed(runs)) == u
-            assert (num, den) == (num2, den2), (n, u)
-            assert runs[-1][4] == ",".join("[%d,%d]" % pm for pm in u), (n, u)
-            got += 1
+        for runs, rem in bernoulli._tau_prefixes(n, run):
+            _, _, g, d, text = runs[-1]
+            prefix = tuple((part, mult) for part, mult, *_ in reversed(runs[1:]))
+            assert all(part >= 3 for part, _ in prefix), (n, prefix)
+            assert text == ",".join("[%d,%d]" % pm for pm in prefix), (n, prefix)
+            for j in range(rem // 2, -1, -1):
+                u, num, den = next(want)
+                head = tuple(pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1])
+                assert head + prefix == u
+                degree = d + rem - j
+                num2 = fact[n + degree - 2]
+                assert (num2 if degree % 2 else -num2, g * tail[rem][j]) == (num, den), (n, u)
+                got += 1
+        assert next(want, None) is None, n
         assert got == count_partitions(n), n
-        assert sum(1 for _ in bernoulli._tau_runs(n)) == got, n
 
 
 def test_cache_lines_46_digest():
@@ -450,12 +459,17 @@ def test_tau_valuations_below_matches_exact_oracle_past_32():
     # the exact backend's term source tests every tau(u) with big integers;
     # the walk must name the same partitions, in the same order, past the
     # range where the full tau_valuation filter above is cheap
-    for n in range(34, 49, 2):
-        for k in (2, 3):
-            got = list(tau_valuations_below(2, n, k))
-            want = [u for u, _, _ in _exact_terms(n, SparsePoly(), 2, k)]
-            assert [u for u, _ in got] == want, (n, k)
-            assert all(v == vp(2, tau(u)) for u, v in got), (n, k)
+    for p, weights, exponents in (
+        (2, range(34, 49, 2), (2, 3)),
+        (3, (36, 42, 48, 54), (2, 3)),
+        (5, (36, 44, 52), (1, 2)),
+    ):
+        for n in weights:
+            for k in exponents:
+                got = list(tau_valuations_below(p, n, k))
+                want = [u for u, _, _ in _exact_terms(n, SparsePoly(), p, k)]
+                assert [u for u, _ in got] == want, (p, n, k)
+                assert all(v == vp(p, tau(u)) for u, v in got), (p, n, k)
 
 
 def _tight_walk_reference(p, n, k):

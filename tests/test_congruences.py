@@ -198,6 +198,19 @@ def test_exact_terms_sweep_every_partition():
         assert list(_exact_terms(n, SparsePoly(), 2, k)) == list(_tau_fractions(n)), n
 
 
+def test_exact_sweep_matches_fraction_filter():
+    # every (p, k) on every weight up to 30 against the Fraction of each
+    # term of _tau_fractions: the empty prefix (n <= 2), refill remainders
+    # 0, 1 and 2, and tau(u) that are not p-integral, which the p**k den | num
+    # screen must pass on to the full test
+    for n in range(1, 31):
+        terms = [(u, (num, den), Fraction(num, den)) for u, num, den in _tau_fractions(n)]
+        for p in (2, 3, 5, 7):
+            for k in range(1, 5):
+                want = [(u, pair) for u, pair, c in terms if c.numerator % p**k]
+                assert list(congruences._exact_sweep(p, n, k)) == want, (p, n, k)
+
+
 def test_exact_and_padic_terms_name_the_same_keys():
     # the two term sources of the one congruence test name the same
     # monomials, each once, on every shipped grid case and every control

@@ -384,7 +384,7 @@ def test_lemma_3_2_memo_cannot_hide_a_broken_reduction(monkeypatch):
         r = reduce_partition(p, u)
         return Partition(r[1:]) if len(r) > 1 else r
 
-    monkeypatch.setattr(lemmas, "reduce_partition", drops_a_part)
+    monkeypatch.setattr(lemmas, "_reduce_partition", drops_a_part)
     result = run_sweep("3.2", s_max=1, i_max=2)
     assert not result.holds
     broken = sum(
