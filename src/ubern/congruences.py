@@ -254,30 +254,53 @@ def _padic_terms(
             yield u, unit, p**-v
 
 
+def _tail_clearing(n: int) -> list[int]:
+    """[2**rem * 3**(rem // 2) for rem <= n]: the factor that stands for
+    all the tails of weight rem in the block screen of _exact_sweep."""
+    return [2**rem * 3 ** (rem // 2) for rem in range(n + 1)]
+
+
 def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int, int]]]:
     """(u, (num, den)) with tau(u) = num/den for each partition u of n with
     tau(u) != 0 mod p**k, in _tau_fractions order: the exact backend's sweep.
 
-    The independent oracle: all p(n) partitions are visited and each
-    tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u) is tested with big integers; no
-    valuation is computed.  The outer loop walks the prefixes of u, its
-    runs of parts >= 3 (_tau_prefixes); the inner loop closes each
-    prefix's tails 2**j 1**(rem-2j), j falling from rem // 2 to 0.  Per u
-    that is one table lookup and one product, p**k gamma(u) = p**k
-    gamma(prefix) * tail[rem][j], and one remainder that screens tau(u):
-    when p**k gamma(u) divides (n+d-2)!, tau(u) is p**k times an integer,
-    so it is 0 mod p**k and skipped.  The screen is only sufficient, so
-    every other u gets the integer test of _congruence_report (the
-    quotient when den | num, else num over gcd(num, den), mod p**k), and
-    the yields are that test's alone.  A Partition is built only for a
-    yielded term.  den = gamma(u), not reduced.
+    The independent oracle: every partition is settled by big-integer
+    remainders of tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u); no valuation is
+    computed.  The outer loop walks the prefixes of u, its runs of parts
+    >= 3 (_tau_prefixes).  A prefix of gamma G and degree D leaves a block
+    of tails 2**j 1**(rem-2j), j <= rem // 2; the partition at j has degree
+    D + rem - j and gamma G * tail[rem][j], tail[rem][j] = 3**j j!
+    2**(rem-2j) (rem-2j)!.
+
+    Block screen, one remainder per prefix: with F = (n+D-2)!, when
+    p**k G 2**rem 3**(rem//2) divides F, the whole block is skipped.  The
+    numerator at j is F P_j, P_j a product of rem - j consecutive integers,
+    so P_j / (j! (rem-2j)!) = C(rem-j, j) P_j/(rem-j)! is an integer, and
+    tau(u)/p**k = +-[F / (p**k G 2**rem 3**(rem//2))] [P_j / (j! (rem-2j)!)]
+    4**j 3**(rem//2-j) is one too.  So each skipped tau(u) is one the tail
+    screen below would skip, and the yields are unchanged.  At n = 1 the
+    empty prefix has n+D-2 = -1 and no block screen.
+
+    Tail screen, for a block not skipped: the inner loop closes the tails,
+    j falling from rem // 2 to 0, each with one table lookup, one product,
+    p**k gamma(u) = p**k G * tail[rem][j], and one remainder: when p**k
+    gamma(u) divides (n+d-2)!, tau(u) is 0 mod p**k and skipped.  Both
+    screens are only sufficient, so every other u gets the integer test of
+    _congruence_report (the quotient when den | num, else num over
+    gcd(num, den), mod p**k), and the yields are that test's alone.  A
+    Partition is built only for a yielded term.  den = gamma(u), not
+    reduced.
     """
     modulus = p**k
     fact, run, tail = _tau_tables(n)
+    block = [modulus * c for c in _tail_clearing(n)]
     for runs, rem in _tau_prefixes(n, run):
         _, _, gamma, degree, _ = runs[-1]
+        base = n + degree - 2
+        if base >= 0 and fact[base] % (gamma * block[rem]) == 0:
+            continue
         d = degree + rem  # the degree of u at j = 0, one less per 2
-        top = n + d - 2
+        top = base + rem
         screen = gamma * modulus
         gammas = tail[rem]
         for j in range(rem // 2, -1, -1):

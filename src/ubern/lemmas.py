@@ -22,12 +22,12 @@ from .errors import PreconditionError
 from .padic import (
     _require_odd_prime,
     _require_prime,
+    _vp,
     _vp_factorial,
     double_factorial,
     f_sum,
     f_term,
     g_func,
-    vp,
     vp_int,
 )
 from .partitions import (
@@ -336,14 +336,15 @@ def lemma_4_2(k_max: int = 9, a_max: int = 30, n_max: int = 8) -> LemmaSweepResu
 
 def lemma_4_3(a_max: int = 50, i_max: int = 10) -> LemmaSweepResult:
     """2-adic bound on the sum of (a+1)...(a+2i)/(a+j), plus the per-term
-    spot checks for large i."""
+    spot checks for large i.  p = 2 is prime, so valuations take the
+    unchecked _vp."""
     failures: list[dict] = []
     detail = {"sum": 0, "term": 0}
     for a in range(a_max + 1):
         for i in range(1, i_max + 1):
             detail["sum"] += 1
             bound = i - 1 if i <= 3 else i
-            if vp(2, f_sum(a, i)) < bound:
+            if _vp(2, f_sum(a, i)) < bound:
                 failures.append({"part": "sum", "a": a, "i": i})
     for i in (6, 8, 10):
         if i > i_max:
@@ -352,7 +353,7 @@ def lemma_4_3(a_max: int = 50, i_max: int = 10) -> LemmaSweepResult:
             for j in range(1, 2 * i + 1):
                 detail["term"] += 1
                 bound = i + 3 if i >= 8 else i + 1
-                if vp(2, f_term(a, i, j)) < bound:
+                if _vp(2, f_term(a, i, j)) < bound:
                     failures.append({"part": "term", "a": a, "i": i, "j": j})
     return LemmaSweepResult("4.3", sum(detail.values()), failures, detail)
 
@@ -432,7 +433,8 @@ def lemma_4_4(
 
 def lemma_4_5(k_max: int = 5, m_max: int = 30) -> LemmaSweepResult:
     """Increment of g(a) = (-1)**(a-1) (2a-3)!!/(2a) along n = m + k 2**N,
-    in the three stated residue classes of m (nothing is claimed for 8 | m)."""
+    in the three stated residue classes of m (nothing is claimed for 8 | m).
+    p = 2 is prime, so valuations take the unchecked _vp."""
     failures: list[dict] = []
     checked = 0
     for N in (3, 4, 5):
@@ -450,7 +452,7 @@ def lemma_4_5(k_max: int = 5, m_max: int = 30) -> LemmaSweepResult:
                 else:
                     corr = l - Fraction(l, 2 * m * n)
                 checked += 1
-                if vp(2, g_func(n) - g_func(m) - corr) < N + 1:
+                if _vp(2, g_func(n) - g_func(m) - corr) < N + 1:
                     failures.append({"N": N, "k": k, "m": m})
     return LemmaSweepResult("4.5", checked, failures)
 

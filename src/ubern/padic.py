@@ -85,6 +85,11 @@ def vp_int(p: int, a: int) -> int:
 def vp(p: int, q: Fraction | int) -> int | float:
     """Normalized p-adic valuation of a rational; INFINITY for q = 0."""
     _require_prime(p)
+    return _vp(p, q)
+
+
+def _vp(p: int, q: Fraction | int) -> int | float:
+    # vp without the prime check, for callers that checked p (hot path)
     if q == 0:
         return INFINITY
     if isinstance(q, int):

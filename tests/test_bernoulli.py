@@ -460,9 +460,10 @@ def test_tau_valuations_below_matches_exact_oracle_past_32():
     # the walk must name the same partitions, in the same order, past the
     # range where the full tau_valuation filter above is cheap
     for p, weights, exponents in (
-        (2, range(34, 49, 2), (2, 3)),
+        (2, range(34, 57, 2), (2, 3)),
         (3, (36, 42, 48, 54), (2, 3)),
         (5, (36, 44, 52), (1, 2)),
+        (7, (36, 42, 48), (1, 2)),
     ):
         for n in weights:
             for k in exponents:

@@ -267,6 +267,18 @@ def test_backends_agree_at_the_ceiling(capsys):
     assert doc["holds"] and doc["context"]["backend"] == "both"
 
 
+def test_backends_agree_past_the_ceiling(capsys):
+    # 4.9 at (61, 1, 3), n = 69: the exact oracle sweeps every partition of
+    # 69 and of 61, and agrees with the padic walk where the grid never went
+    code, out, err = run(
+        capsys, "verify", "--theorem", "4.9", "--m", "61", "--k", "1", "--N", "3",
+        "--backend", "both", "--n-ceiling", "69", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["holds"] and doc["context"]["backend"] == "both"
+
+
 def test_classical_examples(capsys):
     code, out, _ = run(capsys, "classical", "--n-max", "6")
     assert code == 0

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 import ubern.congruences as congruences
-from ubern.bernoulli import _tau_fractions, classical_bernoulli, divided_ubern, tau, tau_valuation
+from ubern.bernoulli import (
+    _tau_fractions,
+    _tau_prefixes,
+    _tau_tables,
+    classical_bernoulli,
+    divided_ubern,
+    tau,
+    tau_valuation,
+)
 from ubern.congruences import (
     _exact_terms,
     _padic_terms,
@@ -209,6 +217,55 @@ def test_exact_sweep_matches_fraction_filter():
             for k in range(1, 5):
                 want = [(u, pair) for u, pair, c in terms if c.numerator % p**k]
                 assert list(congruences._exact_sweep(p, n, k)) == want, (p, n, k)
+
+
+def test_block_screen_clears_every_tail_it_skips():
+    # the lemma behind _exact_sweep's block screen, on every prefix of every
+    # weight up to 30: when p**k G 2**rem 3**(rem//2) divides (n+D-2)!, with
+    # G and D the prefix's gamma and degree, every tail's tau(u)/p**k is an
+    # integer: each Fraction tau(u) of its Partition is an integer, and p**k
+    # divides their gcd
+    skipped = fallbacks = 0
+    for n in range(1, 31):
+        _, run, _ = _tau_tables(n)
+        for runs, rem in _tau_prefixes(n, run):
+            _, _, gamma, degree, _ = runs[-1]
+            if n + degree - 2 < 0:
+                continue  # n = 1: no block screen
+            factorial = math.factorial(n + degree - 2)
+            prefix = {part: mult for part, mult, _, _, _ in runs[1:]}
+            taus = [
+                tau(Partition({**prefix, 1: rem - 2 * j, 2: j}))
+                for j in range(rem // 2 + 1)
+            ]
+            integral = all(t.denominator == 1 for t in taus)
+            common = math.gcd(*(t.numerator for t in taus))
+            for p in (2, 3, 5, 7):
+                for k in range(1, 5):
+                    if factorial % (p**k * gamma * 2**rem * 3 ** (rem // 2)):
+                        fallbacks += 1
+                        continue
+                    skipped += 1
+                    assert integral and common % p**k == 0, (p, n, k, prefix)
+    assert skipped > 0 and fallbacks > 0, (skipped, fallbacks)
+
+
+@pytest.mark.parametrize("weakened, first", [
+    (lambda rem: 1, (2, 4, 1)),
+    # one factor 2 short, and one factor 3 short, of the proved factor
+    (lambda rem: 2 ** max(rem - 1, 0) * 3 ** (rem // 2), (2, 6, 2)),
+    (lambda rem: 2**rem * 3 ** max(rem // 2 - 1, 0), (3, 7, 1)),
+])
+def test_weakened_block_screen_fails_the_fraction_filter(monkeypatch, weakened, first):
+    # mutation controls: a clearing factor below 2**rem 3**(rem//2) skips a
+    # block holding a tau(u) != 0 mod p**k, and the exhaustive comparison
+    # with the Fraction filter names the first (p, n, k) where it does
+    monkeypatch.setattr(
+        congruences, "_tail_clearing", lambda n: [weakened(rem) for rem in range(n + 1)]
+    )
+    with pytest.raises(AssertionError) as failed:
+        test_exact_sweep_matches_fraction_filter()
+    assert str(failed.value).startswith(str(first)), str(failed.value)[:40]
 
 
 def test_exact_and_padic_terms_name_the_same_keys():

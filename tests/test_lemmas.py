@@ -4,6 +4,7 @@ import math
 import pytest
 
 import ubern.lemmas as lemmas
+import ubern.padic as padic
 from ubern.bernoulli import (
     _gamma_valuation,
     _runs_valuations,
@@ -82,6 +83,20 @@ def test_lemma_4_3_ranges():
     result = run_sweep("4.3", a_max=20, i_max=8)
     assert result.holds
     assert result.detail["sum"] == 21 * 8
+
+
+def test_lemmas_4_3_and_4_5_check_no_prime_per_instance(monkeypatch):
+    # both run at p = 2 and take the unchecked valuation core; before, each
+    # instance paid a primality test in vp (1,281 calls at the defaults)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+
+    monkeypatch.setattr(padic, "_require_prime", counted)
+    monkeypatch.setattr(lemmas, "_require_prime", counted)
+    assert run_sweep("4.3").holds and run_sweep("4.5").holds
+    assert calls == []
 
 
 def test_lemma_3_2_small():

@@ -7,6 +7,7 @@ from ubern.errors import PreconditionError
 from ubern.padic import (
     INFINITY,
     _unit_factorials,
+    _vp,
     digit_sum,
     double_factorial,
     f_sum,
@@ -35,6 +36,10 @@ def test_vp_examples():
     assert vp(7, 0) == INFINITY
     with pytest.raises(PreconditionError):
         vp(6, 10)
+    # the unchecked core: the same values, INFINITY for a zero difference
+    for q in (18, 1, Fraction(-5, 63), Fraction(1, 9), 0, Fraction(2, 3) - Fraction(4, 6)):
+        assert _vp(3, q) == vp(3, q)
+    assert _vp(2, Fraction(1, 2) - Fraction(1, 2)) == INFINITY
 
 
 def test_digit_sum_examples():
