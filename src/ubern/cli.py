@@ -27,7 +27,7 @@ from .bernoulli import (
     specialize,
     write_coefficient_cache,
 )
-from .congruences import (
+from .congruences import (  # verify_theorem_* are called by name: _verify
     GRID_THEOREM_3_5,
     GRID_THEOREM_4_8,
     GRID_THEOREM_4_9,
@@ -53,6 +53,10 @@ _LEMMA_BOUND_FLAGS = (
     "k-max", "a-max", "i-max", "n-max", "m-max", "l-max", "q-max", "r-max", "e-max", "s-max",
 )
 
+# the congruence families: the flags of each, in the order its
+# verify_theorem_* takes them
+_FAMILIES = {"3.5": ("p", "s", "l"), "4.8": ("n",), "4.9": ("m", "k", "N")}
+
 
 @functools.cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
@@ -74,14 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="verify one congruence-family instance")
-    p.add_argument("--theorem", choices=("3.5", "4.8", "4.9"), required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--N", type=int)
+    p.add_argument("--theorem", choices=tuple(_FAMILIES), required=True)
+    for flag in dict.fromkeys(itertools.chain(*_FAMILIES.values())):
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--backend", choices=("exact", "padic", "both"), default="exact")
     p.add_argument(
         "--perturb",
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("sweep", help="run a whole verification grid")
-    p.add_argument("--theorem", choices=("3.5", "4.8", "4.9", "all"), default="all")
+    p.add_argument("--theorem", choices=(*_FAMILIES, "all"), default="all")
     p.add_argument("--backend", choices=("exact", "padic"), default="exact")
     p.add_argument("--n-min", type=int, default=None, help="least n of the 4.8 cases")
     p.add_argument("--n-max", type=int, default=None, help="largest n of the 4.8 cases")
@@ -191,33 +190,26 @@ def _emit_report(report: CongruenceReport, fmt: str) -> None:
         _report_text(report)
 
 
+def _verify(theorem: str, params, **kwargs) -> CongruenceReport:
+    # the one call of each verify_theorem_*, looked up per call, so a
+    # replaced module attribute (a tracer's span) is the one called
+    return globals()["verify_theorem_" + theorem.replace(".", "_")](*params, **kwargs)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
 
-    def need(*names: str) -> None:
+    def need() -> list:
+        names = _FAMILIES[args.theorem]
         missing = [n for n in names if getattr(args, n) is None]
         if missing:
             flags = ", ".join(f"--{n}" for n in missing)
-            raise PreconditionError(
-                f"theorem {args.theorem} requires {flags}"
-            )
+            raise PreconditionError(f"theorem {args.theorem} requires {flags}")
+        return [getattr(args, n) for n in names]
 
     def run(backend: str) -> CongruenceReport:
-        if args.theorem == "3.5":
-            need("p", "s", "l")
-            return verify_theorem_3_5(
-                args.p, args.s, args.l,
-                backend=backend, n_ceiling=ceiling, perturb=args.perturb,
-            )
-        if args.theorem == "4.8":
-            need("n")
-            return verify_theorem_4_8(
-                args.n, backend=backend, n_ceiling=ceiling, perturb=args.perturb
-            )
-        need("m", "k", "N")
-        return verify_theorem_4_9(
-            args.m, args.k, args.N,
-            backend=backend, n_ceiling=ceiling, perturb=args.perturb,
+        return _verify(
+            args.theorem, need(), backend=backend, n_ceiling=ceiling, perturb=args.perturb
         )
 
     if args.backend == "both":
@@ -309,7 +301,6 @@ def _cmd_classical(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
-    backend = args.backend
     if args.theorem in ("3.5", "4.9") and (args.n_min, args.n_max) != (None, None):
         raise PreconditionError(f"--n-min and --n-max select 4.8 cases, not {args.theorem}")
     lo = args.n_min if args.n_min is not None else GRID_THEOREM_4_8[0]
@@ -317,21 +308,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid_4_8 = range(lo + lo % 2, hi + 1, 2)
     if not grid_4_8:
         raise PreconditionError(f"no even n in {lo}..{hi}: the sweep would check nothing")
-    reports: list[CongruenceReport] = []
-    names = ("3.5", "4.8", "4.9") if args.theorem == "all" else (args.theorem,)
-    for name in names:
-        if name == "3.5":
-            for p, s, l in GRID_THEOREM_3_5:
-                reports.append(verify_theorem_3_5(
-                    p, s, l, backend=backend, n_ceiling=ceiling))
-        elif name == "4.8":
-            for n in grid_4_8:
-                reports.append(verify_theorem_4_8(
-                    n, backend=backend, n_ceiling=ceiling))
-        else:
-            for m, k, N in GRID_THEOREM_4_9:
-                reports.append(verify_theorem_4_9(
-                    m, k, N, backend=backend, n_ceiling=ceiling))
+    grids = {"3.5": GRID_THEOREM_3_5, "4.8": [(n,) for n in grid_4_8], "4.9": GRID_THEOREM_4_9}
+    names = _FAMILIES if args.theorem == "all" else (args.theorem,)
+    reports = [
+        _verify(name, params, backend=args.backend, n_ceiling=ceiling)
+        for name in names
+        for params in grids[name]
+    ]
     ok = all(r.holds for r in reports)
     if args.format == "json":
         print(json.dumps({

@@ -185,13 +185,12 @@ def _congruence_report(
     poly_congruent a materialized polynomial.  A monomial that no term
     names has left-hand side 0.  For a rational in lowest terms and
     k >= 1, v_p >= k holds exactly when p**k divides the numerator (a zero
-    difference included), so each monomial costs one integer test.
-    Where B has no term at u, that is the quotient of num by den when it
-    divides, else num over gcd(num, den); a Fraction is built only where B
-    has the key or the test fails.  The keys only in B come after.  vp is
-    computed for the failures alone, and only the failure list is put in
-    canonical order; keys are distinct, so that is the order of the sorted
-    union of both key sets.
+    difference included), so each monomial costs one integer test, that
+    of _nonzero_mod where B has no term at u; a Fraction is built only
+    where B has the key or the test fails.  The keys only in B come after.
+    vp is computed for the failures alone, and only the failure list is
+    put in canonical order; keys are distinct, so that is the order of the
+    sorted union of both key sets.
     """
     _require_prime(p)
     if k < 1:
@@ -203,8 +202,7 @@ def _congruence_report(
     for u, num, den in terms:
         b = b_terms.get(u)
         if b is None:
-            q, r = divmod(num, den)
-            if (num // gcd(num, den) if r else q) % modulus:
+            if _nonzero_mod(num, den, modulus):
                 a = Fraction(num, den)
                 failures.append(CongruenceFailure(u, format_rational(a), "0/1", vp(p, a)))
             continue
@@ -222,23 +220,32 @@ def _congruence_report(
     return CongruenceReport(not failures, p, k, context, failures)
 
 
+def _nonzero_mod(num: int, den: int, modulus: int) -> bool:
+    """num/den != 0 mod modulus = p**k, k >= 1, den > 0: the integer
+    congruence test.  The numerator in lowest terms is the quotient when
+    den divides num, else num over gcd(num, den); p**k divides it exactly
+    when v_p(num/den) >= k."""
+    q, r = divmod(num, den)
+    return (num // gcd(num, den) if r else q) % modulus != 0
+
+
 def _padic_terms(
-    n: int, rhs: SparsePoly, p: int, k: int, low: dict | None = None
+    n: int, rhs: SparsePoly, p: int, k: int, low: dict
 ) -> Iterator[tuple[Partition, int, int]]:
     """(u, num, den) for each monomial of divided_ubern(n) that can break
     the congruence with rhs mod p**k: the padic backend's term source.
 
-    Those are the u with v_p(tau(u)) < k, which the exact branch-and-bound
-    walk tau_valuations_below (run here, or by the caller: low) finds
-    without visiting the bulk of the p(n) partitions, and the keys of rhs
-    of weight n.  Each value is p**v times the unit residue of tau(u) mod
-    p**(k - vmin), vmin <= 0 the least valuation of a named tau(u) (the
-    walk has every negative one, as k >= 1).  As v >= vmin, the value is
-    tau(u) mod p**(k + max(0, v)) at least, whatever the right-hand side:
-    verdicts and vp_diff below k are exact.  The unit residues share one
-    unit-factorial table up to 2n - 2.
+    Those are the u with v_p(tau(u)) < k, low, which the exact
+    branch-and-bound walk tau_valuations_below finds without visiting the
+    bulk of the p(n) partitions (_sweep), and the keys of rhs of weight n.
+    Each value is p**v times the unit residue of tau(u) mod p**(k - vmin),
+    vmin <= 0 the least valuation of a named tau(u) (the walk has every
+    negative one, as k >= 1).  As v >= vmin, the value is tau(u) mod
+    p**(k + max(0, v)) at least, whatever the right-hand side: verdicts and
+    vp_diff below k are exact.  The unit residues share one unit-factorial
+    table up to 2n - 2.
     """
-    low = dict(tau_valuations_below(p, n, k) if low is None else low)
+    low = dict(low)
     for u in rhs.keys():
         if u.weight == n and u not in low:
             low[u] = tau_valuation(p, u)
@@ -270,26 +277,22 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     >= 3 (_tau_prefixes).  A prefix of gamma G and degree D leaves a block
     of tails 2**j 1**(rem-2j), j <= rem // 2; the partition at j has degree
     D + rem - j and gamma G * tail[rem][j], tail[rem][j] = 3**j j!
-    2**(rem-2j) (rem-2j)!.
+    2**(rem-2j) (rem-2j)!.  Two tests settle each block.
 
-    Block screen, one remainder per prefix: with F = (n+D-2)!, when
+    The block screen, one remainder per prefix: with F = (n+D-2)!, when
     p**k G 2**rem 3**(rem//2) divides F, the whole block is skipped.  The
     numerator at j is F P_j, P_j a product of rem - j consecutive integers,
     so P_j / (j! (rem-2j)!) = C(rem-j, j) P_j/(rem-j)! is an integer, and
     tau(u)/p**k = +-[F / (p**k G 2**rem 3**(rem//2))] [P_j / (j! (rem-2j)!)]
-    4**j 3**(rem//2-j) is one too.  So each skipped tau(u) is one the tail
-    screen below would skip, and the yields are unchanged.  At n = 1 the
-    empty prefix has n+D-2 = -1 and no block screen.
+    4**j 3**(rem//2-j) is one too: each skipped tau(u) is 0 mod p**k.  At
+    n = 1 the empty prefix has n+D-2 = -1 and no block screen.
 
-    Tail screen, for a block not skipped: the inner loop closes the tails,
-    j falling from rem // 2 to 0, each with one table lookup, one product,
-    p**k gamma(u) = p**k G * tail[rem][j], and one remainder: when p**k
-    gamma(u) divides (n+d-2)!, tau(u) is 0 mod p**k and skipped.  Both
-    screens are only sufficient, so every other u gets the integer test of
-    _congruence_report (the quotient when den | num, else num over
-    gcd(num, den), mod p**k), and the yields are that test's alone.  A
-    Partition is built only for a yielded term.  den = gamma(u), not
-    reduced.
+    The screen is only sufficient, so each tail of a block it keeps goes to
+    the congruence test, _nonzero_mod, and the yields are that test's
+    alone.  The inner loop closes the tails, j falling from rem // 2 to 0,
+    each with one table lookup and one product, gamma(u) = G *
+    tail[rem][j].  A Partition is built only for a yielded term.  den =
+    gamma(u), not reduced.
     """
     modulus = p**k
     fact, run, tail = _tau_tables(n)
@@ -301,15 +304,11 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
             continue
         d = degree + rem  # the degree of u at j = 0, one less per 2
         top = base + rem
-        screen = gamma * modulus
         gammas = tail[rem]
         for j in range(rem // 2, -1, -1):
             num = fact[top - j]
-            if num % (screen * gammas[j]) == 0:
-                continue
             den = gamma * gammas[j]
-            q, r = divmod(num, den)
-            if (num // gcd(num, den) if r else q) % modulus:
+            if _nonzero_mod(num, den, modulus):
                 ones = rem - 2 * j
                 pairs = [(1, ones)] if ones else []
                 if j:
@@ -318,19 +317,30 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
                 yield Partition._raw(pairs), ((num if (d - j) % 2 else -num), den)
 
 
-def _exact_terms(
-    n: int, rhs: SparsePoly, p: int, k: int, low: dict | None = None
-) -> Iterator[tuple[Partition, int, int]]:
-    """(u, num, den) for each u that _exact_sweep names (run here, or by
-    the caller: low), then each key of rhs of weight n not in low, as the
-    reduced tau(u): the exact backend's term source, each monomial once."""
-    low = dict(_exact_sweep(p, n, k) if low is None else low)
+def _exact_terms(n: int, rhs: SparsePoly, low: dict) -> Iterator[tuple[Partition, int, int]]:
+    """(u, num, den) for each u of the sweep low (_exact_sweep), then each
+    key of rhs of weight n not in low, as the reduced tau(u): the exact
+    backend's term source, each monomial once."""
     for u, (num, den) in low.items():
         yield u, num, den
     for u in rhs.keys():
         if u.weight == n and u not in low:
             t = tau(u)
             yield u, t.numerator, t.denominator
+
+
+def _sweep(backend: str, p: int, n: int, k: int, n_ceiling: int) -> dict:
+    """The backend's sweep at weight n, the u that can fail mod p**k: u ->
+    (num, den) of tau(u) on "exact" (_exact_sweep), u -> v_p(tau(u)) on
+    "padic" (tau_valuations_below).  The one place that checks the backend
+    name and the ceiling, before any sweep runs; the sweeps are looked up
+    as module globals at call time.
+    """
+    if backend not in ("exact", "padic"):
+        raise PreconditionError(f"unknown backend {backend!r}")
+    if n > n_ceiling:
+        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
+    return dict((_exact_sweep if backend == "exact" else tau_valuations_below)(p, n, k))
 
 
 def _verify_against_ubern(
@@ -340,51 +350,40 @@ def _verify_against_ubern(
     k: int,
     context: dict,
     backend: str,
-    n_ceiling: int,
+    low: dict,
     perturb: bool = False,
-    low: dict | None = None,
 ) -> CongruenceReport:
-    """Check divided_ubern(n) against rhs mod p**k on one backend.
+    """Check divided_ubern(n) against rhs mod p**k on one backend, given
+    that backend's sweep low at n (_sweep, which checked backend and n).
 
-    Both backends are term sources for _congruence_report: "exact" tests
-    tau(u) of every partition of n with big integers (_exact_terms), the
-    independent oracle; "padic" walks only the u with v_p(tau(u)) < k and
-    reads their unit residues (_padic_terms).  Each reuses a given sweep low.
+    Both backends are term sources for _congruence_report: "exact" yields
+    the tau(u) its big-integer sweep kept (_exact_terms), the independent
+    oracle; "padic" reads the unit residues of the u its pruned walk named
+    (_padic_terms).  Each adds the keys of rhs of weight n that low skips.
     """
-    if n > n_ceiling:
-        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     if perturb:
         # mutation self-test: +1 on the first coefficient in canonical order
         first = rhs.items()[0][0]
         rhs = rhs.add_term(first, 1)
         context["perturbed"] = True
-    if backend == "exact":
-        terms = _exact_terms(n, rhs, p, k, low)
-    elif backend == "padic":
-        terms = _padic_terms(n, rhs, p, k, low)
-    else:
-        raise PreconditionError(f"unknown backend {backend!r}")
+    terms = _exact_terms(n, rhs, low) if backend == "exact" else _padic_terms(n, rhs, p, k, low)
     return _congruence_report(terms, rhs, p, k, context)
 
 
 def _lifting_walks(
     p: int, n: int, m: int, k: int, shift: dict[int, int], backend: str, n_ceiling: int
 ) -> tuple[dict, list[tuple[Partition, Fraction]]]:
-    """(low, terms) of a 3.5 or 4.9 case, backend and n checked first.  low
-    is the backend's own sweep at n, terms the m-part (b, tau(b)) of
-    c^shift * divided_ubern(m) that can matter: its sweep at m, c_m (its
-    shift is the first shifted key: --perturb) and each b whose shift low
-    names, so a failure there shows the full rhs.  Any other key c^shift b
-    has tau(b) = tau(c^shift b) = 0 mod p**k and no term names it.
+    """(low, terms) of a 3.5 or 4.9 case, both from _sweep: low is the
+    backend's own sweep at n, run first, so backend and n are checked
+    before any sweep; terms the m-part (b, tau(b)) of c^shift *
+    divided_ubern(m) that can matter: its sweep at m, c_m (its shift is the
+    first shifted key: --perturb) and each b whose shift low names, so a
+    failure there shows the full rhs.  Any other key c^shift b has tau(b)
+    = tau(c^shift b) = 0 mod p**k and no term names it.
     """
-    if backend not in ("exact", "padic"):
-        raise PreconditionError(f"unknown backend {backend!r}")
-    if n > n_ceiling:
-        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
-    sweep = _exact_sweep if backend == "exact" else tau_valuations_below
-    low = dict(sweep(p, n, k))
+    low = _sweep(backend, p, n, k, n_ceiling)
     [(part, mult)] = shift.items()
-    bases = {Partition({m: 1}), *(b for b, _ in sweep(p, m, k))}
+    bases = {Partition({m: 1}), *_sweep(backend, p, m, k, n_ceiling)}
     bases.update(u.merged({part: -mult}) for u in low if u.multiplicity(part) >= mult)
     return low, [(b, tau(b)) for b in bases]
 
@@ -405,10 +404,18 @@ def _lifted_rhs(terms: Iterable, shift: dict[int, int], corrections: list) -> Sp
     return SparsePoly._wrap(rhs)
 
 
+def _require_ints(**params) -> None:
+    # bool is an int subclass, but True is no family parameter
+    for name, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
 # -- family 3.5 (odd primes) -------------------------------------------
 
 def tau_pure(p: int, w: int) -> Fraction:
     """tau of the pure partition with all w/(p-1) parts equal to p-1."""
+    _require_ints(w=w)
     if w < 1 or w % (p - 1):
         raise PreconditionError(f"weight {w} is not a positive multiple of p-1")
     return tau(Partition({p - 1: w // (p - 1)}))
@@ -422,6 +429,7 @@ def z_func(p: int, n: int, k: int) -> int:
     mod p**(N+2+v(n)); k is explicit here and callers choose it.
     """
     _require_prime(p)
+    _require_ints(n=n, k=k)
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if n < 1 or n % (p - 1):
@@ -435,6 +443,7 @@ def z_func(p: int, n: int, k: int) -> int:
 
 def _theorem_3_5_params(p: int, s: int, l: int) -> tuple[int, int, int]:
     _require_odd_prime(p)
+    _require_ints(s=s, l=l)
     if s < 1 or l < 1:
         raise PreconditionError("s and l must be positive")
     N = vp_int(p, l) if l % p == 0 else 0
@@ -495,9 +504,7 @@ def verify_theorem_3_5(
         "n": n,
         "backend": backend,
     }
-    return _verify_against_ubern(
-        n, rhs, p, N + 1, context, backend, n_ceiling, perturb=perturb, low=low
-    )
+    return _verify_against_ubern(n, rhs, p, N + 1, context, backend, low, perturb=perturb)
 
 
 # -- family 4.8 (p = 2, fixed shape) ------------------------------------
@@ -562,6 +569,7 @@ def verify_theorem_4_8(
     coefficients cancel; only the difference must clear the modulus.
     """
     v, k = _theorem_4_8_params(n)
+    low = _sweep(backend, 2, n, k, n_ceiling)
     rhs, _ = rhs_theorem_4_8(n)
     context = {
         "theorem": "4.8",
@@ -570,14 +578,13 @@ def verify_theorem_4_8(
         "v2_n": v,
         "backend": backend,
     }
-    return _verify_against_ubern(
-        n, rhs, 2, k, context, backend, n_ceiling, perturb=perturb
-    )
+    return _verify_against_ubern(n, rhs, 2, k, context, backend, low, perturb=perturb)
 
 
 # -- family 4.9 (p = 2, lifting along l = k * 2**N) ----------------------
 
 def _theorem_4_9_params(m: int, k: int, N: int) -> tuple[int, int]:
+    _require_ints(m=m, k=k, N=N)
     if N < 3:
         raise PreconditionError(f"N >= 3 required, got N={N}")
     if k < 1 or k % 2 == 0:
@@ -700,9 +707,7 @@ def verify_theorem_4_9(
         context["omitted_terms"] = [
             {"u": [[1, n - 24], [3, 8]], "why": "only present for m >= 16"}
         ]
-    return _verify_against_ubern(
-        n, rhs, 2, N + 1, context, backend, n_ceiling, perturb=perturb, low=low
-    )
+    return _verify_against_ubern(n, rhs, 2, N + 1, context, backend, low, perturb=perturb)
 
 
 # -- classical check and valuation sweeps --------------------------------
@@ -710,6 +715,7 @@ def verify_theorem_4_9(
 def verify_classical_kummer(p: int, n: int, m: int) -> CongruenceReport:
     """B_n/n = B_m/m mod p for (p-1) not dividing n and n = m mod p-1."""
     _require_prime(p)
+    _require_ints(n=n, m=m)
     for value, name in ((n, "n"), (m, "m")):
         if value < 1:
             raise PreconditionError(f"{name} must be positive")
@@ -735,6 +741,7 @@ def verify_classical_kummer(p: int, n: int, m: int) -> CongruenceReport:
 def check_corollary_3_4(p: int, s: int, i: int) -> CongruenceReport:
     """v_p(tau(u)) >= s(p-2) - 1 for all u of weight (m+i)p - i, degree <= i+1."""
     _require_odd_prime(p)
+    _require_ints(s=s, i=i)
     if s < 1 or i < 0:
         raise PreconditionError("need s >= 1 and i >= 0")
     m = s * (p - 1)

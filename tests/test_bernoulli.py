@@ -26,7 +26,7 @@ from ubern.bernoulli import (
     write_coefficient_cache,
 )
 import ubern.bernoulli as bernoulli
-from ubern.congruences import _exact_terms
+from ubern.congruences import _exact_terms, _sweep
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
 from ubern.padic import _unit_factorials, _vp_factorial, vp, vp_int
 from ubern.partitions import Partition, count_partitions, enumerate_partitions
@@ -468,7 +468,7 @@ def test_tau_valuations_below_matches_exact_oracle_past_32():
         for n in weights:
             for k in exponents:
                 got = list(tau_valuations_below(p, n, k))
-                want = [u for u, _, _ in _exact_terms(n, SparsePoly(), p, k)]
+                want = [u for u, _, _ in _exact_terms(n, SparsePoly(), _sweep("exact", p, n, k, n))]
                 assert [u for u, _ in got] == want, (p, n, k)
                 assert all(v == vp(p, tau(u)) for u, v in got), (p, n, k)
 

@@ -366,17 +366,19 @@ def test_main_builds_one_parser(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, n", [
     (("--theorem", "3.5", "--p", "3", "--s", "31", "--l", "3"), 68),
     (("--theorem", "4.9", "--m", "61", "--k", "1", "--N", "3"), 69),
+    (("--theorem", "4.8", "--n", "62"), 62),
 ])
 def test_verify_ceiling_names_n(capsys, monkeypatch, backend, argv, n):
     # the weight checked is n, not the m of the right-hand side, and it is
-    # checked before any right-hand side is built
+    # checked before any right-hand side is built or any sweep runs, on
+    # either backend
     import ubern.congruences as congruences
 
     def refuse(*args, **kwargs):
-        raise AssertionError("right-hand side built above the ceiling")
+        raise AssertionError("right-hand side built or swept above the ceiling")
 
-    monkeypatch.setattr(congruences, "divided_ubern", refuse)
-    monkeypatch.setattr(congruences, "tau_valuations_below", refuse)
+    for name in ("divided_ubern", "tau_valuations_below", "_exact_sweep"):
+        monkeypatch.setattr(congruences, name, refuse)
     code, out, err = run(capsys, "verify", *argv, "--backend", backend)
     assert (code, out) == (2, "")
     assert err == f"error: n={n} exceeds the ceiling 60\n"

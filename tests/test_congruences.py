@@ -43,6 +43,11 @@ from ubern.padic import double_factorial, vp
 from ubern.partitions import Partition, enumerate_partitions
 
 
+def _low(backend, p, n, k, n_ceiling=DEFAULT_N_CEILING):
+    # the backend's own sweep at n, as its term source takes it
+    return congruences._sweep(backend, p, n, k, n_ceiling)
+
+
 def test_z_func_examples():
     assert z_func(3, 2, 2) == 1
     assert z_func(3, 6, 1) == 1
@@ -203,7 +208,8 @@ def test_exact_terms_sweep_every_partition():
     # the sweep yields each partition: the terms of _tau_fractions, in order
     for n in range(1, 31):
         k = math.factorial(2 * n - 2).bit_length()
-        assert list(_exact_terms(n, SparsePoly(), 2, k)) == list(_tau_fractions(n)), n
+        terms = _exact_terms(n, SparsePoly(), _low("exact", 2, n, k))
+        assert list(terms) == list(_tau_fractions(n)), n
 
 
 def test_exact_sweep_matches_fraction_filter():
@@ -268,6 +274,18 @@ def test_weakened_block_screen_fails_the_fraction_filter(monkeypatch, weakened, 
     assert str(failed.value).startswith(str(first)), str(failed.value)[:40]
 
 
+def test_screen_only_congruence_test_fails_the_fraction_filter(monkeypatch):
+    # mutation control on the one congruence test: the screen-only rule
+    # p**k den | num misses a tau(u) that is 0 mod p**k with a reduced
+    # denominator > 1 prime to p, first tau(c4) = 6/5 mod 2 at (2, 4, 1)
+    monkeypatch.setattr(
+        congruences, "_nonzero_mod", lambda num, den, modulus: num % (den * modulus) != 0
+    )
+    with pytest.raises(AssertionError) as failed:
+        test_exact_sweep_matches_fraction_filter()
+    assert str(failed.value).startswith(str((2, 4, 1))), str(failed.value)[:40]
+
+
 def test_exact_and_padic_terms_name_the_same_keys():
     # the two term sources of the one congruence test name the same
     # monomials, each once, on every shipped grid case and every control
@@ -277,10 +295,11 @@ def test_exact_and_padic_terms_name_the_same_keys():
     for verify, rhs, args in cases:
         report = verify(*args, backend="padic")
         n, p, k = report.context["n"], report.prime, report.mod_exp
-        exact = list(_exact_terms(n, rhs, p, k))
+        exact = list(_exact_terms(n, rhs, _low("exact", p, n, k)))
         keys = [u for u, _, _ in exact]
         assert len(keys) == len(set(keys)), args
-        assert set(keys) == {u for u, _, _ in _padic_terms(n, rhs, p, k)}, args
+        padic = _padic_terms(n, rhs, p, k, _low("padic", p, n, k))
+        assert set(keys) == {u for u, _, _ in padic}, args
         assert all(Fraction(num, den) == tau(u) for u, num, den in exact), args
 
 
@@ -307,7 +326,7 @@ def test_exact_stream_missing_and_wrong_weight_rhs_keys():
     pure, fails, holds = Partition({1: 12}), Partition({1: 11}), Partition({1: 3, 5: 2})
     rhs = rhs.add_term(pure, -rhs.get(pure)).add_term(fails, Fraction(3, 2)).add_term(holds, 8)
     assert pure not in rhs
-    report = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "exact", DEFAULT_N_CEILING)
+    report = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "exact", _low("exact", 2, 12, 3))
     assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in report.failures] == [
         (fails, "0/1", "3/2", -1),
         (pure, format_rational(tau(pure)), "0/1", -3),
@@ -315,7 +334,7 @@ def test_exact_stream_missing_and_wrong_weight_rhs_keys():
     _assert_stream_matches_materialised(report, rhs)
     # the padic backend feeds the same test, so it lists the same
     # failures in the same order: the lower-weight key first
-    padic = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "padic", DEFAULT_N_CEILING)
+    padic = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "padic", _low("padic", 2, 12, 3))
     assert reports_agree(report, padic)
     assert [(f.u, f.rhs, f.vp_diff) for f in padic.failures] == [
         (f.u, f.rhs, f.vp_diff) for f in report.failures]
@@ -463,6 +482,36 @@ def test_verify_theorem_4_9_preconditions():
         verify_theorem_4_9(6, 1, 3)
 
 
+@pytest.mark.parametrize("backend", ["exact", "padic"])
+@pytest.mark.parametrize("verify, args, name", [
+    (verify_theorem_3_5, (5, 1.0, 5), "s"),
+    (verify_theorem_3_5, (5, 1, True), "l"),
+    (verify_theorem_4_9, (7, 1, 3.0), "N"),
+    (verify_theorem_4_9, (7.0, 1, 3), "m"),
+    (verify_theorem_4_9, (7, True, 3), "k"),
+])
+def test_family_parameters_must_be_integers(backend, verify, args, name):
+    # a float or bool parameter is refused by name on both backends, before
+    # any sweep: not a TypeError from the coefficient tables, nor an error
+    # that names the weight n
+    with pytest.raises(PreconditionError, match=f"^{name} must be an integer, got "):
+        verify(*args, backend=backend)
+
+
+@pytest.mark.parametrize("check, args, name", [
+    (check_corollary_3_4, (3, 1.0, 0), "s"),
+    (check_corollary_3_4, (3, 1, False), "i"),
+    (verify_classical_kummer, (5, 2.0, 6), "n"),
+    (verify_classical_kummer, (5, 2, 6.0), "m"),
+    (z_func, (3, 6.0, 1), "n"),
+    (z_func, (3, 6, 1.0), "k"),
+    (tau_pure, (3, 2.0), "w"),
+])
+def test_check_parameters_must_be_integers(check, args, name):
+    with pytest.raises(PreconditionError, match=f"^{name} must be an integer, got "):
+        check(*args)
+
+
 def test_verify_classical_kummer():
     r = verify_classical_kummer(5, 6, 2)
     assert r.holds
@@ -529,7 +578,7 @@ def test_reports_agree_checks_failure_evidence(u, v):
     assert tau_valuation(2, u) == v
     rhs = rhs_theorem_4_8(12)[0].add_term(u, 4)
     exact, padic = (
-        _verify_against_ubern(12, rhs, 2, 3, {}, backend, DEFAULT_N_CEILING)
+        _verify_against_ubern(12, rhs, 2, 3, {}, backend, _low(backend, 2, 12, 3))
         for backend in ("exact", "padic")
     )
     assert reports_agree(exact, padic)
@@ -568,7 +617,7 @@ def test_boundary_mutations_on_both_backends(case):
         for shift, holds in ((p ** (k - 1), False), (p**k, True)):
             mutated = rhs.add_term(u, shift)
             exact, padic = (
-                _verify_against_ubern(n, mutated, p, k, {}, backend, DEFAULT_N_CEILING)
+                _verify_against_ubern(n, mutated, p, k, {}, backend, _low(backend, p, n, k))
                 for backend in ("exact", "padic")
             )
             assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in exact.failures] == (
@@ -595,7 +644,7 @@ def test_padic_terms_are_tau_to_the_modulus(case):
     rhs = build()
     low = {u for u in enumerate_partitions(n) if tau_valuation(p, u) < k}
     for mutated in [rhs] + [rhs.add_term(u, p ** (k - 1)) for u, _ in rhs.items()]:
-        terms = list(_padic_terms(n, mutated, p, k))
+        terms = list(_padic_terms(n, mutated, p, k, _low("padic", p, n, k)))
         keys = [u for u, _, _ in terms]
         assert len(keys) == len(set(keys))
         assert set(keys) == low | {u for u in mutated.keys() if u.weight == n}
@@ -629,7 +678,7 @@ def test_padic_holds_past_the_grid():
     for u, _ in rhs.items():
         for shift, holds in ((2 ** (k - 1), False), (2**k, True)):
             report = _verify_against_ubern(
-                200, rhs.add_term(u, shift), 2, k, {}, "padic", ceiling
+                200, rhs.add_term(u, shift), 2, k, {}, "padic", _low("padic", 2, 200, k, ceiling)
             )
             assert report.holds is holds, (u, shift)
             if not holds:
@@ -642,7 +691,9 @@ def test_padic_holds_past_the_grid():
     assert report.holds and len(rhs) > 2
     for u, _ in rhs.items():
         for shift, holds in ((p ** (k - 1), False), (p**k, True)):
-            moved = _verify_against_ubern(n, rhs.add_term(u, shift), p, k, {}, "padic", ceiling)
+            moved = _verify_against_ubern(
+                n, rhs.add_term(u, shift), p, k, {}, "padic", _low("padic", p, n, k, ceiling)
+            )
             assert moved.holds is holds, (u, shift)
             if not holds:
                 assert [(f.u, f.vp_diff) for f in moved.failures] == [(u, k - 1)]
@@ -700,7 +751,7 @@ def test_padic_rhs_is_the_full_rhs_where_it_matters():
                 context = {key: v for key, v in lazy_report.context.items()
                            if key != "perturbed"}
                 full_report = _verify_against_ubern(
-                    n, full, p, k, context, backend, DEFAULT_N_CEILING, perturb=perturb
+                    n, full, p, k, context, backend, _low(backend, p, n, k), perturb=perturb
                 )
                 assert lazy_report.to_json() == full_report.to_json(), (args, perturb)
             # the --perturb control hits the first key of the full right-hand side
@@ -731,7 +782,7 @@ def test_padic_rhs_boundary_moves_match_the_full_rhs(case):
             for shift in (p ** (k - 1), p**k):
                 on_lazy = lazy.add_term(u, shift if u in lazy else c + shift)
                 lazy_report, full_report = (
-                    _verify_against_ubern(n, rhs, p, k, {}, backend, DEFAULT_N_CEILING)
+                    _verify_against_ubern(n, rhs, p, k, {}, backend, _low(backend, p, n, k))
                     for rhs in (on_lazy, full.add_term(u, shift))
                 )
                 assert lazy_report.to_json() == full_report.to_json(), (backend, u, shift)
@@ -754,8 +805,11 @@ def test_exact_report_on_the_selected_rhs_is_the_full_rhs_report():
                 p, ctx["n"], ctx["m"], k, {part: ctx["l"]}, "exact", DEFAULT_N_CEILING
             )
             selected, whole = (
-                _verify_against_ubern(ctx["n"], rhs, p, k, {}, "exact", DEFAULT_N_CEILING, low=w)
-                for rhs, w in ((_lifted_rhs(verify, args, terms=terms), low), (full, None))
+                _verify_against_ubern(ctx["n"], rhs, p, k, {}, "exact", w)
+                for rhs, w in (
+                    (_lifted_rhs(verify, args, terms=terms), low),
+                    (full, _low("exact", p, ctx["n"], k)),
+                )
             )
             assert selected.to_json() == whole.to_json(), (args, k)
             failures += len(whole.failures)
@@ -815,7 +869,7 @@ def test_padic_rhs_shows_the_full_rhs_at_real_failures(verify, args):
     part, mult = (p - 1, l) if verify is verify_theorem_3_5 else (1, l)
     low, terms = congruences._lifting_walks(p, n, m, k, {part: mult}, "padic", 100)
     rhs = _lifted_rhs(verify, args, terms=terms, n_ceiling=100)
-    failures = _verify_against_ubern(n, rhs, p, k, {}, "padic", 100, low=low).failures
+    failures = _verify_against_ubern(n, rhs, p, k, {}, "padic", low).failures
     corrections = _lifted_rhs(verify, args, terms=[])
     named_by_low = 0
     for f in failures:
