@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CacheError, CeilingExceeded, PreconditionError
+from .errors import CacheError, CeilingExceeded, PreconditionError, _require_ints
 from .padic import _require_prime, _vp_factorial, vp_int
 from .partitions import Partition, count_partitions, enumerate_partitions
 
@@ -135,8 +135,7 @@ def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, in
     _valuation_tables.
     """
     _require_prime(p)
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"n must be a positive integer, got {n!r}")
+    _require_ints(1, n=n, k=k)
     vfact, gain = _valuation_tables(p, n)
     most = [[0] * (n + 1)]  # seeds row 1; the walk never reads row 0
     for c in range(1, n + 1):
@@ -377,8 +376,7 @@ def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
     One term per partition of n, built from _tau_fractions.  Refuses n
     above the configurable ceiling (count_partitions grows fast).
     """
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"n must be a positive integer, got {n!r}")
+    _require_ints(1, n=n)
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     terms = {u: Fraction(num, den) for u, num, den in _tau_fractions(n)}
@@ -418,8 +416,7 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 def classical_bernoulli(n: int) -> Fraction:
     """Classical Bernoulli number B_n (B_1 = -1/2) by the binomial recurrence."""
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
+    _require_ints(0, n=n)
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
         acc = Fraction(0)
@@ -457,8 +454,7 @@ def cache_lines(n: int) -> Iterator[str]:
     one factorial from the _tau_tables and one gcd.  No Partition,
     Fraction or SparsePoly is built.
     """
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"n must be a positive integer, got {n!r}")
+    _require_ints(1, n=n)
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
     fact, run, tail = _tau_tables(n)
     # heads[rem][j] = "[1,rem-2j],[2,j],", the text of the tail tail[rem][j]

@@ -164,17 +164,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _report_text(report: CongruenceReport) -> None:
+    # only verify and sweep print here: each report is a theorem's
     ctx = report.context
-    label = ctx.get("theorem") or ctx.get("corollary") or ctx.get("check", "?")
-    params = ", ".join(
-        f"{k}={v}"
-        for k, v in ctx.items()
-        if k not in ("theorem", "corollary", "check", "backend")
-    )
+    params = ", ".join(f"{k}={v}" for k, v in ctx.items() if k not in ("theorem", "backend"))
     verdict = "HOLDS" if report.holds else "FAILS"
-    print(
-        f"rule {label} ({params}) mod {report.prime}^{report.mod_exp}: {verdict}"
-    )
+    print(f"rule {ctx['theorem']} ({params}) mod {report.prime}^{report.mod_exp}: {verdict}")
     for f in report.failures[:_MAX_TEXT_ITEMS]:
         print(
             f"  {_monomial(f.u)}: lhs={f.lhs} rhs={f.rhs} vp_diff={f.vp_diff}"

@@ -35,7 +35,7 @@ from .bernoulli import (
     tau_valuation,
     tau_valuations_below,
 )
-from .errors import CeilingExceeded, PreconditionError
+from .errors import CeilingExceeded, PreconditionError, _require_ints
 from .padic import (
     _require_odd_prime,
     _require_prime,
@@ -166,6 +166,8 @@ def poly_congruent(
 
     The one congruence test (_congruence_report), on a materialized A.
     """
+    _require_prime(p)
+    _require_ints(1, k=k)
     terms = ((u, a.numerator, a.denominator) for u, a in A._terms.items())
     return _congruence_report(terms, B, p, k, context or {})
 
@@ -190,11 +192,9 @@ def _congruence_report(
     where B has the key or the test fails.  The keys only in B come after.
     vp is computed for the failures alone, and only the failure list is
     put in canonical order; keys are distinct, so that is the order of the
-    sorted union of both key sets.
+    sorted union of both key sets.  p is prime and k >= 1: the caller
+    checked both.
     """
-    _require_prime(p)
-    if k < 1:
-        raise PreconditionError("modulus exponent k must be >= 1")
     modulus = p**k
     b_terms = B._terms
     matched = set()
@@ -404,20 +404,13 @@ def _lifted_rhs(terms: Iterable, shift: dict[int, int], corrections: list) -> Sp
     return SparsePoly._wrap(rhs)
 
 
-def _require_ints(**params) -> None:
-    # bool is an int subclass, but True is no family parameter
-    for name, value in params.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise PreconditionError(f"{name} must be an integer, got {value!r}")
-
-
 # -- family 3.5 (odd primes) -------------------------------------------
 
 def tau_pure(p: int, w: int) -> Fraction:
     """tau of the pure partition with all w/(p-1) parts equal to p-1."""
-    _require_ints(w=w)
-    if w < 1 or w % (p - 1):
-        raise PreconditionError(f"weight {w} is not a positive multiple of p-1")
+    _require_ints(1, w=w)
+    if w % (p - 1):
+        raise PreconditionError(f"w must be a multiple of p-1, got {w}")
     return tau(Partition({p - 1: w // (p - 1)}))
 
 
@@ -429,11 +422,9 @@ def z_func(p: int, n: int, k: int) -> int:
     mod p**(N+2+v(n)); k is explicit here and callers choose it.
     """
     _require_prime(p)
-    _require_ints(n=n, k=k)
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    if n < 1 or n % (p - 1):
-        raise PreconditionError(f"n must be a positive multiple of p-1, got {n}")
+    _require_ints(1, n=n, k=k)
+    if n % (p - 1):
+        raise PreconditionError(f"n must be a multiple of p-1, got {n}")
     q = p ** (1 + (vp_int(p, n) if n % p == 0 else 0)) * tau_pure(p, n)
     if vp(p, q) < 0:
         raise PreconditionError(f"p**(1+v(n)) * tau is not {p}-integral at n={n}")
@@ -443,9 +434,7 @@ def z_func(p: int, n: int, k: int) -> int:
 
 def _theorem_3_5_params(p: int, s: int, l: int) -> tuple[int, int, int]:
     _require_odd_prime(p)
-    _require_ints(s=s, l=l)
-    if s < 1 or l < 1:
-        raise PreconditionError("s and l must be positive")
+    _require_ints(1, s=s, l=l)
     N = vp_int(p, l) if l % p == 0 else 0
     need = -(-(N + 2) // (p - 2))
     if s < need:
@@ -510,12 +499,10 @@ def verify_theorem_3_5(
 # -- family 4.8 (p = 2, fixed shape) ------------------------------------
 
 def _theorem_4_8_params(n: int) -> tuple[int, int]:
-    if not isinstance(n, int) or n % 2:
-        raise PreconditionError(f"n must be even, got {n!r}")
-    if n < 12:
-        raise PreconditionError(
-            "n >= 12 required so every listed exponent is nonnegative"
-        )
+    _require_ints(n=n)
+    if n % 2:
+        raise PreconditionError(f"n must be even, got {n}")
+    _require_ints(12, n=n)  # so every listed exponent is nonnegative
     v = vp_int(2, n)
     return v, (2 if v == 1 else 3)
 
@@ -584,11 +571,11 @@ def verify_theorem_4_8(
 # -- family 4.9 (p = 2, lifting along l = k * 2**N) ----------------------
 
 def _theorem_4_9_params(m: int, k: int, N: int) -> tuple[int, int]:
-    _require_ints(m=m, k=k, N=N)
-    if N < 3:
-        raise PreconditionError(f"N >= 3 required, got N={N}")
-    if k < 1 or k % 2 == 0:
-        raise PreconditionError(f"k must be a positive odd integer, got {k}")
+    _require_ints(m=m)
+    _require_ints(1, k=k)
+    _require_ints(3, N=N)
+    if k % 2 == 0:
+        raise PreconditionError(f"k must be odd, got {k}")
     if m < 2 * N + 1:
         raise PreconditionError(f"m >= 2N+1 = {2 * N + 1} required, got m={m}")
     l = k * 2**N
@@ -715,10 +702,8 @@ def verify_theorem_4_9(
 def verify_classical_kummer(p: int, n: int, m: int) -> CongruenceReport:
     """B_n/n = B_m/m mod p for (p-1) not dividing n and n = m mod p-1."""
     _require_prime(p)
-    _require_ints(n=n, m=m)
+    _require_ints(1, n=n, m=m)
     for value, name in ((n, "n"), (m, "m")):
-        if value < 1:
-            raise PreconditionError(f"{name} must be positive")
         if value != 1 and value % 2:
             raise PreconditionError(f"{name} must be even or 1, got {value}")
     if n % (p - 1) == 0:
@@ -741,9 +726,8 @@ def verify_classical_kummer(p: int, n: int, m: int) -> CongruenceReport:
 def check_corollary_3_4(p: int, s: int, i: int) -> CongruenceReport:
     """v_p(tau(u)) >= s(p-2) - 1 for all u of weight (m+i)p - i, degree <= i+1."""
     _require_odd_prime(p)
-    _require_ints(s=s, i=i)
-    if s < 1 or i < 0:
-        raise PreconditionError("need s >= 1 and i >= 0")
+    _require_ints(1, s=s)
+    _require_ints(0, i=i)
     m = s * (p - 1)
     n = (m + i) * p - i
     bound = s * (p - 2) - 1

@@ -18,10 +18,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .bernoulli import _runs_valuations, _valuation_tables, tau_valuation
-from .errors import PreconditionError
+from .errors import PreconditionError, _require_ints
 from .padic import (
-    _require_odd_prime,
-    _require_prime,
     _vp,
     _vp_factorial,
     double_factorial,
@@ -92,8 +90,6 @@ def lemma_2_1(l_max: int = 2000, a_max: int = 2000) -> LemmaSweepResult:
     detail = {"products": 0, "shift": 0, "digit-sum": 0, "bound": 0}
     rng = random.Random(_SEED)
     primes = (2, 3, 5)
-    for p in primes:
-        _require_prime(p)  # once: the loops below call the unchecked core
     for _ in range(500):
         p = primes[rng.randrange(3)]
         a = rng.randrange(0, a_max + 1)
@@ -145,7 +141,6 @@ def lemma_2_4(a_max: int = 200) -> LemmaSweepResult:
     failures: list[dict] = []
     checked = 0
     for p in (3, 5, 7):
-        _require_prime(p)
         for k in range(1, p + 1):
             for a in range(a_max + 1):
                 checked += 1
@@ -163,7 +158,6 @@ def lemma_2_5(trials: int = 400) -> LemmaSweepResult:
     rng = random.Random(_SEED)
     checked = 0
     for p in (3, 5):
-        _require_prime(p)
         for _ in range(trials):
             digits = [rng.randrange(0, 13) for _ in range(rng.randrange(1, 6))]
             total = sum(h * p**j for j, h in enumerate(digits))
@@ -232,7 +226,6 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
     failures: list[dict] = []
     checked = 0
     for p in (3, 5):
-        _require_odd_prime(p)  # once: the loops below call the unchecked cores
         # n grows with s and i, so one table serves every weight of p
         vfact, gain = _valuation_tables(p, (s_max * (p - 1) + i_max) * p - i_max)
         # (is_reduced, weight, degree, tau_valuation) per reduced image, read
@@ -464,8 +457,7 @@ def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
     the offset is -2 when ndot = 0, +1 when ndot = 2, 0 when the rest of the
     weight is a power-of-two count of parts 7, and >= 2 otherwise.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
+    _require_ints(1, n_max=n_max)
     failures = []
     checked = 0
     vfact, gain = _valuation_tables(2, n_max)
@@ -496,8 +488,7 @@ def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
 
 def lemma_4_7(n_max: int = 24) -> LemmaSweepResult:
     """v2(tau(u)) >= u3 + ceil(ndot/2) - 1 for ndot > 0 (-3 when ndot = 7*u7)."""
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
+    _require_ints(1, n_max=n_max)
     failures = []
     checked = 0
     vfact, gain = _valuation_tables(2, n_max)
@@ -539,9 +530,9 @@ SWEEPS: dict[str, Callable[..., LemmaSweepResult]] = {
 def run_sweep(name: str, **overrides) -> LemmaSweepResult:
     """Run one sweep by id.
 
-    An unknown id or parameter, a negative bound, and bounds under which
-    the sweep checks nothing raise PreconditionError: a "holds" over no
-    instance would read as a proof.
+    An unknown id or parameter, a bound that is not an integer or is
+    negative, and bounds under which the sweep checks nothing raise
+    PreconditionError: a "holds" over no instance would read as a proof.
     """
     func = SWEEPS.get(name)
     if func is None:
@@ -552,8 +543,8 @@ def run_sweep(name: str, **overrides) -> LemmaSweepResult:
     for key, value in overrides.items():
         if key not in accepted:
             raise PreconditionError(f"lemma {name} does not take parameter {key!r}")
-        if value is not None and value < 0:
-            raise PreconditionError(f"lemma {name}: {key} must be >= 0, got {value}")
+        if value is not None:
+            _require_ints(0, **{key: value})
     result = func(**overrides)
     if not result.checked:
         bounds = ", ".join(f"{key}={value}" for key, value in overrides.items())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _require_ints
 
 __all__ = [
     "INFINITY",
@@ -104,8 +104,7 @@ def _vp(p: int, q: Fraction | int) -> int | float:
 def digit_sum(p: int, a: int) -> int:
     """Sum of the base-p digits of a >= 0."""
     _require_prime(p)
-    if a < 0:
-        raise PreconditionError("a must be nonnegative")
+    _require_ints(0, a=a)
     s = 0
     while a:
         a, r = divmod(a, p)
@@ -116,8 +115,7 @@ def digit_sum(p: int, a: int) -> int:
 def vp_factorial(p: int, a: int) -> int:
     """Valuation of a! as (a - digit_sum(a)) / (p - 1); a! is never formed."""
     _require_prime(p)
-    if a < 0:
-        raise PreconditionError("a must be nonnegative")
+    _require_ints(0, a=a)
     return _vp_factorial(p, a)
 
 
@@ -133,8 +131,9 @@ def _vp_factorial(p: int, a: int) -> int:
 
 def double_factorial(a: int) -> int:
     """a!! = a (a-2) ... 3 * 1 for odd a >= 1; (-1)!! = 1 (empty product)."""
-    if a % 2 == 0 or a < -1:
-        raise PreconditionError(f"double factorial needs odd a >= -1, got {a}")
+    _require_ints(-1, a=a)
+    if a % 2 == 0:
+        raise PreconditionError(f"a must be odd, got {a}")
     return math.prod(range(1, a + 1, 2))
 
 
@@ -146,10 +145,8 @@ def factorial_unit_mod(p: int, a: int, k: int) -> int:
     p = 2 with k >= 3.  a! itself is never materialized.
     """
     _require_prime(p)
-    if a < 0:
-        raise PreconditionError("a must be nonnegative")
-    if k < 1:
-        raise PreconditionError("precision k must be >= 1")
+    _require_ints(0, a=a)
+    _require_ints(1, k=k)
     m = p**k
     block = 1 if (p == 2 and k >= 3) else m - 1
     result = 1
@@ -183,23 +180,24 @@ def _unit_factorials(p: int, top: int, k: int) -> list[int]:
 
 def g_func(a: int) -> Fraction:
     """(-1)**(a-1) * (2a-3)!! / (2a) as an exact rational, a >= 1."""
-    if a < 1:
-        raise PreconditionError("a must be >= 1")
+    _require_ints(1, a=a)
     sign = -1 if (a - 1) % 2 else 1
     return Fraction(sign * double_factorial(2 * a - 3), 2 * a)
 
 
 def f_term(a: int, i: int, j: int) -> int:
     """(a+1)...(a+2i) / (a+j), an exact integer, for 1 <= j <= 2i."""
-    if a < 0 or i < 1 or not 1 <= j <= 2 * i:
-        raise PreconditionError("need a >= 0, i >= 1, 1 <= j <= 2i")
+    _require_ints(0, a=a)
+    _require_ints(1, i=i, j=j)
+    if j > 2 * i:
+        raise PreconditionError(f"j must be <= 2i = {2 * i}, got {j}")
     return math.prod(range(a + 1, a + 2 * i + 1)) // (a + j)
 
 
 def f_sum(a: int, i: int) -> int:
     """Sum over j = 1..2i of (a+1)...(a+2i) / (a+j)."""
-    if a < 0 or i < 1:
-        raise PreconditionError("need a >= 0 and i >= 1")
+    _require_ints(0, a=a)
+    _require_ints(1, i=i)
     prod = math.prod(range(a + 1, a + 2 * i + 1))
     return sum(prod // (a + j) for j in range(1, 2 * i + 1))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _require_ints
 from .padic import _require_odd_prime
 
 __all__ = [
@@ -35,15 +35,13 @@ class Partition(tuple):
 
     def __new__(cls, parts: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = parts.items() if isinstance(parts, Mapping) else tuple(parts)
+        # checked before the sort, so a string cannot raise TypeError there
+        for part, mult in items:
+            _require_ints(1, part=part)
+            _require_ints(0, mult=mult)
         pairs = []
         last = 0
         for part, mult in sorted(items):
-            part = int(part)
-            mult = int(mult)
-            if part < 1:
-                raise ValueError(f"part sizes must be positive, got {part}")
-            if mult < 0:
-                raise ValueError(f"multiplicities must be nonnegative, got {mult}")
             if part == last:
                 raise ValueError(f"duplicate part {part}")
             last = part
@@ -60,16 +58,11 @@ class Partition(tuple):
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "Partition":
         """Build from serialized [[part, mult], ...] pairs of integers.
 
-        A float, a bool or a string raises ValueError instead of being
-        coerced, so a serialized key cannot load as a different monomial.
+        The constructor itself: a float, a bool or a string raises
+        PreconditionError (a ValueError) instead of being coerced, so a
+        serialized key cannot load as a different monomial.
         """
-        checked = []
-        for part, mult in pairs:
-            for x in (part, mult):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"parts and multiplicities must be integers, got {x!r}")
-            checked.append((part, mult))
-        return cls(checked)
+        return cls(pairs)
 
     @property
     def weight(self) -> int:
@@ -108,18 +101,13 @@ class Partition(tuple):
         return "Partition({%s})" % body
 
 
-def _require_count(name: str, x: int) -> None:
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-        raise PreconditionError(f"{name} must be a nonnegative integer, got {x!r}")
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of weight n, descending-lexicographic by largest part.
 
     n = 0 yields the single empty partition.  The count of yielded items
     equals count_partitions(n).
     """
-    _require_count("weight", n)
+    _require_ints(0, n=n)
     if n == 0:
         yield Partition._raw(())
         return
@@ -150,8 +138,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def enumerate_partitions_bounded(n: int, max_degree: int) -> Iterator[Partition]:
     """Partitions of weight n with degree <= max_degree, canonical order."""
-    _require_count("weight", n)
-    _require_count("max_degree", max_degree)
+    _require_ints(0, n=n, max_degree=max_degree)
     if n == 0:
         yield Partition._raw(())
         return
@@ -191,7 +178,7 @@ _PCOUNT = [1]
 
 def count_partitions(n: int) -> int:
     """Partition count p(n) via the Euler pentagonal-number recurrence."""
-    _require_count("weight", n)
+    _require_ints(0, n=n)
     while len(_PCOUNT) <= n:
         m = len(_PCOUNT)
         total = 0

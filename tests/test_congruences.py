@@ -15,6 +15,7 @@ from ubern.bernoulli import (
     divided_ubern,
     tau,
     tau_valuation,
+    tau_valuations_below,
 )
 from ubern.congruences import (
     _exact_terms,
@@ -39,7 +40,8 @@ from ubern.congruences import (
 )
 from ubern.bernoulli import DEFAULT_N_CEILING, SparsePoly, format_rational
 from ubern.errors import PreconditionError
-from ubern.padic import double_factorial, vp
+from ubern.lemmas import run_sweep
+from ubern.padic import digit_sum, double_factorial, f_term, factorial_unit_mod, vp, vp_factorial
 from ubern.partitions import Partition, enumerate_partitions
 
 
@@ -498,6 +500,14 @@ def test_family_parameters_must_be_integers(backend, verify, args, name):
         verify(*args, backend=backend)
 
 
+def _walk(*args):
+    return list(tau_valuations_below(*args))
+
+
+def _self_congruent(k):
+    return poly_congruent(divided_ubern(4), divided_ubern(4), 3, k)
+
+
 @pytest.mark.parametrize("check, args, name", [
     (check_corollary_3_4, (3, 1.0, 0), "s"),
     (check_corollary_3_4, (3, 1, False), "i"),
@@ -506,9 +516,42 @@ def test_family_parameters_must_be_integers(backend, verify, args, name):
     (z_func, (3, 6.0, 1), "n"),
     (z_func, (3, 6, 1.0), "k"),
     (tau_pure, (3, 2.0), "w"),
+    (_walk, (2, 10, 1.5), "k"),
+    (_walk, (2, True, 1), "n"),
+    (vp_factorial, (2, 2.5), "a"),
+    (vp_factorial, (2, True), "a"),
+    (digit_sum, (3, 2.5), "a"),
+    (_self_congruent, (1.5,), "k"),
+    (_self_congruent, (True,), "k"),
+    (lambda value: run_sweep("2.2", l_max=value), (True,), "l_max"),
+    (lambda value: run_sweep("4.6", n_max=value), (2.5,), "n_max"),
+    (factorial_unit_mod, (3, 5, 1.5), "k"),
+    (classical_bernoulli, (2.0,), "n"),
+    (double_factorial, (5.0,), "a"),
 ])
 def test_check_parameters_must_be_integers(check, args, name):
     with pytest.raises(PreconditionError, match=f"^{name} must be an integer, got "):
+        check(*args)
+
+
+@pytest.mark.parametrize("check, args, name, least, value", [
+    (_walk, (2, 10, 0), "k", 1, 0),
+    (_walk, (2, 0, 1), "n", 1, 0),
+    (vp_factorial, (2, -1), "a", 0, -1),
+    (factorial_unit_mod, (3, 5, 0), "k", 1, 0),
+    (_self_congruent, (0,), "k", 1, 0),
+    (lambda value: run_sweep("2.1", a_max=value), (-5,), "a_max", 0, -5),
+    (lambda value: run_sweep("4.6", n_max=value), (0,), "n_max", 1, 0),
+    (check_corollary_3_4, (3, 1, -1), "i", 0, -1),
+    (z_func, (3, 6, 0), "k", 1, 0),
+    (verify_theorem_4_9, (7, 1, 2), "N", 3, 2),
+    (classical_bernoulli, (-1,), "n", 0, -1),
+    (double_factorial, (-3,), "a", -1, -3),
+    (f_term, (0, 1, 0), "j", 1, 0),
+])
+def test_parameters_below_their_least_value_are_refused(check, args, name, least, value):
+    # one message form for every range check: name, least value, value given
+    with pytest.raises(PreconditionError, match=f"^{name} must be >= {least}, got {value}$"):
         check(*args)
 
 
@@ -651,6 +694,24 @@ def test_padic_terms_are_tau_to_the_modulus(case):
         for u, num, den in terms:
             assert den > 0
             assert vp(p, Fraction(num, den) - tau(u)) >= k
+
+
+# family 3.5 at p = 3 with 3 not dividing l, off the shipped grid
+_P3_L_COPRIME = [(3, 2, 2), (3, 2, 4), (3, 3, 2), (3, 4, 2), (3, 6, 2)]
+
+
+@pytest.mark.parametrize("case", _P3_L_COPRIME)
+def test_backends_agree_at_p_3_off_the_grid(case):
+    exact = verify_theorem_3_5(*case)
+    padic = verify_theorem_3_5(*case, backend="padic")
+    assert reports_agree(exact, padic) and reports_agree(padic, exact)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: psi is off by [3 ∤ l]")
+@pytest.mark.parametrize("case", _P3_L_COPRIME)
+def test_theorem_3_5_holds_at_p_3_off_the_grid(case):
+    # today each case fails once, at c2^(l+s-4) c8 with vp_diff 0
+    assert verify_theorem_3_5(*case).holds
 
 
 def test_padic_holds_past_the_grid():

@@ -94,7 +94,6 @@ def test_lemmas_4_3_and_4_5_check_no_prime_per_instance(monkeypatch):
         calls.append(p)
 
     monkeypatch.setattr(padic, "_require_prime", counted)
-    monkeypatch.setattr(lemmas, "_require_prime", counted)
     assert run_sweep("4.3").holds and run_sweep("4.5").holds
     assert calls == []
 

@@ -46,6 +46,17 @@ def test_from_pairs_round_trip():
             Partition.from_pairs(pairs)
 
 
+def test_partition_refuses_parts_that_are_not_integers():
+    # int() coercion once loaded {2.5: 1} as {2: 1} and ("1", 2) as {1: 2}
+    for parts, name in (({2.5: 1}, "part"), ([("1", 2)], "part"), ({2: 1.0}, "mult"),
+                        ({True: 1}, "part")):
+        with pytest.raises(PreconditionError, match=f"^{name} must be an integer, got "):
+            Partition(parts)
+    # checked before the sort: a string among ints is not a TypeError there
+    with pytest.raises(PreconditionError, match="^part must be an integer, got 'a'$"):
+        Partition.from_pairs([[1, 2], ["a", 1]])
+
+
 def test_partition_is_its_pair_tuple():
     u = Partition({3: 1, 1: 2})
     pairs = ((1, 2), (3, 1))
