@@ -301,15 +301,15 @@ def _tau_prefixes(
     enumerate_partitions order, j falling from rem // 2 to 0, so a sweep
     visits each prefix once and closes its tails in an inner loop, reading
     their gamma from the tail table of _tau_tables.  The walk is the
-    enumerate_partitions successor on the prefix alone, run on one stack
-    of runs (part, mult, gamma, degree, text), parts strictly decreasing,
-    over a base entry (0, 0, 1, 0, "") for the empty prefix.  gamma,
-    degree and text are taken over the runs up to and including that one,
-    text being their "[part,mult]" texts joined by commas, part ascending.
-    A step multiplies in the run factor of each run it changes and
-    prepends its text, so runs[-1] holds the prefix's gamma, degree and
-    serialized pairs; no Partition is built.  runs is the live stack,
-    valid until the next step.
+    enumerate_partitions_bounded successor, unbudgeted, on the prefix
+    alone, run on one stack of runs (part, mult, gamma, degree, text),
+    parts strictly decreasing, over a base entry (0, 0, 1, 0, "") for the
+    empty prefix.  gamma, degree and text are taken over the runs up to
+    and including that one, text being their "[part,mult]" texts joined by
+    commas, part ascending.  A step multiplies in the run factor of each
+    run it changes and prepends its text, so runs[-1] holds the prefix's
+    gamma, degree and serialized pairs; no Partition is built.  runs is
+    the live stack, valid until the next step.
     """
     # "[part,mult]," for part * mult <= n; a run on the base drops the comma
     label = [[]] + [
@@ -323,10 +323,10 @@ def _tau_prefixes(
         rem = 0
     while True:
         yield runs, rem
-        # the enumerate_partitions successor after the last tail 1**rem: take
-        # one copy off the smallest prefix part, refill it and the rem 1s as
-        # copies of part - 1 and at most one smaller part; a refill part
-        # below 3 is the next prefix's tail
+        # the enumerate_partitions_bounded successor after the last tail
+        # 1**rem: take one copy off the smallest prefix part, refill it and
+        # the rem 1s as copies of part - 1 and at most one smaller part; a
+        # refill part below 3 is the next prefix's tail
         part, mult, _, _, _ = runs.pop()
         if not part:
             return
@@ -411,19 +411,19 @@ def specialize(poly: SparsePoly, values: Mapping[int, Fraction | int]) -> Fracti
     return Fraction(num, den)
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-
-
 def classical_bernoulli(n: int) -> Fraction:
-    """Classical Bernoulli number B_n (B_1 = -1/2) by the binomial recurrence."""
+    """Classical Bernoulli number B_n (B_1 = -1/2) by the explicit sum
+    B_n = sum_{k<=n} 1/(k+1) sum_{j<=k} (-1)**j C(k, j) j**n, in integers
+    over the common denominator lcm(1..n+1); nothing is kept between calls.
+    """
     _require_ints(0, n=n)
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _BERNOULLI[j]
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[n]
+    lcm = math.lcm(*range(1, n + 2))
+    powers = [j**n for j in range(n + 1)]
+    total = 0
+    for k in range(n + 1):
+        inner = sum(math.comb(k, j) * (-powers[j] if j % 2 else powers[j]) for j in range(k + 1))
+        total += lcm // (k + 1) * inner
+    return Fraction(total, lcm)
 
 
 # -- serialization ----------------------------------------------------

@@ -199,6 +199,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if missing:
             flags = ", ".join(f"--{n}" for n in missing)
             raise PreconditionError(f"theorem {args.theorem} requires {flags}")
+        # a flag of another family is refused, not silently dropped
+        foreign = [
+            f"--{n}" for n in dict.fromkeys(itertools.chain(*_FAMILIES.values()))
+            if n not in names and getattr(args, n) is not None
+        ]
+        if foreign:
+            raise PreconditionError(f"theorem {args.theorem} does not take {', '.join(foreign)}")
         return [getattr(args, n) for n in names]
 
     def run(backend: str) -> CongruenceReport:

@@ -408,6 +408,7 @@ def _lifted_rhs(terms: Iterable, shift: dict[int, int], corrections: list) -> Sp
 
 def tau_pure(p: int, w: int) -> Fraction:
     """tau of the pure partition with all w/(p-1) parts equal to p-1."""
+    _require_prime(p)
     _require_ints(1, w=w)
     if w % (p - 1):
         raise PreconditionError(f"w must be a multiple of p-1, got {w}")

@@ -33,6 +33,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    _require_ints(n=n)
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13):
@@ -59,7 +60,8 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
+    # bools and non-ints are screened here: is_prime would refuse them as "n"
+    if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p!r}")
 
 

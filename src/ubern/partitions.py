@@ -105,18 +105,33 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of weight n, descending-lexicographic by largest part.
 
     n = 0 yields the single empty partition.  The count of yielded items
-    equals count_partitions(n).
+    equals count_partitions(n).  The walk of enumerate_partitions_bounded
+    with a budget no partition of n exceeds, so n is checked lazily, at
+    the first next().
     """
-    _require_ints(0, n=n)
+    return enumerate_partitions_bounded(n, n)
+
+
+def enumerate_partitions_bounded(n: int, max_degree: int) -> Iterator[Partition]:
+    """Partitions of weight n with degree <= max_degree, canonical order.
+
+    The package's one partition successor, enumerate_partitions included.
+    """
+    _require_ints(0, n=n, max_degree=max_degree)
     if n == 0:
         yield Partition._raw(())
         return
+    if max_degree == 0:
+        return
     # (part, mult) runs, parts strictly decreasing.  The successor pops the
-    # trailing 1s, takes one copy off the smallest part > 1, and refills
-    # that part plus the popped 1s as copies of part - 1 and, if anything
-    # is left, one smaller part.
+    # trailing 1s into rest, takes one copy off the smallest part > 1, and
+    # refills it plus rest as copies of part - 1 and, if anything is left,
+    # one smaller part.  That refill uses the fewest parts, so when it
+    # exceeds the degree budget the whole run joins rest and the next
+    # larger run is tried.
     raw = Partition._raw
     runs = [(n, 1)]
+    degree = 1
     while True:
         yield raw(reversed(runs))
         part, mult = runs.pop()
@@ -125,62 +140,33 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             if not runs:
                 return
             rest = mult
+            degree -= mult
             part, mult = runs.pop()
-        if mult > 1:
-            runs.append((part, mult - 1))
-        rest += part
-        part -= 1
-        q, r = divmod(rest, part)
-        runs.append((part, q))
-        if r:
-            runs.append((r, 1))
-
-
-def enumerate_partitions_bounded(n: int, max_degree: int) -> Iterator[Partition]:
-    """Partitions of weight n with degree <= max_degree, canonical order."""
-    _require_ints(0, n=n, max_degree=max_degree)
-    if n == 0:
-        yield Partition._raw(())
-        return
-    if max_degree == 0:
-        return
-    # The enumerate_partitions successor within the degree budget: refilling
-    # rest + part as copies of part - 1 uses the fewest parts, so when that
-    # does not fit, the whole run joins rest and the next larger run is tried.
-    raw = Partition._raw
-    runs = [(n, 1)]
-    degree = 1
-    while True:
-        yield raw(reversed(runs))
-        rest = 0
         while True:
+            rest += part
+            q, r = divmod(rest, part - 1)
+            refilled = degree - 1 + q + (r > 0)
+            if refilled <= max_degree:
+                break
             if not runs:
                 return
-            part, mult = runs.pop()
             degree -= mult
-            rest += part
-            if part > 1:
-                q, r = divmod(rest, part - 1)
-                if degree + mult - 1 + q + (r > 0) <= max_degree:
-                    break
             rest += part * (mult - 1)
+            part, mult = runs.pop()
+        degree = refilled
         if mult > 1:
             runs.append((part, mult - 1))
         runs.append((part - 1, q))
-        degree += mult - 1 + q
         if r:
             runs.append((r, 1))
-            degree += 1
-
-
-_PCOUNT = [1]
 
 
 def count_partitions(n: int) -> int:
-    """Partition count p(n) via the Euler pentagonal-number recurrence."""
+    """Partition count p(n) via the Euler pentagonal-number recurrence, on a
+    table of p(0..n) built afresh in each call."""
     _require_ints(0, n=n)
-    while len(_PCOUNT) <= n:
-        m = len(_PCOUNT)
+    table = [1]
+    for m in range(1, n + 1):
         total = 0
         k = 1
         while True:
@@ -188,13 +174,13 @@ def count_partitions(n: int) -> int:
             if g1 > m:
                 break
             sign = -1 if k % 2 == 0 else 1
-            total += sign * _PCOUNT[m - g1]
+            total += sign * table[m - g1]
             g2 = k * (3 * k + 1) // 2
             if g2 <= m:
-                total += sign * _PCOUNT[m - g2]
+                total += sign * table[m - g2]
             k += 1
-        _PCOUNT.append(total)
-    return _PCOUNT[n]
+        table.append(total)
+    return table[n]
 
 
 def _power_of_p_minus_one(p: int, part: int) -> bool:

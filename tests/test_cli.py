@@ -157,6 +157,20 @@ def test_verify_missing_parameters(capsys):
     assert "--s" in err and "--l" in err
 
 
+@pytest.mark.parametrize("argv, why", [
+    (("3.5", "--p", "5", "--s", "1", "--l", "5", "--n", "40", "--m", "3"), "3.5 does not take --n, --m"),
+    (("4.8", "--n", "12", "--l", "5", "--p", "7"), "4.8 does not take --p, --l"),
+    (("4.9", "--m", "7", "--k", "1", "--N", "3", "--s", "2", "--backend", "both"),
+     "4.9 does not take --s"),
+])
+def test_verify_refuses_flags_of_other_families(capsys, argv, why):
+    # a flag the theorem never reads is refused, not silently dropped
+    code, out, err = run(capsys, "verify", "--theorem", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: theorem {why}\n"
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run(
         capsys, "verify", "--theorem", "4.8", "--n", "12", "--format", "json"

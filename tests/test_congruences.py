@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -41,7 +42,15 @@ from ubern.congruences import (
 from ubern.bernoulli import DEFAULT_N_CEILING, SparsePoly, format_rational
 from ubern.errors import PreconditionError
 from ubern.lemmas import run_sweep
-from ubern.padic import digit_sum, double_factorial, f_term, factorial_unit_mod, vp, vp_factorial
+from ubern.padic import (
+    digit_sum,
+    double_factorial,
+    f_term,
+    factorial_unit_mod,
+    is_prime,
+    vp,
+    vp_factorial,
+)
 from ubern.partitions import Partition, enumerate_partitions
 
 
@@ -528,9 +537,29 @@ def _self_congruent(k):
     (factorial_unit_mod, (3, 5, 1.5), "k"),
     (classical_bernoulli, (2.0,), "n"),
     (double_factorial, (5.0,), "a"),
+    (is_prime, (2.5,), "n"),
+    (is_prime, ("7",), "n"),
+    (is_prime, (True,), "n"),
 ])
 def test_check_parameters_must_be_integers(check, args, name):
     with pytest.raises(PreconditionError, match=f"^{name} must be an integer, got "):
+        check(*args)
+
+
+@pytest.mark.parametrize("check, args", [
+    (tau_pure, (1, 2)),
+    (tau_pure, (6, 5)),
+    (tau_pure, (4, 6)),
+    (tau_pure, (True, 2)),
+    (vp, (True, 9)),
+    (vp, (2.5, 9)),
+    (vp, ("7", 9)),
+    (vp, (None, 9)),
+])
+def test_prime_parameters_must_be_prime(check, args):
+    # tau_pure once checked no p: ZeroDivisionError at 1, 4 at 6, -45/2 at 4.
+    # is_prime refuses a value that is not an int as "n"; a check of p names p
+    with pytest.raises(PreconditionError, match=f"^p must be prime, got {re.escape(repr(args[0]))}$"):
         check(*args)
 
 
