@@ -237,9 +237,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         if value is not None:
             overrides[name] = value
     if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
-        import inspect
-
-        default = inspect.signature(SWEEPS[args.name]).parameters["n_max"].default
+        (default,) = SWEEPS[args.name].__defaults__  # of n_max, its one parameter
         n_max = overrides.get("n_max", default)
         ceiling = _ceiling(args)
         if n_max > ceiling:

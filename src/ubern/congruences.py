@@ -14,10 +14,9 @@ valuation), never a silent skip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bernoulli import (
     DEFAULT_N_CEILING,
@@ -87,8 +86,7 @@ GRID_THEOREM_4_9 = tuple((m, k, 3) for k in (1, 3) for m in range(7, 17)) + tupl
 )
 
 
-@dataclass
-class CongruenceFailure:
+class CongruenceFailure(NamedTuple):
     """One offending monomial: both coefficients and v_p of their difference.
 
     For the corollary 3.4 valuation-bound check lhs holds the observed
@@ -100,33 +98,23 @@ class CongruenceFailure:
     rhs: str
     vp_diff: int
 
+    # the field order is the JSON key order
     def to_json(self) -> dict:
-        return {
-            "u": self.u.to_pairs(),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "vp_diff": self.vp_diff,
-        }
+        return {**self._asdict(), "u": self.u.to_pairs()}
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Verdict of a mod-p**k polynomial congruence with failure evidence."""
 
     holds: bool
     prime: int
     mod_exp: int
     context: dict
-    failures: list[CongruenceFailure] = field(default_factory=list)
+    failures: list[CongruenceFailure]
 
+    # the field order is the JSON key order
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "prime": self.prime,
-            "mod_exp": self.mod_exp,
-            "context": self.context,
-            "failures": [f.to_json() for f in self.failures],
-        }
+        return {**self._asdict(), "failures": [f.to_json() for f in self.failures]}
 
 
 def reports_agree(a: CongruenceReport, b: CongruenceReport) -> bool:
@@ -187,9 +175,10 @@ def _congruence_report(
     poly_congruent a materialized polynomial.  A monomial that no term
     names has left-hand side 0.  For a rational in lowest terms and
     k >= 1, v_p >= k holds exactly when p**k divides the numerator (a zero
-    difference included), so each monomial costs one integer test, that
-    of _nonzero_mod where B has no term at u; a Fraction is built only
-    where B has the key or the test fails.  The keys only in B come after.
+    difference included), so each monomial costs one integer test,
+    _nonzero_mod, of num/den where B has no term at u and of the difference
+    where it has; a Fraction is built only where B has the key or the test
+    fails.  The keys only in B come after, tested the same way.
     vp is computed for the failures alone, and only the failure list is
     put in canonical order; keys are distinct, so that is the order of the
     sorted union of both key sets.  p is prime and k >= 1: the caller
@@ -209,12 +198,12 @@ def _congruence_report(
         matched.add(u)
         a = Fraction(num, den)
         diff = a - b
-        if diff.numerator % modulus:
+        if _nonzero_mod(diff.numerator, diff.denominator, modulus):
             failures.append(
                 CongruenceFailure(u, format_rational(a), format_rational(b), vp(p, diff))
             )
     for u, b in b_terms.items():
-        if u not in matched and b.numerator % modulus:
+        if u not in matched and _nonzero_mod(b.numerator, b.denominator, modulus):
             failures.append(CongruenceFailure(u, "0/1", format_rational(b), vp(p, b)))
     failures.sort(key=lambda f: f.u.sort_key())
     return CongruenceReport(not failures, p, k, context, failures)

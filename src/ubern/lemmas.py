@@ -13,9 +13,8 @@ Identity ids mirror the verifier rule ids ("2.1" .. "2.6", "3.2",
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bernoulli import _runs_valuations, _valuation_tables, tau_valuation
 from .errors import PreconditionError, _require_ints
@@ -50,14 +49,14 @@ def _require_exponent(n_max: int) -> None:
         raise PreconditionError(f"n_max {n_max} exceeds the ceiling {_EXPONENT_MAX}")
 
 
-@dataclass
-class LemmaSweepResult:
+class LemmaSweepResult(NamedTuple):
     """Outcome of one identity sweep."""
 
     lemma: str
     checked: int
-    failures: list[dict] = field(default_factory=list)
-    detail: dict[str, int] = field(default_factory=dict)
+    failures: list[dict]
+    # None for a sweep with no per-part counts; no dict is shared
+    detail: dict[str, int] | None = None
 
     @property
     def holds(self) -> bool:
@@ -68,7 +67,7 @@ class LemmaSweepResult:
             "lemma": self.lemma,
             "holds": self.holds,
             "checked": self.checked,
-            "detail": self.detail,
+            "detail": self.detail or {},
             "failures": self.failures,
         }
 
@@ -537,9 +536,8 @@ def run_sweep(name: str, **overrides) -> LemmaSweepResult:
     func = SWEEPS.get(name)
     if func is None:
         raise PreconditionError(f"unknown lemma id {name!r}")
-    import inspect
-
-    accepted = set(inspect.signature(func).parameters)
+    code = func.__code__
+    accepted = code.co_varnames[: code.co_argcount]
     for key, value in overrides.items():
         if key not in accepted:
             raise PreconditionError(f"lemma {name} does not take parameter {key!r}")

@@ -28,12 +28,19 @@ __all__ = [
 
 INFINITY = math.inf
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the 13 primes up to 41 are Miller-Rabin witnesses for every composite
+# below _MR_BOUND (Sorenson and Webster); the 12 up to 37 are not: they
+# all pass 318665857834031151167461 = 399165290221 * 798330580441
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981
+    (about 3.3e24); a larger n raises PreconditionError."""
     _require_ints(n=n)
+    if n >= _MR_BOUND:
+        raise PreconditionError(f"primality is certified only below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13):

@@ -464,6 +464,10 @@ def test_tau_valuations_below_matches_exact_oracle_past_32():
         (3, (36, 42, 48, 54), (2, 3)),
         (5, (36, 44, 52), (1, 2)),
         (7, (36, 42, 48), (1, 2)),
+        # past n = 56, where no other test checks that the walk misses nothing
+        (2, (62, 70), (3,)),
+        (3, (66,), (2,)),
+        (5, (68,), (2,)),
     ):
         for n in weights:
             for k in exponents:

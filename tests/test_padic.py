@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,34 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+# the least strong pseudoprime to the 12 primes up to 37, and the least
+# one to the 13 primes up to 41, the bound of the deterministic test
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    assert not is_prime(PSI_12)
+    with pytest.raises(PreconditionError, match="p must be prime"):
+        vp(PSI_12, PSI_12**2)
+    # PSI_13 passes all 13 witnesses: past the bound nothing is certified
+    for n in (PSI_13, PSI_13 + 2):
+        with pytest.raises(PreconditionError, match=f"only below {PSI_13}, got {n}"):
+            is_prime(n)
+    with pytest.raises(PreconditionError, match=f"only below {PSI_13}"):
+        vp(PSI_13, PSI_13**2)
+    assert is_prime(PSI_13 - 168)  # the largest prime below the bound
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20240)
+    for _ in range(20_000):
+        # every magnitude up to 10**24, so small n, dense in primes, are drawn too
+        n = rng.randrange(10 ** rng.randint(1, 24))
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_vp_examples():

@@ -1,0 +1,133 @@
+"""The closed form tau(u) = (-1)**(d-1) (n+d-2)! / gamma(u) against the
+definition of the universal Bernoulli numbers, by series reversion.
+
+With F(t) = t + sum_i c_i t**(i+1) / (i+1) and G its compositional
+inverse, t / G(t) = sum_n B^_n t**n / n!, and B^_n / n is divided_ubern(n)
+evaluated at the c_i.  Writing G = tH, F(G) = t reads
+H = 1 - sum_i c_i t**i H**(i+1) / (i+1), which a fixed-point iteration
+solves one coefficient per step; then B^_n / n = (n-1)! [t**n] (1/H).
+The helpers share no code with ubern.  At c_i = (-1)**i every weight-n
+monomial is (-1)**n, so the classical check sees only the sum of the
+coefficients; at random rational points (Schwartz-Zippel) every
+coefficient counts.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+import ubern.bernoulli as bernoulli
+from ubern.bernoulli import divided_ubern, specialize
+
+N_MAX = 16
+
+
+def _mul(a, b):
+    # product of two power series, truncated to the length of a
+    return [sum(a[j] * b[m - j] for j in range(m + 1)) for m in range(len(a))]
+
+
+def _reversion_quotient(c, n):
+    # H to t**n; step s makes the coefficient of t**s exact
+    h = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(n):
+        new = [Fraction(1)] + [Fraction(0)] * n
+        power = h
+        for i in range(1, n + 1):
+            power = _mul(power, h)  # H**(i+1)
+            for m in range(i, n + 1):
+                new[m] -= c[i] * power[m - i] / (i + 1)
+        h = new
+    return h
+
+
+def _reciprocal(h):
+    # 1/h for h[0] = 1
+    r = [Fraction(1)]
+    for m in range(1, len(h)):
+        r.append(-sum(h[j] * r[m - j] for j in range(1, m + 1)))
+    return r
+
+
+def _points():
+    rng = random.Random(80835)
+    return [
+        {i: Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for i in range(1, N_MAX + 1)}
+        for _ in range(3)
+    ]
+
+
+POINTS = _points()
+
+
+def _check_closed_form(n_max):
+    for c in POINTS:
+        r = _reciprocal(_reversion_quotient(c, n_max))
+        for n in range(1, n_max + 1):
+            assert math.factorial(n - 1) * r[n] == specialize(divided_ubern(n), c), n
+
+
+def test_closed_form_matches_series_reversion():
+    _check_closed_form(N_MAX)
+
+
+def _degree(u):
+    return sum(mult for _, mult in u)
+
+
+def _factorial_shifted(tau_fractions):
+    # (n+d-1)! in place of (n+d-2)!
+    def mutated(n):
+        for u, num, den in tau_fractions(n):
+            yield u, num * (n + _degree(u) - 1), den
+    return mutated
+
+
+def _multiplicity_factorials_dropped(tau_fractions):
+    # gamma(u) without its u_i! factors
+    def mutated(n):
+        for u, num, den in tau_fractions(n):
+            yield u, num, den // math.prod(math.factorial(mult) for _, mult in u)
+    return mutated
+
+
+def _even_degree_sign_flipped(tau_fractions):
+    def mutated(n):
+        for u, num, den in tau_fractions(n):
+            yield u, (-num if _degree(u) % 2 == 0 else num), den
+    return mutated
+
+
+def _equal_degree_pair_swapped(tau_fractions):
+    # the values of the first two degree-2 partitions trade places: from
+    # n = 4 these are n-1+1 and n-2+2, whose gammas differ.  Both monomials
+    # are (-1)**n at c_i = (-1)**i, so the classical check cannot see the swap
+    def mutated(n):
+        terms = list(tau_fractions(n))
+        pair = [t for t, (u, _, _) in enumerate(terms) if _degree(u) == 2][:2]
+        if len(pair) == 2:
+            i, j = pair
+            (u, *a), (v, *b) = terms[i], terms[j]
+            terms[i], terms[j] = (u, *b), (v, *a)
+        yield from terms
+    return mutated
+
+
+# each with the least n <= 10 at which the oracle catches it
+MUTATIONS = {
+    "factorial_shifted": (_factorial_shifted, 2),
+    "multiplicity_factorials_dropped": (_multiplicity_factorials_dropped, 2),
+    "even_degree_sign_flipped": (_even_degree_sign_flipped, 2),
+    "equal_degree_pair_swapped": (_equal_degree_pair_swapped, 4),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_series_oracle_catches_closed_form_mutations(monkeypatch, name):
+    mutation, first = MUTATIONS[name]
+    monkeypatch.setattr(bernoulli, "_tau_fractions", mutation(bernoulli._tau_fractions))
+    with pytest.raises(AssertionError) as failed:
+        _check_closed_form(10)
+    assert str(failed.value).splitlines()[0] == str(first)
