@@ -370,6 +370,30 @@ def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
         yield u, (num if d % 2 else -num), den
 
 
+def _tau_sum(n: int) -> Fraction:
+    """sum of tau(u) over the partitions u of n, in integers over (2n)!.
+
+    gamma(u) divides (n+d)!, so (2n)!: prod ((i+1)!)**u_i * u_i! divides
+    (sum (i+1) u_i)! = (n+d)! (a multinomial), and (i+1)**u_i divides
+    ((i+1)!)**u_i.  The _tau_prefixes walk adds (2n)!/gamma of each
+    prefix into the group of its (rem, degree); each tail then divides a
+    group's total exactly, once per group, not once per prefix.
+    """
+    fact, run, tail = _tau_tables(n)
+    common = math.factorial(2 * n)
+    groups: dict[tuple[int, int], int] = {}
+    for runs, rem in _tau_prefixes(n, run):
+        _, _, gamma, degree, _ = runs[-1]
+        groups[rem, degree] = groups.get((rem, degree), 0) + common // gamma
+    total = 0
+    for (rem, degree), share in groups.items():
+        d = degree + rem  # the degree of u at j = 0, one less per 2
+        for j, tail_gamma in enumerate(tail[rem]):
+            term = fact[n + d - j - 2] * (share // tail_gamma)
+            total += term if (d - j) % 2 else -term
+    return Fraction(total, common)
+
+
 def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
     """The weight-n divided universal Bernoulli polynomial.
 

@@ -456,7 +456,6 @@ def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
     the offset is -2 when ndot = 0, +1 when ndot = 2, 0 when the rest of the
     weight is a power-of-two count of parts 7, and >= 2 otherwise.
     """
-    _require_ints(1, n_max=n_max)
     failures = []
     checked = 0
     vfact, gain = _valuation_tables(2, n_max)
@@ -487,7 +486,6 @@ def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
 
 def lemma_4_7(n_max: int = 24) -> LemmaSweepResult:
     """v2(tau(u)) >= u3 + ceil(ndot/2) - 1 for ndot > 0 (-3 when ndot = 7*u7)."""
-    _require_ints(1, n_max=n_max)
     failures = []
     checked = 0
     vfact, gain = _valuation_tables(2, n_max)
@@ -530,8 +528,10 @@ def run_sweep(name: str, **overrides) -> LemmaSweepResult:
     """Run one sweep by id.
 
     An unknown id or parameter, a bound that is not an integer or is
-    negative, and bounds under which the sweep checks nothing raise
-    PreconditionError: a "holds" over no instance would read as a proof.
+    negative (below 1 for the n_max of 4.6 and 4.7, which walk the
+    weights 1..n_max), and bounds under which the sweep checks nothing
+    raise PreconditionError: a "holds" over no instance would read as a
+    proof.
     """
     func = SWEEPS.get(name)
     if func is None:
@@ -542,7 +542,8 @@ def run_sweep(name: str, **overrides) -> LemmaSweepResult:
         if key not in accepted:
             raise PreconditionError(f"lemma {name} does not take parameter {key!r}")
         if value is not None:
-            _require_ints(0, **{key: value})
+            least = 1 if key == "n_max" and name in ("4.6", "4.7") else 0
+            _require_ints(least, **{key: value})
     result = func(**overrides)
     if not result.checked:
         bounds = ", ".join(f"{key}={value}" for key, value in overrides.items())

@@ -420,6 +420,25 @@ def test_tau_prefixes_match_tau_fractions():
         assert got == count_partitions(n), n
 
 
+def test_gamma_divides_the_factorial_of_weight_plus_degree():
+    # why (2n)! is a common denominator of every tau(u) of weight n
+    for n in range(1, 21):
+        for u in enumerate_partitions(n):
+            assert math.factorial(n + u.degree) % gamma(u) == 0, u
+
+
+def test_tau_sum_matches_the_per_partition_closed_form():
+    # the prefix walk's integer sum against tau(u) term by term
+    for n in range(1, 26):
+        assert bernoulli._tau_sum(n) == sum(tau(u) for u in enumerate_partitions(n)), n
+
+
+def test_tau_sum_recovers_classical_bernoulli():
+    # at c_i = (-1)**i every monomial of weight n is (-1)**n
+    for n in range(1, 41):
+        assert n * (-1) ** n * bernoulli._tau_sum(n) == classical_bernoulli(n), n
+
+
 def test_cache_lines_46_digest():
     # the compute/46 sha256 pinned in perfbench/reference.json
     digest = "d44705caf8a1acda5770d00f3bd4c3a12f1d4ddb3373c72be216508b8d2691f0"

@@ -1,8 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import ubern.bernoulli as bernoulli
+import ubern.cli as cli
 from ubern.bernoulli import divided_ubern, format_rational
 from ubern.cli import _monomial, main
 
@@ -260,6 +263,11 @@ def test_lemma_exponent_sweeps_are_capped(capsys, monkeypatch, name):
     ("3.2", "--s-max", "0", "checks no instance"),
     ("2.2", "--l-max", "0", "checks no instance"),
     ("4.5", "--k-max", "0", "checks no instance"),
+    # 4.6 and 4.7 walk the weights 1..n_max: one floor for every bad value
+    ("4.6", "--n-max", "-3", "n_max must be >= 1"),
+    ("4.6", "--n-max", "0", "n_max must be >= 1"),
+    ("4.7", "--n-max", "-3", "n_max must be >= 1"),
+    ("4.7", "--n-max", "0", "n_max must be >= 1"),
 ])
 def test_lemma_bad_bounds_are_usage_errors(capsys, name, flag, value, message):
     # a negative bound, or one under which the sweep checks nothing, is a
@@ -300,6 +308,41 @@ def test_classical_examples(capsys):
     code, out, _ = run(capsys, "classical", "--n-max", "1")
     assert code == 0 and "-1/2" in out
     assert run(capsys, "classical", "--n-max", "100")[0] == 2
+
+
+def test_classical_reports_a_mismatch(capsys, monkeypatch):
+    # mutation control: (2n-2)! one too large at n = 3 must fail there
+    tables = bernoulli._tau_tables
+
+    def off_by_one(n):
+        fact, run, tail = tables(n)
+        if n == 3:
+            fact[-1] += 1
+        return fact, run, tail
+
+    monkeypatch.setattr(bernoulli, "_tau_tables", off_by_one)
+    code, out, err = run(capsys, "classical", "--n-max", "6", "--format", "json")
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["holds"] is False and doc["n"] == 3 and doc["recurrence"] == "0/1"
+    assert doc["specialized"] != "0/1"
+    code, out, _ = run(capsys, "classical", "--n-max", "6")
+    assert code == 1 and out.startswith("mismatch at n=3:")
+
+
+def test_classical_builds_no_polynomial(capsys, monkeypatch):
+    # classical sums tau in integers: neither a partition nor a polynomial
+    def refuse(*args, **kwargs):
+        raise AssertionError("classical took the materialized path")
+
+    monkeypatch.setattr(bernoulli, "enumerate_partitions", refuse)
+    monkeypatch.setattr(cli, "divided_ubern", refuse)
+    monkeypatch.setattr(cli, "specialize", refuse)
+    code, out, err = run(capsys, "classical", "--n-max", "30", "--format", "json")
+    assert (code, err) == (0, "")
+    # the classical/30 sha256 pinned in perfbench/reference.json
+    digest = "33fe51c948747dae20808105aed2619fdb1cf5da2e4fc5d40e9fa0f7f0beef60"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_subcommand(capsys):

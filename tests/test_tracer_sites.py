@@ -9,11 +9,12 @@ verification on both backends, plain and with ``--perturb`` (only a
 failure reaches the wrapped ``vp``), one public 3.5 right-hand side,
 whose ``divided_ubern(m)`` enumerates through the wrapped
 ``ubern.bernoulli.enumerate_partitions``, a ``compute`` cache miss and hit in
-text and in JSON, which reach the wrapped cache writer and reader, and
-one ``classical`` run, which reaches the wrapped ``SparsePoly.items``
-through ``specialize``, and one small ``lemma --name 3.2``, whose
-partitions must come through the wrapped
-``ubern.lemmas.enumerate_partitions_bounded``.
+text and in JSON, which reach the wrapped cache writer and reader, one
+``classical`` run, which reaches the wrapped ``classical_bernoulli``, one
+``specialize(divided_ubern(4), ...)`` through the names ``ubern.cli``
+keeps for the tracer, which reaches the wrapped ``SparsePoly.items``,
+and one small ``lemma --name 3.2``, whose partitions must come through
+the wrapped ``ubern.lemmas.enumerate_partitions_bounded``.
 """
 
 import os
@@ -67,7 +68,14 @@ tracer.op = "classical"
 code = ubern.cli.main(["classical", "--n-max", "4"])
 assert code == 0, code
 names = {span["name"] for span in tracer.spans if span["op"] == "classical"}
-assert "bernoulli.canonical_sort" in names, sorted(names)
+assert "bernoulli.classical" in names, sorted(names)
+# classical sums tau in integers; the materialized path is still wrapped
+tracer.op = "specialize"
+value = ubern.cli.specialize(ubern.cli.divided_ubern(4), {1: -1, 2: 1, 3: -1, 4: 1})
+assert 4 * value == ubern.bernoulli.classical_bernoulli(4), value
+names = {span["name"] for span in tracer.spans if span["op"] == "specialize"}
+assert {"bernoulli.divided_ubern", "bernoulli.specialize",
+        "bernoulli.canonical_sort"} <= names, sorted(names)
 tracer.op = "lemma"
 code = ubern.cli.main(["lemma", "--name", "3.2", "--s-max", "1", "--i-max", "1"])
 assert code == 0, code
