@@ -10,7 +10,7 @@ verifies a family of Kummer-type congruences modulo prime powers.
 from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
-    cache_lines,
+    cache_blocks,
     classical_bernoulli,
     divided_ubern,
     format_rational,

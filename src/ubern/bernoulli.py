@@ -9,6 +9,7 @@ _unit_factorials table.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from fractions import Fraction
@@ -23,7 +24,7 @@ __all__ = [
     "DEFAULT_N_CEILING",
     "SparsePoly",
     "cache_file_name",
-    "cache_lines",
+    "cache_blocks",
     "classical_bernoulli",
     "divided_ubern",
     "format_rational",
@@ -118,6 +119,13 @@ def _runs_valuations(
     return d, g, vfact[n + d - 2] - g
 
 
+def _gain_ceiling(p: int, c: int, r: int) -> int:
+    """The largest sum u_i v_p(i+1) over the partitions of r into parts <= c:
+    v_p(i+1) <= i/(p-1), since i+1 >= p**v >= 1 + v(p-1) for v = v_p(i+1),
+    and parts p-1 and 1s reach it, while parts below p-1 add nothing."""
+    return r // (p - 1) if c >= p - 1 else 0
+
+
 def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, int]]:
     """(u, tau_valuation(p, u)) for every partition u of n with v < k.
 
@@ -127,29 +135,19 @@ def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, in
     when no completion can fall below k.  Factorial valuations are
     superadditive, v((a+b)!) >= v(a!) + v(b!) (binomials are integers), so
     a completion of r into parts <= cap, after d parts and gain s so far,
-    has v >= v((n+d-2)!) - s - most[cap][r], with most[c][r] the largest
-    sum u_i v(i+1) over partitions of r into parts <= c: an unbounded
-    knapsack table of O(n^2) entries.  The bound is not tight (on the
-    shipped padic grid the walk checks 3,817 parts for 503 yields), but
-    every cut is exact.  v(i!) and the gain of each run are read from
-    _valuation_tables.
+    has v >= v((n+d-2)!) - s - _gain_ceiling(p, cap, r).  The bound is not
+    tight (on the shipped padic grid the walk checks 3,817 parts for 503
+    yields), but every cut is exact.  v(i!) and the gain of each run are
+    read from _valuation_tables.
     """
     _require_prime(p)
     _require_ints(1, n=n, k=k)
     vfact, gain = _valuation_tables(p, n)
-    most = [[0] * (n + 1)]  # seeds row 1; the walk never reads row 0
-    for c in range(1, n + 1):
-        row = list(most[-1])
-        w = gain[c][1]  # v(c+1)
-        for r in range(c, n + 1):
-            if row[r - c] + w > row[r]:
-                row[r] = row[r - c] + w
-        most.append(row)
 
     def walk(r, cap, d, s, tail):
         base = vfact[max(n + d - 2, 0)] - s  # v(0!) at the root for n = 1
         for part in range(min(cap, r), 0, -1):
-            if base - most[part][r] >= k:
+            if base - _gain_ceiling(p, part, r) >= k:
                 break  # a smaller cap only raises the bound
             gains = gain[part]
             for mult in range(r // part, 0, -1):
@@ -161,7 +159,7 @@ def tau_valuations_below(p: int, n: int, k: int) -> Iterator[tuple[Partition, in
                     v = vfact[n + d2 - 2] - s2
                     if v < k:
                         yield Partition._raw(pairs), v
-                elif part > 1 and vfact[n + d2 - 2] - s2 - most[part - 1][rest] < k:
+                elif part > 1 and vfact[n + d2 - 2] - s2 - _gain_ceiling(p, part - 1, rest) < k:
                     yield from walk(rest, part - 1, d2, s2, pairs)
 
     yield from walk(n, n, 0, 0, ())
@@ -271,12 +269,12 @@ class SparsePoly:
 
 def _tau_tables(n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """The three tables tau(u) of weight n is read from: fact[i] = i! for
-    i <= 2n - 2, run[part][mult] = (part+1)**mult * mult!, the factor of
+    i <= 2n, run[part][mult] = (part+1)**mult * mult!, the factor of
     gamma(u) from one run, for part * mult <= n, and tail[rem][j] =
     run[2][j] * run[1][rem-2j], the gamma of the tail 2**j 1**(rem-2j)
     that _tau_prefixes leaves after a prefix, for rem <= n."""
-    fact = [1] * (2 * n - 1)
-    for i in range(1, 2 * n - 1):
+    fact = [1] * (2 * n + 1)
+    for i in range(1, 2 * n + 1):
         fact[i] = fact[i - 1] * i
     run: list[list[int]] = [[1]]
     for part in range(1, n + 1):
@@ -293,23 +291,18 @@ def _tau_prefixes(
     n: int, run: list[list[int]]
 ) -> Iterator[tuple[list[tuple[int, int, int, int, str]], int]]:
     """(runs, rem) for each prefix of the partitions of n, in
-    enumerate_partitions order: the walk both full sweeps share.
+    enumerate_partitions order: the walk every full sweep shares.
 
-    A partition u of n is its prefix, the runs of parts >= 3, plus the
-    tail 2**j 1**(rem-2j) of the weight rem the prefix leaves.  The
-    partitions with one prefix come next to each other in
-    enumerate_partitions order, j falling from rem // 2 to 0, so a sweep
-    visits each prefix once and closes its tails in an inner loop, reading
-    their gamma from the tail table of _tau_tables.  The walk is the
-    enumerate_partitions_bounded successor, unbudgeted, on the prefix
-    alone, run on one stack of runs (part, mult, gamma, degree, text),
-    parts strictly decreasing, over a base entry (0, 0, 1, 0, "") for the
-    empty prefix.  gamma, degree and text are taken over the runs up to
-    and including that one, text being their "[part,mult]" texts joined by
-    commas, part ascending.  A step multiplies in the run factor of each
-    run it changes and prepends its text, so runs[-1] holds the prefix's
-    gamma, degree and serialized pairs; no Partition is built.  runs is
-    the live stack, valid until the next step.
+    A partition u of n is its prefix, the runs of parts >= 3, plus the tail
+    2**j 1**(rem-2j) of the weight rem the prefix leaves; the partitions of
+    one prefix are adjacent, j falling from rem // 2 to 0, so a sweep
+    closes the tails of each prefix in an inner loop, from the tail table
+    of _tau_tables.  The walk is the enumerate_partitions_bounded successor
+    on the prefix alone, on one live stack of runs (part, mult, gamma,
+    degree, text), parts decreasing, over a base (0, 0, 1, 0, "").  Each
+    entry's gamma, degree and text ("[part,mult]" texts joined by commas,
+    part ascending) cover the runs up to it, so runs[-1] holds the
+    prefix's; no Partition is built.  runs is valid until the next step.
     """
     # "[part,mult]," for part * mult <= n; a run on the base drops the comma
     label = [[]] + [
@@ -380,7 +373,7 @@ def _tau_sum(n: int) -> Fraction:
     group's total exactly, once per group, not once per prefix.
     """
     fact, run, tail = _tau_tables(n)
-    common = math.factorial(2 * n)
+    common = fact[2 * n]
     groups: dict[tuple[int, int], int] = {}
     for runs, rem in _tau_prefixes(n, run):
         _, _, gamma, degree, _ = runs[-1]
@@ -466,47 +459,42 @@ def cache_file_name(n: int) -> str:
     return f"ubern_{n}.jsonl"
 
 
-def cache_lines(n: int) -> Iterator[str]:
-    """The cache file of weight n, one newline-terminated line at a time.
-
-    The header {"n":n,"count":p(n)}, then the line of each partition u of
-    n in enumerate_partitions order, {"u":[[part,mult],...],"c":"num/den"}
-    with tau(u) in lowest terms: the bytes of json.dumps with
-    separators=(",", ":") and a newline.  The lines come from the
-    _tau_prefixes walk: each is the "[1,r],[2,j]," text of its tail
-    prepended to the prefix text, the prefix gamma times the tail gamma,
-    one factorial from the _tau_tables and one gcd.  No Partition,
-    Fraction or SparsePoly is built.
+def cache_blocks(n: int) -> Iterator[str]:
+    """The cache file of weight n: the header {"n":n,"count":p(n)}, then the
+    line {"u":[[part,mult],...],"c":"num/den"} of each partition u of n in
+    enumerate_partitions order, tau(u) in lowest terms, as json.dumps with
+    separators=(",", ":") writes it, newline included.  After the header,
+    each string holds the lines of one _tau_prefixes prefix, j = rem // 2
+    down to 0.  tau(u) = +-K/M with M = (n+d)(n+d-1) and K = (n+d)!/gamma(u),
+    an integer (see _tau_sum), so it is reduced by the small gcd(K mod M, M).
     """
     _require_ints(1, n=n)
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
     fact, run, tail = _tau_tables(n)
     # heads[rem][j] = "[1,rem-2j],[2,j],", the text of the tail tail[rem][j]
-    heads = [
-        [("[1,%d]," % (rem - 2 * j) if rem - 2 * j else "") + ("[2,%d]," % j if j else "")
-         for j in range(rem // 2 + 1)]
-        for rem in range(n + 1)
-    ]
+    heads = [[("[1,%d]," % (rem - 2 * j) if rem - 2 * j else "") + ("[2,%d]," % j if j else "")
+              for j in range(rem // 2 + 1)] for rem in range(n + 1)]
     for runs, rem in _tau_prefixes(n, run):
         _, _, gamma, degree, text = runs[-1]
-        d = degree + rem  # the degree of u at j = 0, one less per 2
-        top = n + d - 2
+        top = n + degree + rem  # n + d of u at j = 0, one less per 2
         # the empty prefix: the tail text ends the pairs, without its comma
         texts = heads[rem] if text else [head[:-1] for head in heads[rem]]
         gammas = tail[rem]
+        block = []
         for j in range(rem // 2, -1, -1):
-            num = fact[top - j]
-            den = gamma * gammas[j]
-            g = math.gcd(num, den)
-            yield '{"u":[%s%s],"c":"%d/%d"}\n' % (
-                texts[j], text, (num if (d - j) % 2 else -num) // g, den // g
-            )
+            num = fact[top - j] // (gamma * gammas[j])
+            den = (top - j) * (top - j - 1)
+            g = math.gcd(num % den, den)
+            block.append('{"u":[%s%s],"c":"%d/%d"}\n' % (
+                texts[j], text, (num if (top - n - j) % 2 else -num) // g, den // g
+            ))
+        yield "".join(block)
 
 
 def write_coefficient_cache(path: Path, n: int) -> list[str]:
-    """Write cache_lines(n) to path, creating its directory, and return them.
+    """Write cache_blocks(n) to path, creating its directory, and return them.
 
-    The lines go to a fresh temporary file beside path, which then replaces
+    The blocks go to a fresh temporary file beside path, which then replaces
     it in one rename: a write that fails part-way leaves neither a partial
     cache file nor the temporary.  Any OSError raises CacheError.
     """
@@ -516,14 +504,14 @@ def write_coefficient_cache(path: Path, n: int) -> list[str]:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "x", encoding="utf-8") as f:
-                lines = list(cache_lines(n))
-                f.writelines(lines)
+                blocks = list(cache_blocks(n))
+                f.writelines(blocks)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise CacheError(f"cannot write cache file {path}: {exc}") from exc
-    return lines
+    return blocks
 
 
 def _clip(line: str, width: int = 80) -> str:
@@ -531,36 +519,46 @@ def _clip(line: str, width: int = 80) -> str:
     return repr(line) if len(line) <= width else repr(line[:width]) + "..."
 
 
-def read_coefficient_cache(path: Path, n: int) -> list[str]:
-    """The lines of a cache file written for weight n; anything else raises CacheError.
+def _raise_mismatch(path: Path, f, index: int, block: str, want: str) -> None:
+    # block, read from f at line index, is not the stream's want: raise for its
+    # first differing term line, read to its newline, unless the file ends first
+    found = io.StringIO(block + f.readline(), newline="\n")
+    for index, line in enumerate(want.splitlines(keepends=True), index):
+        text = found.readline()
+        if text != line:
+            break
+    if text:
+        u = line[5:line.index('],"c":"') + 1]  # after {"u":
+        raise CacheError(f"{path}: term line {index} is not the line of u = {u}: "
+                         f"found {_clip(text)}, expected {_clip(line)}")
 
-    Accepted are exactly the bytes cache_lines(n) yields, coefficient
-    values included: line i of the file must equal line i of the stream,
-    newline and all, and nothing may follow the last term line.  The file
-    is compared in lockstep with the stream, and only its lines are kept.
+
+def read_coefficient_cache(path: Path, n: int) -> list[str]:
+    """The blocks of a cache file written for weight n; anything else raises CacheError.
+
+    Accepted are exactly the bytes cache_blocks(n) yields, coefficient values
+    included, and nothing after them.  The file is compared with the stream
+    one block at a time, and only its blocks are kept.
     """
-    expected = cache_lines(n)
+    expected = cache_blocks(n)
     want = next(expected)  # the header; a bad n raises PreconditionError here
     try:
         # newline="\n": lines end only at "\n", and nothing is translated
         with open(path, encoding="utf-8", newline="\n") as f:
-            line = f.readline()
-            if line != want:
-                raise CacheError(f"{path}: header {_clip(line)}, expected {_clip(want)}")
-            lines = [line]
-            for want, line in zip(expected, f):
-                if line != want:
-                    u = want[5:want.index('],"c":"') + 1]  # after {"u":
-                    raise CacheError(
-                        f"{path}: term line {len(lines)} is not the line of u = {u}: "
-                        f"found {_clip(line)}, expected {_clip(want)}"
-                    )
-                lines.append(line)
-            count = count_partitions(n)
-            if len(lines) != count + 1 or f.readline():
-                raise CacheError(f"{path}: not exactly {count} term lines")
+            block = f.readline()
+            if block != want:
+                raise CacheError(f"{path}: header {_clip(block)}, expected {_clip(want)}")
+            blocks = [block]
+            for want in expected:
+                block = f.read(len(want))
+                if block != want:
+                    _raise_mismatch(path, f, sum(b.count("\n") for b in blocks), block, want)
+                    break  # the file ended at a line end, before the stream did
+                blocks.append(block)
+            if block != want or f.read(1):
+                raise CacheError(f"{path}: not exactly {count_partitions(n)} term lines")
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
     except ValueError as exc:
         raise CacheError(f"{path}: malformed cache line ({exc})") from exc
-    return lines
+    return blocks

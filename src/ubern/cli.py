@@ -20,7 +20,7 @@ from .bernoulli import (  # divided_ubern, specialize: perfbench/tracer.py wraps
     DEFAULT_N_CEILING,
     _tau_sum,
     cache_file_name,
-    cache_lines,
+    cache_blocks,
     classical_bernoulli,
     divided_ubern,
     format_rational,
@@ -144,19 +144,20 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if cache_dir:
         path = Path(cache_dir) / cache_file_name(args.n)
         if path.exists():
-            lines = read_coefficient_cache(path, args.n)
+            blocks = read_coefficient_cache(path, args.n)
             print(f"cache hit: {path}", file=sys.stderr)
         else:
-            lines = write_coefficient_cache(path, args.n)
+            blocks = write_coefficient_cache(path, args.n)
             print(f"cache write: {path}", file=sys.stderr)
     else:
-        lines = cache_lines(args.n)
+        blocks = cache_blocks(args.n)
     if args.format == "json":
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(blocks)
         return EXIT_OK
-    lines = iter(lines)
-    count = json.loads(next(lines))["count"]
+    blocks = iter(blocks)
+    count = json.loads(next(blocks))["count"]
     print(f"divided universal Bernoulli number, weight {args.n}: {count} terms")
+    lines = itertools.chain.from_iterable(map(str.splitlines, blocks))
     for term in map(json.loads, itertools.islice(lines, _MAX_TEXT_ITEMS)):
         print(f"  {term['c']} * {_monomial(term['u'])}")
     if count > _MAX_TEXT_ITEMS:

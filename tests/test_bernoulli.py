@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,7 @@ from ubern.bernoulli import (
     SparsePoly,
     _tau_unit,
     cache_file_name,
-    cache_lines,
+    cache_blocks,
     classical_bernoulli,
     divided_ubern,
     format_rational,
@@ -246,16 +247,16 @@ def test_sparse_poly_item_order_is_canonical(tmp_path: Path):
     keys = [u for u, _ in poly.items()]
     assert keys == list(enumerate_partitions(6))
     # divided_ubern lists its terms without sorting; the order must still
-    # be the sort_key order, and the cache round trip returns the lines of
-    # cache_lines, which follow the same enumeration
+    # be the sort_key order, and the cache round trip returns the blocks of
+    # cache_blocks, which follow the same enumeration
     for n in range(1, 41):
         poly = divided_ubern(n)
         want = sorted(poly.items(), key=lambda kv: kv[0].sort_key())
         assert poly.items() == want, n
         path = tmp_path / cache_file_name(n)
-        lines = list(cache_lines(n))
-        assert write_coefficient_cache(path, n) == lines, n
-        assert read_coefficient_cache(path, n) == lines, n
+        blocks = list(cache_blocks(n))
+        assert write_coefficient_cache(path, n) == blocks, n
+        assert read_coefficient_cache(path, n) == blocks, n
     # any other polynomial is still sorted
     canonical = divided_ubern(6).items()
     assert SparsePoly(list(reversed(canonical)), weight_tag=6).items() == canonical
@@ -270,10 +271,25 @@ def _json_cache_lines(poly):
 
 def test_cache_lines_match_json_reference():
     for n in range(1, 21):
-        assert list(cache_lines(n)) == list(_json_cache_lines(divided_ubern(n))), n
+        lines = "".join(cache_blocks(n)).splitlines(keepends=True)
+        assert lines == list(_json_cache_lines(divided_ubern(n))), n
     for bad in (0, -3, 2.0):
         with pytest.raises(PreconditionError):
-            next(cache_lines(bad))
+            next(cache_blocks(bad))
+
+
+def _prefix(line):
+    # the runs of parts >= 3 of a term line's partition
+    return [pm for pm in json.loads(line)["u"] if pm[0] >= 3]
+
+
+def test_cache_blocks_are_the_header_and_one_block_per_prefix():
+    # after the header, a block holds the lines of one prefix, all of them:
+    # the reference lines grouped by the partition's parts >= 3
+    for n in range(1, 26):
+        header, *lines = _json_cache_lines(divided_ubern(n))
+        groups = ["".join(g) for _, g in itertools.groupby(lines, key=_prefix)]
+        assert list(cache_blocks(n)) == [header] + groups, n
 
 
 def test_rational_serialization():
@@ -285,9 +301,9 @@ def test_rational_serialization():
 
 def test_cache_round_trip(tmp_path: Path):
     path = tmp_path / "sub" / "ubern_9.jsonl"
-    lines = write_coefficient_cache(path, 9)
-    assert path.read_text() == "".join(lines)
-    assert read_coefficient_cache(path, 9) == lines
+    blocks = write_coefficient_cache(path, 9)
+    assert path.read_text() == "".join(blocks)
+    assert read_coefficient_cache(path, 9) == blocks
     # byte-for-byte stable
     text = path.read_text()
     write_coefficient_cache(path, 9)
@@ -366,7 +382,8 @@ def test_cache_rejects_wrong_values_in_canonical_form(tmp_path: Path):
     # a coefficient changed but still in lowest terms, and a flipped sign,
     # are not the writer's bytes
     path = tmp_path / "ubern_7.jsonl"
-    lines = write_coefficient_cache(path, 7)
+    write_coefficient_cache(path, 7)
+    lines = path.read_text().splitlines(keepends=True)
     assert lines[1] == '{"u":[[7,1]],"c":"90/1"}\n'
     for index, old, new in ((1, '"90/1"', '"91/1"'), (1, '"90/1"', '"-90/1"'), (7, '"-', '"')):
         assert old in lines[index]
@@ -382,7 +399,8 @@ def test_cache_rejects_wrong_values_in_canonical_form(tmp_path: Path):
 
 def test_cache_error_message_is_bounded(tmp_path: Path):
     path = tmp_path / "ubern_9.jsonl"
-    lines = write_coefficient_cache(path, 9)
+    write_coefficient_cache(path, 9)
+    lines = path.read_text().splitlines(keepends=True)
     huge = '{"u":[[1,9]],"c":"' + "7" * 2_000_000 + '/1"}\n'
     for index, name in ((0, "header"), (3, "term line 3 ")):
         path.write_text("".join(lines[:index] + [huge] + lines[index + 1:]))
@@ -393,6 +411,66 @@ def test_cache_error_message_is_bounded(tmp_path: Path):
     # the message names the expected partition of that line
     assert lines[3].startswith('{"u":[[2,1],[7,1]],')
     assert "u = [[2,1],[7,1]]" in message
+
+
+def _line_reader_messages(path, n):
+    # the former line-by-line reader: the CacheError text for a term line
+    # of the file that is not the reference line, or None if it matches
+    want = list(_json_cache_lines(divided_ubern(n)))
+    with open(path, encoding="utf-8", newline="\n") as f:
+        found = list(f)
+    for index, (line, expected) in enumerate(zip(found, want)):
+        if index and line != expected:
+            u = expected[5:expected.index('],"c":"') + 1]
+            return (f"{path}: term line {index} is not the line of u = {u}: "
+                    f"found {bernoulli._clip(line)}, expected {bernoulli._clip(expected)}")
+    if len(found) != len(want):
+        return f"{path}: not exactly {len(want) - 1} term lines"
+    return None
+
+
+def test_block_reader_names_the_line_the_line_reader_named(tmp_path: Path):
+    # the block reader splits a block only when it differs, and must then
+    # name the same term line, u and clipped texts as a line-by-line compare
+    rng = random.Random(3544)
+    path = tmp_path / "ubern_12.jsonl"
+    write_coefficient_cache(path, 12)
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    variants = [text + "\n", text + "x", text[:-1]]
+    for i in range(1, len(lines)):
+        head, line, rest = "".join(lines[:i]), lines[i], "".join(lines[i + 1:])
+        variants += [
+            head,  # short at a line end
+            head + line[:len(line) // 2],  # cut inside a line
+            head + rest,  # a line dropped
+            head + line[:-1] + "x\n" + rest,  # a longer line
+            head + line[:5] + rest,  # a shorter line
+            head + line[:-1] + "\r\n" + rest,
+            head + line + line + rest,
+        ]
+    for _ in range(200):  # past the header, which has its own message
+        k = rng.randrange(len(lines[0]), len(text))
+        variants.append(text[:k] + rng.choice('0123456789[],:"x\n') + text[k + 1:])
+        variants.append(text[:k] + text[k + 1:])
+    for variant in variants:
+        path.write_text(variant)
+        want = _line_reader_messages(path, 12)
+        if want is None:
+            assert "".join(read_coefficient_cache(path, 12)) == variant
+            continue
+        with pytest.raises(CacheError) as info:
+            read_coefficient_cache(path, 12)
+        assert str(info.value) == want
+
+
+def test_tau_denominator_divides_the_cache_modulus():
+    # tau(u) = +-K/M with M = (n+d)(n+d-1): why cache_blocks reduces by
+    # gcd(K mod M, M) alone
+    for n in range(1, 31):
+        for u in enumerate_partitions(n):
+            top = n + u.degree
+            assert top * (top - 1) % tau(u).denominator == 0, u
 
 
 def test_tau_prefixes_match_tau_fractions():
@@ -442,25 +520,30 @@ def test_tau_sum_recovers_classical_bernoulli():
 def test_cache_lines_46_digest():
     # the compute/46 sha256 pinned in perfbench/reference.json
     digest = "d44705caf8a1acda5770d00f3bd4c3a12f1d4ddb3373c72be216508b8d2691f0"
-    text = "".join(cache_lines(46))
+    text = "".join(cache_blocks(46))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cache_reader_streams(tmp_path: Path):
-    # the reader compares the file with cache_lines(n) in lockstep, so its
-    # peak is the lines it returns plus one expected line, not two lists
+    # the reader compares the file with cache_blocks(n) in lockstep, so its
+    # peak is the blocks it returns plus one expected block, not two lists;
+    # and it holds one string per prefix, not one per line: 5,605 line
+    # strings would hold 1.72 times the file's 444,289 bytes
     path = tmp_path / "ubern_30.jsonl"
     write_coefficient_cache(path, 30)
     read_coefficient_cache(path, 30)  # warm the tables and the imports
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        lines = read_coefficient_cache(path, 30)
+        blocks = read_coefficient_cache(path, 30)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(lines) == count_partitions(30) + 1
+    assert len(blocks) == 1 + 1886
+    assert "".join(blocks).count("\n") == count_partitions(30) + 1
     assert peak - base < 1.5 * (held - base), (peak - base, held - base)
+    size = path.stat().st_size
+    assert held - base < 1.4 * size, (held - base, size)
 
 
 def test_tau_valuations_below_matches_full_filter():
@@ -556,6 +639,43 @@ def test_tau_valuations_below_matches_tight_reference():
                 assert list(tau_valuations_below(p, n, k)) == want, (p, n, k)
 
 
+def _knapsack_most(p, n):
+    # most[c][r]: the largest sum u_i v_p(i+1) over the partitions of r into
+    # parts <= c, by an unbounded knapsack over the parts in turn
+    most = [[0] * (n + 1)]
+    for c in range(1, n + 1):
+        row = list(most[-1])
+        w = vp_int(p, c + 1)
+        for r in range(c, n + 1):
+            row[r] = max(row[r], row[r - c] + w)
+        most.append(row)
+    return most
+
+
+def test_gain_ceiling_is_the_knapsack_table():
+    # the closed form r // (p-1) for c >= p-1, else 0, entry for entry
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in (1, 2, 5, 30, 97, 200):
+            most = _knapsack_most(p, n)
+            for c in range(1, n + 1):
+                got = [bernoulli._gain_ceiling(p, c, r) for r in range(n + 1)]
+                assert got == most[c], (p, n, c)
+
+
+def test_tau_valuations_below_needs_the_whole_gain_ceiling(monkeypatch):
+    # mutation control: one less than the largest gain overstates the bound
+    # by 1, and the walk then cuts a subtree that holds a yield
+    real = bernoulli._gain_ceiling
+    cases = [(p, n, k) for p in (2, 3, 5) for n in (10, 20) for k in (1, 2, 3)]
+    want = {case: list(tau_valuations_below(*case)) for case in cases}
+    monkeypatch.setattr(bernoulli, "_gain_ceiling", lambda p, c, r: real(p, c, r) - 1)
+    dropped = [case for case in cases if list(tau_valuations_below(*case)) != want[case]]
+    assert dropped
+    for case in dropped:
+        got = list(tau_valuations_below(*case))
+        assert len(got) < len(want[case]) and set(got) < set(want[case]), case
+
+
 def test_factorial_valuation_is_superadditive():
     # v_p((a+b)!) >= v_p(a!) + v_p(b!), the walk's bound, against Legendre
     for p in (2, 3, 5, 7):
@@ -588,24 +708,24 @@ def test_tau_valuations_below_guards():
 
 def test_cache_write_is_atomic(tmp_path: Path, monkeypatch):
     path = tmp_path / "ubern_9.jsonl"
-    real_lines = bernoulli.cache_lines
+    real_blocks = bernoulli.cache_blocks
 
-    def failing_lines(n):
-        lines = real_lines(n)
-        yield next(lines)
-        yield next(lines)
+    def failing_blocks(n):
+        blocks = real_blocks(n)
+        yield next(blocks)
+        yield next(blocks)
         raise OSError("disk full")
 
-    monkeypatch.setattr(bernoulli, "cache_lines", failing_lines)
+    monkeypatch.setattr(bernoulli, "cache_blocks", failing_blocks)
     with pytest.raises(CacheError, match="disk full"):
         write_coefficient_cache(path, 9)
     assert list(tmp_path.iterdir()) == []
 
     # a failed overwrite keeps the previous file byte for byte
-    monkeypatch.setattr(bernoulli, "cache_lines", real_lines)
+    monkeypatch.setattr(bernoulli, "cache_blocks", real_blocks)
     write_coefficient_cache(path, 9)
     before = path.read_bytes()
-    monkeypatch.setattr(bernoulli, "cache_lines", failing_lines)
+    monkeypatch.setattr(bernoulli, "cache_blocks", failing_blocks)
     with pytest.raises(CacheError, match="disk full"):
         write_coefficient_cache(path, 9)
     assert path.read_bytes() == before

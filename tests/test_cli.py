@@ -140,6 +140,34 @@ def test_compute_cache_wrong_value_exits_3(capsys, tmp_path: Path):
             assert "cache error" in err and "term line 1 " in err
 
 
+def _flip_sign(line):
+    # the same line with the sign of its coefficient flipped
+    return line.replace('"c":"-', '"c":"') if '"c":"-' in line else line.replace('"c":"', '"c":"-')
+
+
+@pytest.mark.parametrize("u, at, size", [
+    ([[1, 12]], 6, 7),  # the last term line, the last of the empty prefix's 7
+    ([[1, 5], [2, 2], [3, 1]], 2, 5),  # the middle of the 5 lines of prefix 3
+])
+def test_compute_cache_names_the_changed_line_of_a_block(capsys, tmp_path: Path, u, at, size):
+    # the reader compares blocks, yet names the changed term line and its u
+    run(capsys, "compute", "--n", "12", "--cache-dir", str(tmp_path))
+    path = tmp_path / "ubern_12.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if i and json.loads(line)["u"] == u)
+    block = next(b for b in bernoulli.cache_blocks(12) if lines[index] in b)
+    block = block.splitlines(keepends=True)
+    assert (block.index(lines[index]), len(block)) == (at, size)
+    path.write_text("".join(lines[:index] + [_flip_sign(lines[index])] + lines[index + 1:]))
+    for fmt in ("json", "text"):
+        code, out, err = run(
+            capsys, "compute", "--n", "12", "--cache-dir", str(tmp_path), "--format", fmt
+        )
+        assert (code, out) == (3, ""), fmt
+        name = json.dumps(u, separators=(",", ":"))
+        assert f"term line {index} is not the line of u = {name}:" in err, err
+
+
 def test_compute_cache_bad_header_exits_3(capsys, tmp_path: Path):
     (tmp_path / "ubern_6.jsonl").write_text("[1,2]\n")
     code, _, err = run(capsys, "compute", "--n", "6", "--cache-dir", str(tmp_path))
@@ -317,7 +345,7 @@ def test_classical_reports_a_mismatch(capsys, monkeypatch):
     def off_by_one(n):
         fact, run, tail = tables(n)
         if n == 3:
-            fact[-1] += 1
+            fact[2 * n - 2] += 1
         return fact, run, tail
 
     monkeypatch.setattr(bernoulli, "_tau_tables", off_by_one)

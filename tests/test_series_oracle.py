@@ -3,13 +3,13 @@ definition of the universal Bernoulli numbers, by series reversion.
 
 With F(t) = t + sum_i c_i t**(i+1) / (i+1) and G its compositional
 inverse, t / G(t) = sum_n B^_n t**n / n!, and B^_n / n is divided_ubern(n)
-evaluated at the c_i.  Writing G = tH, F(G) = t reads
-H = 1 - sum_i c_i t**i H**(i+1) / (i+1), which a fixed-point iteration
-solves one coefficient per step; then B^_n / n = (n-1)! [t**n] (1/H).
-The helpers share no code with ubern.  At c_i = (-1)**i every weight-n
-monomial is (-1)**n, so the classical check sees only the sum of the
-coefficients; at random rational points (Schwartz-Zippel) every
-coefficient counts.
+evaluated at the c_i.  Write F = tP and G = tH.  Lagrange inversion,
+[t**m] G = (1/m) [t**(m-1)] (t/F)**m, reads H_k = [t**k] Q**(k+1) / (k+1)
+with Q = 1/P, so the powers of Q give every coefficient of H; then
+B^_n / n = (n-1)! [t**n] (1/H).  The helpers share no code with ubern.
+At c_i = (-1)**i every weight-n monomial is (-1)**n, so the classical
+check sees only the sum of the coefficients; at random rational points
+(Schwartz-Zippel) every coefficient counts.
 """
 
 import math
@@ -21,26 +21,12 @@ import pytest
 import ubern.bernoulli as bernoulli
 from ubern.bernoulli import divided_ubern, specialize
 
-N_MAX = 16
+N_MAX = 24
 
 
 def _mul(a, b):
     # product of two power series, truncated to the length of a
     return [sum(a[j] * b[m - j] for j in range(m + 1)) for m in range(len(a))]
-
-
-def _reversion_quotient(c, n):
-    # H to t**n; step s makes the coefficient of t**s exact
-    h = [Fraction(1)] + [Fraction(0)] * n
-    for _ in range(n):
-        new = [Fraction(1)] + [Fraction(0)] * n
-        power = h
-        for i in range(1, n + 1):
-            power = _mul(power, h)  # H**(i+1)
-            for m in range(i, n + 1):
-                new[m] -= c[i] * power[m - i] / (i + 1)
-        h = new
-    return h
 
 
 def _reciprocal(h):
@@ -49,6 +35,17 @@ def _reciprocal(h):
     for m in range(1, len(h)):
         r.append(-sum(h[j] * r[m - j] for j in range(1, m + 1)))
     return r
+
+
+def _reversion_quotient(c, n):
+    # H = G/t to t**n, by Lagrange inversion: H_k = [t**k] Q**(k+1) / (k+1)
+    q = _reciprocal([Fraction(1)] + [Fraction(c[i], i + 1) for i in range(1, n + 1)])
+    h = []
+    power = q
+    for k in range(n + 1):
+        h.append(power[k] / (k + 1))
+        power = _mul(power, q)
+    return h
 
 
 def _points():
