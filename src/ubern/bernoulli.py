@@ -289,30 +289,26 @@ def _tau_tables(n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
 
 def _tau_prefixes(
     n: int, run: list[list[int]]
-) -> Iterator[tuple[list[tuple[int, int, int, int, str]], int]]:
+) -> Iterator[tuple[list[tuple[int, int, int, int]], int]]:
     """(runs, rem) for each prefix of the partitions of n, in
     enumerate_partitions order: the walk every full sweep shares.
 
     A partition u of n is its prefix, the runs of parts >= 3, plus the tail
     2**j 1**(rem-2j) of the weight rem the prefix leaves; the partitions of
-    one prefix are adjacent, j falling from rem // 2 to 0, so a sweep
-    closes the tails of each prefix in an inner loop, from the tail table
-    of _tau_tables.  The walk is the enumerate_partitions_bounded successor
-    on the prefix alone, on one live stack of runs (part, mult, gamma,
-    degree, text), parts decreasing, over a base (0, 0, 1, 0, "").  Each
-    entry's gamma, degree and text ("[part,mult]" texts joined by commas,
-    part ascending) cover the runs up to it, so runs[-1] holds the
-    prefix's; no Partition is built.  runs is valid until the next step.
+    one prefix are adjacent, j falling from rem // 2 to 0, so a sweep closes
+    the tails of each prefix in an inner loop, from the tail table of
+    _tau_tables.  The walk is the enumerate_partitions_bounded successor on
+    the prefix alone, on one live stack of int runs (part, mult, gamma,
+    degree), parts decreasing, over a base (0, 0, 1, 0); each entry's gamma
+    and degree cover the runs up to it, so runs[-1] holds the prefix's, and
+    no Partition is built.  runs is valid until the next step, which pops
+    exactly the top run and pushes at most three: runs[:len(r) - 1] of the
+    previous prefix's runs r are unchanged.
     """
-    # "[part,mult]," for part * mult <= n; a run on the base drops the comma
-    label = [[]] + [
-        ["[%d,%d]," % (part, mult) for mult in range(n // part + 1)]
-        for part in range(1, n + 1)
-    ]
-    runs = [(0, 0, 1, 0, "")]
+    runs = [(0, 0, 1, 0)]
     rem = n
     if n >= 3:
-        runs.append((n, 1, n + 1, 1, label[n][1][:-1]))
+        runs.append((n, 1, n + 1, 1))
         rem = 0
     while True:
         yield runs, rem
@@ -320,28 +316,25 @@ def _tau_prefixes(
         # 1**rem: take one copy off the smallest prefix part, refill it and
         # the rem 1s as copies of part - 1 and at most one smaller part; a
         # refill part below 3 is the next prefix's tail
-        part, mult, _, _, _ = runs.pop()
+        part, mult, _, _ = runs.pop()
         if not part:
             return
         rem += part
-        _, _, gamma, d, text = runs[-1]
+        _, _, gamma, d = runs[-1]
         if mult > 1:
             gamma *= run[part][mult - 1]
             d += mult - 1
-            text = label[part][mult - 1] + text if text else label[part][mult - 1][:-1]
-            runs.append((part, mult - 1, gamma, d, text))
+            runs.append((part, mult - 1, gamma, d))
         part -= 1
         if part >= 3:
             q, rem = divmod(rem, part)
             gamma *= run[part][q]
             d += q
-            text = label[part][q] + text if text else label[part][q][:-1]
-            runs.append((part, q, gamma, d, text))
+            runs.append((part, q, gamma, d))
             if rem >= 3:
                 gamma *= rem + 1
                 d += 1
-                text = label[rem][1] + text
-                runs.append((rem, 1, gamma, d, text))
+                runs.append((rem, 1, gamma, d))
                 rem = 0
 
 
@@ -376,7 +369,7 @@ def _tau_sum(n: int) -> Fraction:
     common = fact[2 * n]
     groups: dict[tuple[int, int], int] = {}
     for runs, rem in _tau_prefixes(n, run):
-        _, _, gamma, degree, _ = runs[-1]
+        _, _, gamma, degree = runs[-1]
         groups[rem, degree] = groups.get((rem, degree), 0) + common // gamma
     total = 0
     for (rem, degree), share in groups.items():
@@ -465,28 +458,39 @@ def cache_blocks(n: int) -> Iterator[str]:
     enumerate_partitions order, tau(u) in lowest terms, as json.dumps with
     separators=(",", ":") writes it, newline included.  After the header,
     each string holds the lines of one _tau_prefixes prefix, j = rem // 2
-    down to 0.  tau(u) = +-K/M with M = (n+d)(n+d-1) and K = (n+d)!/gamma(u),
-    an integer (see _tau_sum), so it is reduced by the small gcd(K mod M, M).
+    down to 0, the tail's pairs before the prefix's, which a stack of texts
+    kept in step with the walk's runs holds.  tau(u) = +-K/M, M =
+    (n+d)(n+d-1), with K = (n+d)!/gamma(u) an integer (see _tau_sum), so it
+    is reduced by the small gcd(K mod M, M).
     """
     _require_ints(1, n=n)
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
     fact, run, tail = _tau_tables(n)
-    # heads[rem][j] = "[1,rem-2j],[2,j],", the text of the tail tail[rem][j]
-    heads = [[("[1,%d]," % (rem - 2 * j) if rem - 2 * j else "") + ("[2,%d]," % j if j else "")
+    # label[part][mult] = ",[part,mult]", for part * mult <= n, and
+    # heads[rem][j] = "[1,rem-2j],[2,j]", the text of the tail tail[rem][j]
+    label = [[]] + [[",[%d,%d]" % (part, mult) for mult in range(n // part + 1)]
+                    for part in range(1, n + 1)]
+    heads = [[",".join("[%d,%d]" % pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1])
               for j in range(rem // 2 + 1)] for rem in range(n + 1)]
+    # texts[i]: the labels of runs[i], ..., runs[1]; popped as the walk pops
+    texts = [""]
     for runs, rem in _tau_prefixes(n, run):
-        _, _, gamma, degree, text = runs[-1]
+        for part, mult, _, _ in runs[len(texts):]:
+            texts.append(label[part][mult] + texts[-1])
+        text = texts.pop()
+        if not rem:
+            text = text[1:]  # no tail: the prefix's first pair opens the list
+        _, _, gamma, degree = runs[-1]
         top = n + degree + rem  # n + d of u at j = 0, one less per 2
-        # the empty prefix: the tail text ends the pairs, without its comma
-        texts = heads[rem] if text else [head[:-1] for head in heads[rem]]
         gammas = tail[rem]
+        head = heads[rem]
         block = []
         for j in range(rem // 2, -1, -1):
             num = fact[top - j] // (gamma * gammas[j])
             den = (top - j) * (top - j - 1)
             g = math.gcd(num % den, den)
             block.append('{"u":[%s%s],"c":"%d/%d"}\n' % (
-                texts[j], text, (num if (top - n - j) % 2 else -num) // g, den // g
+                head[j], text, (num if (top - n - j) % 2 else -num) // g, den // g
             ))
         yield "".join(block)
 
@@ -543,8 +547,8 @@ def read_coefficient_cache(path: Path, n: int) -> list[str]:
     expected = cache_blocks(n)
     want = next(expected)  # the header; a bad n raises PreconditionError here
     try:
-        # newline="\n": lines end only at "\n", and nothing is translated
-        with open(path, encoding="utf-8", newline="\n") as f:
+        # newline="\n": nothing is translated; a non-UTF-8 byte reads as a mismatch
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as f:
             block = f.readline()
             if block != want:
                 raise CacheError(f"{path}: header {_clip(block)}, expected {_clip(want)}")
@@ -559,6 +563,4 @@ def read_coefficient_cache(path: Path, n: int) -> list[str]:
                 raise CacheError(f"{path}: not exactly {count_partitions(n)} term lines")
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CacheError(f"{path}: malformed cache line ({exc})") from exc
     return blocks

@@ -287,7 +287,7 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     fact, run, tail = _tau_tables(n)
     block = [modulus * c for c in _tail_clearing(n)]
     for runs, rem in _tau_prefixes(n, run):
-        _, _, gamma, degree, _ = runs[-1]
+        _, _, gamma, degree = runs[-1]
         base = n + degree - 2
         if base >= 0 and fact[base] % (gamma * block[rem]) == 0:
             continue
@@ -298,11 +298,8 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
             num = fact[top - j]
             den = gamma * gammas[j]
             if _nonzero_mod(num, den, modulus):
-                ones = rem - 2 * j
-                pairs = [(1, ones)] if ones else []
-                if j:
-                    pairs.append((2, j))
-                pairs += [(part, mult) for part, mult, _, _, _ in runs[:0:-1]]
+                pairs = [pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1]]
+                pairs += [(part, mult) for part, mult, _, _ in runs[:0:-1]]
                 yield Partition._raw(pairs), ((num if (d - j) % 2 else -num), den)
 
 
@@ -444,15 +441,16 @@ def rhs_theorem_3_5(
     The correction coefficient is the exact rational difference
     tau_pure(n) - tau_pure(m): each summand alone is not p-integral, only
     the difference is constrained by the congruence.  For p = 3 the extra
-    c2^(l+s-4) c8 term carries 0, +l or -l according to s mod 3.  terms:
-    the m-part (_lifted_rhs), by default all of divided_ubern(m).
+    c2^(l+s-4) c8 term carries 0, +l or -l according to s mod 3, read off
+    the grid, where 3 | l.  It is wrong when 3 does not divide l: verify
+    fails at c8 for (3, 2, 2), a strict xfail in the tests.  terms: the
+    m-part (_lifted_rhs), by default all of divided_ubern(m).
     """
     N, m, n = _theorem_3_5_params(p, s, l)
     corrections = [(Partition({p - 1: l + s}), tau_pure(p, n) - tau_pure(p, m))]
     if p == 3 and l + s >= 4 and s % 3 != 1:
-        # psi vanishes for s = 1 mod 3 and carries +-l otherwise; the signs
-        # are pinned by exact arithmetic on the verification grid (at s = 3
-        # the whole coefficient is psi, and it equals +l, not -l)
+        # the signs are pinned by exact arithmetic on the grid, where 3 | l
+        # (at s = 3 the whole coefficient is psi, and it equals +l, not -l)
         psi = l if s % 3 == 0 else -l
         corrections.append((Partition({2: l + s - 4, 8: 1}), Fraction(psi)))
     if terms is None:

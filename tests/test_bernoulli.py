@@ -413,6 +413,22 @@ def test_cache_error_message_is_bounded(tmp_path: Path):
     assert "u = [[2,1],[7,1]]" in message
 
 
+def test_cache_byte_that_is_not_utf8_names_its_line(tmp_path: Path):
+    # a byte that is not UTF-8 is an ordinary mismatch: the error names the
+    # header or the term line that holds it, not an offset in a read chunk
+    path = tmp_path / "ubern_30.jsonl"
+    data = "".join(write_coefficient_cache(path, 30)).encode()
+    for at, name in (
+        (300_000, "term line 3802 is not the line of u = [[1,4],[2,1],[3,1],[7,3]]:"),
+        (5, "header "),
+        (len(data) - 2, "term line 5604 is not the line of u = [[1,30]]:"),
+    ):
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(CacheError) as info:
+            read_coefficient_cache(path, 30)
+        assert name in str(info.value) and "\\udcff" in str(info.value), (at, info.value)
+
+
 def _line_reader_messages(path, n):
     # the former line-by-line reader: the CacheError text for a term line
     # of the file that is not the reference line, or None if it matches
@@ -482,10 +498,9 @@ def test_tau_prefixes_match_tau_fractions():
         want = bernoulli._tau_fractions(n)
         got = 0
         for runs, rem in bernoulli._tau_prefixes(n, run):
-            _, _, g, d, text = runs[-1]
-            prefix = tuple((part, mult) for part, mult, *_ in reversed(runs[1:]))
+            _, _, g, d = runs[-1]
+            prefix = tuple((part, mult) for part, mult, _, _ in reversed(runs[1:]))
             assert all(part >= 3 for part, _ in prefix), (n, prefix)
-            assert text == ",".join("[%d,%d]" % pm for pm in prefix), (n, prefix)
             for j in range(rem // 2, -1, -1):
                 u, num, den = next(want)
                 head = tuple(pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1])
@@ -496,6 +511,20 @@ def test_tau_prefixes_match_tau_fractions():
                 got += 1
         assert next(want, None) is None, n
         assert got == count_partitions(n), n
+
+
+def test_tau_prefixes_step_pops_one_run_and_holds_only_ints():
+    # the walk's contract its readers rely on: each run is four ints, and a
+    # step pops exactly the top run, so the runs below it are unchanged
+    for n in range(1, 31):
+        _, run, _ = bernoulli._tau_tables(n)
+        previous = None
+        for runs, rem in bernoulli._tau_prefixes(n, run):
+            assert all(len(r) == 4 and all(type(x) is int for x in r) for r in runs), n
+            if previous is not None:
+                kept = len(previous) - 1
+                assert runs[:kept] == previous[:kept] and len(runs) - kept <= 3, (n, runs)
+            previous = list(runs)
 
 
 def test_gamma_divides_the_factorial_of_weight_plus_degree():

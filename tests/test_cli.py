@@ -175,6 +175,16 @@ def test_compute_cache_bad_header_exits_3(capsys, tmp_path: Path):
     assert "cache error" in err
 
 
+def test_compute_cache_byte_that_is_not_utf8_exits_3(capsys, tmp_path: Path):
+    run(capsys, "compute", "--n", "30", "--cache-dir", str(tmp_path))
+    path = tmp_path / "ubern_30.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data[:300_000] + b"\xff" + data[300_001:])
+    code, out, err = run(capsys, "compute", "--n", "30", "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert "cache error" in err and "term line 3802 " in err, err
+
+
 def test_verify_grid_examples(capsys):
     assert run(capsys, "verify", "--theorem", "3.5", "--p", "5", "--s", "1", "--l", "5")[0] == 0
     assert run(capsys, "verify", "--theorem", "4.9", "--m", "7", "--k", "1", "--N", "3")[0] == 0

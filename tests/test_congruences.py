@@ -245,11 +245,11 @@ def test_block_screen_clears_every_tail_it_skips():
     for n in range(1, 31):
         _, run, _ = _tau_tables(n)
         for runs, rem in _tau_prefixes(n, run):
-            _, _, gamma, degree, _ = runs[-1]
+            _, _, gamma, degree = runs[-1]
             if n + degree - 2 < 0:
                 continue  # n = 1: no block screen
             factorial = math.factorial(n + degree - 2)
-            prefix = {part: mult for part, mult, _, _, _ in runs[1:]}
+            prefix = {part: mult for part, mult, _, _ in runs[1:]}
             taus = [
                 tau(Partition({**prefix, 1: rem - 2 * j, 2: j}))
                 for j in range(rem // 2 + 1)
