@@ -37,7 +37,6 @@ from .congruences import (
     verify_theorem_3_5,
     verify_theorem_4_8,
     verify_theorem_4_9,
-    z_func,
 )
 from .errors import CacheError, CeilingExceeded, PreconditionError
 from .lemmas import SWEEPS, LemmaSweepResult, run_sweep

@@ -14,7 +14,7 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import CacheError, CeilingExceeded, PreconditionError, _require_ints
 from .padic import _require_prime, _vp_factorial, vp_int
@@ -185,46 +185,27 @@ def _tau_unit(p: int, u: Partition, ufact: list[int], m: int) -> int:
 
 
 class SparsePoly:
-    """Finite map Partition -> nonzero Fraction, plus an optional weight tag.
+    """Finite map Partition -> nonzero Fraction, the materialized polynomial.
 
-    Instances are immutable by convention: all operations return new
-    polynomials.  items() is always in canonical order (weight, then the
-    enumeration order of partitions of that weight).
+    Built from a Mapping: each coefficient is coerced to a Fraction and the
+    zeros are dropped.  Instances are immutable by convention: add_term
+    returns a new polynomial.  items() is always in canonical order (weight,
+    then the enumeration order of partitions of that weight).
     """
 
-    __slots__ = ("_terms", "weight_tag", "_ordered", "_canonical")
+    __slots__ = ("_terms", "_ordered", "_canonical")
 
-    def __init__(
-        self,
-        terms: Mapping[Partition, Fraction] | Iterable[tuple[Partition, Fraction]] = (),
-        weight_tag: int | None = None,
-    ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[Partition, Fraction] = {}
-        for u, c in items:
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if not c:
-                continue
-            if weight_tag is not None and u.weight != weight_tag:
-                raise ValueError(
-                    f"key of weight {u.weight} under weight tag {weight_tag}"
-                )
-            if u in d:
-                raise ValueError(f"duplicate key {u!r}")
-            d[u] = c
-        self._terms = d
-        self.weight_tag = weight_tag
+    def __init__(self, terms: Mapping[Partition, Fraction | int] = {}):
+        self._terms = {u: q for u, c in terms.items() if (q := Fraction(c))}
         self._ordered: list[tuple[Partition, Fraction]] | None = None
         self._canonical = False
 
     @classmethod
-    def _wrap(cls, terms: dict, weight_tag: int | None = None, canonical: bool = False):
+    def _wrap(cls, terms: dict, canonical: bool = False):
         # terms: nonzero Fraction coefficients, taken as they are; canonical
         # if keyed in enumerate_partitions order, so items() needs no sort
         self = object.__new__(cls)
         self._terms = terms
-        self.weight_tag = weight_tag
         self._ordered = None
         self._canonical = canonical
         return self
@@ -257,7 +238,7 @@ class SparsePoly:
         return self._terms == other._terms
 
     def __repr__(self) -> str:
-        return f"SparsePoly({len(self._terms)} terms, weight_tag={self.weight_tag})"
+        return f"SparsePoly({len(self._terms)} terms)"
 
     def add_term(self, u: Partition, c: Fraction | int) -> "SparsePoly":
         terms = dict(self._terms)
@@ -386,11 +367,11 @@ def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
     One term per partition of n, built from _tau_fractions.  Refuses n
     above the configurable ceiling (count_partitions grows fast).
     """
-    _require_ints(1, n=n)
+    _require_ints(1, n=n, n_ceiling=n_ceiling)
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     terms = {u: Fraction(num, den) for u, num, den in _tau_fractions(n)}
-    return SparsePoly._wrap(terms, n, canonical=True)
+    return SparsePoly._wrap(terms, canonical=True)
 
 
 def specialize(poly: SparsePoly, values: Mapping[int, Fraction | int]) -> Fraction:

@@ -66,7 +66,6 @@ __all__ = [
     "verify_theorem_3_5",
     "verify_theorem_4_8",
     "verify_theorem_4_9",
-    "z_func",
 ]
 
 # standard verification grids (also used by the CLI sweep command)
@@ -324,6 +323,7 @@ def _sweep(backend: str, p: int, n: int, k: int, n_ceiling: int) -> dict:
     """
     if backend not in ("exact", "padic"):
         raise PreconditionError(f"unknown backend {backend!r}")
+    _require_ints(1, n_ceiling=n_ceiling)
     if n > n_ceiling:
         raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
     return dict((_exact_sweep if backend == "exact" else tau_valuations_below)(p, n, k))
@@ -399,24 +399,6 @@ def tau_pure(p: int, w: int) -> Fraction:
     if w % (p - 1):
         raise PreconditionError(f"w must be a multiple of p-1, got {w}")
     return tau(Partition({p - 1: w // (p - 1)}))
-
-
-def z_func(p: int, n: int, k: int) -> int:
-    """Residue of p**(1+v(n)) * tau_pure(p, n) mod p**k.
-
-    That rational is always p-integral (checked; violation means the
-    precondition (p-1) | n was broken).  The source only pins the residue
-    mod p**(N+2+v(n)); k is explicit here and callers choose it.
-    """
-    _require_prime(p)
-    _require_ints(1, n=n, k=k)
-    if n % (p - 1):
-        raise PreconditionError(f"n must be a multiple of p-1, got {n}")
-    q = p ** (1 + (vp_int(p, n) if n % p == 0 else 0)) * tau_pure(p, n)
-    if vp(p, q) < 0:
-        raise PreconditionError(f"p**(1+v(n)) * tau is not {p}-integral at n={n}")
-    modulus = p**k
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
 def _theorem_3_5_params(p: int, s: int, l: int) -> tuple[int, int, int]:
@@ -528,7 +510,7 @@ def rhs_theorem_4_8(n: int) -> tuple[SparsePoly, int]:
             P({1: n - 8, 2: 1, 3: 2}): Fraction(n - 4),
             P({1: n - 5, 2: 1, 3: 1}): Fraction(n - 4),
         }
-    return SparsePoly(terms, weight_tag=n), k
+    return SparsePoly(terms), k
 
 
 def verify_theorem_4_8(

@@ -527,11 +527,12 @@ SWEEPS: dict[str, Callable[..., LemmaSweepResult]] = {
 def run_sweep(name: str, **overrides) -> LemmaSweepResult:
     """Run one sweep by id.
 
-    An unknown id or parameter, a bound that is not an integer or is
-    negative (below 1 for the n_max of 4.6 and 4.7, which walk the
-    weights 1..n_max), and bounds under which the sweep checks nothing
-    raise PreconditionError: a "holds" over no instance would read as a
-    proof.
+    An override of None is no override: the sweep runs at its default
+    there, as the CLI does for a flag left unset.  An unknown id or
+    parameter, a bound that is not an integer or is negative (below 1 for
+    the n_max of 4.6 and 4.7, which walk the weights 1..n_max), and bounds
+    under which the sweep checks nothing raise PreconditionError: a
+    "holds" over no instance would read as a proof.
     """
     func = SWEEPS.get(name)
     if func is None:
@@ -544,6 +545,7 @@ def run_sweep(name: str, **overrides) -> LemmaSweepResult:
         if value is not None:
             least = 1 if key == "n_max" and name in ("4.6", "4.7") else 0
             _require_ints(least, **{key: value})
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     result = func(**overrides)
     if not result.checked:
         bounds = ", ".join(f"{key}={value}" for key, value in overrides.items())

@@ -92,8 +92,15 @@ def vp_int(p: int, a: int) -> int:
 
 
 def vp(p: int, q: Fraction | int) -> int | float:
-    """Normalized p-adic valuation of a rational; INFINITY for q = 0."""
+    """Normalized p-adic valuation of a rational; INFINITY for q = 0.
+
+    q is an int or a Fraction.  Anything else, a bool, a float or a string
+    included, raises PreconditionError: no valuation of a coercion of it
+    is returned.
+    """
     _require_prime(p)
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise PreconditionError(f"q must be an int or a Fraction, got {q!r}")
     return _vp(p, q)
 
 

@@ -96,12 +96,12 @@ def test_tau_unit_matches_exact_at_high_precision():
 
 def test_divided_ubern_small():
     p1 = divided_ubern(1)
-    assert p1.weight_tag == 1
     assert [(u.to_pairs(), c) for u, c in p1.items()] == [([[1, 1]], Fraction(1, 2))]
     p2 = divided_ubern(2)
     assert p2.get(Partition({1: 2})) == Fraction(-1, 4)
     assert p2.get(Partition({2: 1})) == Fraction(1, 3)
     assert len(p2) == 2
+    assert all(u.weight == 2 for u in p2.keys())
 
 
 def test_tau_fractions_match_tau_in_enumeration_order():
@@ -125,7 +125,7 @@ def test_divided_ubern_guards():
         divided_ubern(61)
     with pytest.raises(CeilingExceeded):
         divided_ubern(6, n_ceiling=5)
-    assert divided_ubern(5, n_ceiling=5).weight_tag == 5
+    assert len(divided_ubern(5, n_ceiling=5)) == count_partitions(5)
 
 
 def test_specialize_recovers_classical_values():
@@ -237,9 +237,15 @@ def test_sparse_poly_algebra():
     assert a.add_term(u1, Fraction(1, 2)).get(u1) == 1
 
 
-def test_sparse_poly_weight_tag_enforced():
-    with pytest.raises(ValueError):
-        SparsePoly({Partition({1: 1}): Fraction(1)}, weight_tag=2)
+def test_sparse_poly_takes_a_mapping():
+    # coefficients are coerced to Fraction and zeros dropped; keys of any
+    # weight are kept; a sequence of pairs is no Mapping
+    u1, u2, u3 = Partition({1: 1}), Partition({1: 2}), Partition({3: 1})
+    poly = SparsePoly({u1: 2, u2: Fraction(0), u3: Fraction(1, 3)})
+    assert [(u, type(c)) for u, c in poly.items()] == [(u1, Fraction), (u3, Fraction)]
+    assert poly.get(u1) == 2 and u2 not in poly and len(SparsePoly()) == 0
+    with pytest.raises(AttributeError):
+        SparsePoly([(u1, Fraction(1))])
 
 
 def test_sparse_poly_item_order_is_canonical(tmp_path: Path):
@@ -259,12 +265,13 @@ def test_sparse_poly_item_order_is_canonical(tmp_path: Path):
         assert read_coefficient_cache(path, n) == blocks, n
     # any other polynomial is still sorted
     canonical = divided_ubern(6).items()
-    assert SparsePoly(list(reversed(canonical)), weight_tag=6).items() == canonical
+    assert SparsePoly(dict(reversed(canonical))).items() == canonical
 
 
-def _json_cache_lines(poly):
-    # the json.dumps formatter of the SparsePoly terms: the bytes reference
-    yield json.dumps({"n": poly.weight_tag, "count": len(poly)}, separators=(",", ":")) + "\n"
+def _json_cache_lines(n):
+    # the json.dumps formatter of the divided_ubern(n) terms: the bytes reference
+    poly = divided_ubern(n)
+    yield json.dumps({"n": n, "count": len(poly)}, separators=(",", ":")) + "\n"
     for u, c in poly.items():
         yield json.dumps({"u": u.to_pairs(), "c": format_rational(c)}, separators=(",", ":")) + "\n"
 
@@ -272,7 +279,7 @@ def _json_cache_lines(poly):
 def test_cache_lines_match_json_reference():
     for n in range(1, 21):
         lines = "".join(cache_blocks(n)).splitlines(keepends=True)
-        assert lines == list(_json_cache_lines(divided_ubern(n))), n
+        assert lines == list(_json_cache_lines(n)), n
     for bad in (0, -3, 2.0):
         with pytest.raises(PreconditionError):
             next(cache_blocks(bad))
@@ -287,7 +294,7 @@ def test_cache_blocks_are_the_header_and_one_block_per_prefix():
     # after the header, a block holds the lines of one prefix, all of them:
     # the reference lines grouped by the partition's parts >= 3
     for n in range(1, 26):
-        header, *lines = _json_cache_lines(divided_ubern(n))
+        header, *lines = _json_cache_lines(n)
         groups = ["".join(g) for _, g in itertools.groupby(lines, key=_prefix)]
         assert list(cache_blocks(n)) == [header] + groups, n
 
@@ -432,7 +439,7 @@ def test_cache_byte_that_is_not_utf8_names_its_line(tmp_path: Path):
 def _line_reader_messages(path, n):
     # the former line-by-line reader: the CacheError text for a term line
     # of the file that is not the reference line, or None if it matches
-    want = list(_json_cache_lines(divided_ubern(n)))
+    want = list(_json_cache_lines(n))
     with open(path, encoding="utf-8", newline="\n") as f:
         found = list(f)
     for index, (line, expected) in enumerate(zip(found, want)):

@@ -36,7 +36,6 @@ from ubern.congruences import (
     verify_theorem_3_5,
     verify_theorem_4_8,
     verify_theorem_4_9,
-    z_func,
 )
 from ubern.bernoulli import DEFAULT_N_CEILING, SparsePoly, format_rational
 from ubern.errors import PreconditionError
@@ -56,26 +55,6 @@ from ubern.partitions import Partition, enumerate_partitions
 def _low(backend, p, n, k, n_ceiling=DEFAULT_N_CEILING):
     # the backend's own sweep at n, as its term source takes it
     return congruences._sweep(backend, p, n, k, n_ceiling)
-
-
-def test_z_func_examples():
-    assert z_func(3, 2, 2) == 1
-    assert z_func(3, 6, 1) == 1
-    assert z_func(5, 4, 1) == 1
-
-
-def test_z_func_consistency_across_precisions():
-    for p, n in ((3, 6), (3, 12), (5, 8), (5, 20), (7, 12)):
-        full = z_func(p, n, 6)
-        for k in range(1, 6):
-            assert z_func(p, n, k) == full % p**k
-
-
-def test_z_func_preconditions():
-    with pytest.raises(PreconditionError):
-        z_func(5, 6, 2)  # 4 does not divide 6
-    with pytest.raises(PreconditionError):
-        z_func(3, 4, 0)
 
 
 def test_poly_congruent_basics():
@@ -146,7 +125,7 @@ def _random_pair(rng, p, k):
     shifted = [u.merged({1: 1}) for u in keys[:2]]
     B[shifted[0]] = Fraction(1)
     B[shifted[1]] = Fraction(p**k)
-    return SparsePoly(A, weight_tag=n), SparsePoly(B)
+    return n, SparsePoly(A), SparsePoly(B)
 
 
 def test_poly_congruent_matches_sorted_union_reference():
@@ -154,14 +133,14 @@ def test_poly_congruent_matches_sorted_union_reference():
     for _ in range(150):
         p = rng.choice((2, 3, 5))
         k = rng.randrange(1, 5)
-        A, B = _random_pair(rng, p, k)
+        n, A, B = _random_pair(rng, p, k)
         for lhs, rhs in ((A, B), (B, A)):
             expected = _poly_congruent_reference(lhs, rhs, p, k)
             report = poly_congruent(lhs, rhs, p, k)
             assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in report.failures] == expected
             assert report.holds is (not expected)
         assert any(v < 0 for *_, v in expected)
-        assert any(u.weight != A.weight_tag for u, *_ in expected)
+        assert any(u.weight != n for u, *_ in expected)
 
 
 def _assert_stream_matches_materialised(report, rhs):
@@ -521,8 +500,8 @@ def _self_congruent(k):
     (check_corollary_3_4, (3, 1, False), "i"),
     (verify_classical_kummer, (5, 2.0, 6), "n"),
     (verify_classical_kummer, (5, 2, 6.0), "m"),
-    (z_func, (3, 6.0, 1), "n"),
-    (z_func, (3, 6, 1.0), "k"),
+    (lambda value: divided_ubern(5, n_ceiling=value), (None,), "n_ceiling"),
+    (lambda value: verify_theorem_4_8(12, n_ceiling=value), (None,), "n_ceiling"),
     (tau_pure, (3, 2.0), "w"),
     (_walk, (2, 10, 1.5), "k"),
     (_walk, (2, True, 1), "n"),
@@ -539,6 +518,8 @@ def _self_congruent(k):
     (is_prime, (2.5,), "n"),
     (is_prime, ("7",), "n"),
     (is_prime, (True,), "n"),
+    (lambda value: verify_theorem_4_8(12, n_ceiling=value), (True,), "n_ceiling"),
+    (lambda value: verify_theorem_4_9(7, 1, 3, backend="padic", n_ceiling=value), (2.5,), "n_ceiling"),
 ])
 def test_check_parameters_must_be_integers(check, args, name):
     with pytest.raises(PreconditionError, match=f"^{name} must be an integer, got "):
@@ -571,11 +552,12 @@ def test_prime_parameters_must_be_prime(check, args):
     (lambda value: run_sweep("2.1", a_max=value), (-5,), "a_max", 0, -5),
     (lambda value: run_sweep("4.6", n_max=value), (0,), "n_max", 1, 0),
     (check_corollary_3_4, (3, 1, -1), "i", 0, -1),
-    (z_func, (3, 6, 0), "k", 1, 0),
+    (lambda value: divided_ubern(5, n_ceiling=value), (0,), "n_ceiling", 1, 0),
     (verify_theorem_4_9, (7, 1, 2), "N", 3, 2),
     (classical_bernoulli, (-1,), "n", 0, -1),
     (double_factorial, (-3,), "a", -1, -3),
     (f_term, (0, 1, 0), "j", 1, 0),
+    (lambda value: verify_theorem_3_5(5, 1, 5, n_ceiling=value), (-1,), "n_ceiling", 1, -1),
 ])
 def test_parameters_below_their_least_value_are_refused(check, args, name, least, value):
     # one message form for every range check: name, least value, value given

@@ -11,7 +11,12 @@ from ubern.bernoulli import (
     _valuation_tables,
     tau_valuation,
 )
-from ubern.congruences import CongruenceFailure, CongruenceReport, check_corollary_3_4
+from ubern.congruences import (
+    CongruenceFailure,
+    CongruenceReport,
+    _theorem_4_9_correction,
+    check_corollary_3_4,
+)
 from ubern.errors import PreconditionError
 from ubern.lemmas import SWEEPS, LemmaSweepResult, run_sweep
 from ubern.padic import double_factorial, vp_factorial, vp_int
@@ -379,6 +384,46 @@ def test_default_sweeps_check_pinned_counts(monkeypatch):
 def test_negative_bounds_are_refused(name, bounds):
     with pytest.raises(PreconditionError, match="must be >= 0"):
         run_sweep(name, **bounds)
+
+
+def test_a_none_bound_is_the_sweep_default():
+    # None is no override, as for a CLI flag left unset; before, it reached
+    # the sweep and raised TypeError.  4.1's k_max=None is its own default
+    assert run_sweep("4.6", n_max=None) == run_sweep("4.6")
+    assert run_sweep("2.2", l_max=None) == run_sweep("2.2")
+    assert run_sweep("4.1", k_max=None, n_max=3) == run_sweep("4.1", n_max=3)
+    with pytest.raises(PreconditionError, match="does not take parameter 'a_max'"):
+        run_sweep("4.1", a_max=None)
+
+
+def test_theorem_4_9_head_is_the_lemma_4_5_increment(monkeypatch):
+    # the c1^n correction of 4.9 and lemma 4.5's corr are two hand-written
+    # copies of one reading.  Lemma 4.5 values g(n) - g(m) - corr, so its
+    # corr is read back from the arguments of its g_func and _vp calls;
+    # for 8 | m, where it claims nothing, the head is g(n) - g(m) exactly
+    weights, residuals = [], []
+
+    def g_recorded(a):
+        weights.append(a)
+        return padic.g_func(a)
+
+    monkeypatch.setattr(lemmas, "g_func", g_recorded)
+    monkeypatch.setattr(lemmas, "_vp", lambda p, q: residuals.append(q) or padic._vp(p, q))
+    assert lemmas.lemma_4_5(k_max=5, m_max=100).holds
+    corr = {}
+    for (n, m), residual in zip(zip(weights[::2], weights[1::2]), residuals, strict=True):
+        corr[m, n - m] = padic.g_func(n) - padic.g_func(m) - residual
+    checked = 0
+    for N in (3, 4, 5):
+        for k in (1, 3, 5):
+            l = k * 2**N
+            for m in range(2 * N + 1, 101):
+                n = m + l
+                [head] = [c for exps, c in _theorem_4_9_correction(m, k, N) if exps == {1: n}]
+                want = padic.g_func(n) - padic.g_func(m) if m % 8 == 0 else corr[m, l]
+                assert head == want, (m, k, N)
+                checked += 1
+    assert checked == 828
 
 
 @pytest.mark.parametrize("name, bounds", [

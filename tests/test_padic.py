@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,13 @@ def test_vp_examples():
     for q in (18, 1, Fraction(-5, 63), Fraction(1, 9), 0, Fraction(2, 3) - Fraction(4, 6)):
         assert _vp(3, q) == vp(3, q)
     assert _vp(2, Fraction(1, 2) - Fraction(1, 2)) == INFINITY
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, "3/4", True, False, None, 1.5, [4]])
+def test_vp_refuses_what_is_not_an_int_or_a_fraction(q):
+    # before: vp(2, 0.1) == -55, vp(2, "3/4") == -2, vp(2, True) == 0
+    with pytest.raises(PreconditionError, match=f"^q must be an int or a Fraction, got {re.escape(repr(q))}$"):
+        vp(2, q)
 
 
 def test_digit_sum_examples():
