@@ -14,7 +14,7 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TextIO
 
 from .errors import CacheError, CeilingExceeded, PreconditionError, _require_ints
 from .padic import _require_prime, _vp_factorial, vp_int
@@ -442,7 +442,8 @@ def cache_blocks(n: int) -> Iterator[str]:
     down to 0, the tail's pairs before the prefix's, which a stack of texts
     kept in step with the walk's runs holds.  tau(u) = +-K/M, M =
     (n+d)(n+d-1), with K = (n+d)!/gamma(u) an integer (see _tau_sum), so it
-    is reduced by the small gcd(K mod M, M).
+    is reduced by the small gcd(K mod M, M).  The cache writer and reader
+    pass each block on as it comes, so no caller holds the whole file.
     """
     _require_ints(1, n=n)
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
@@ -476,12 +477,14 @@ def cache_blocks(n: int) -> Iterator[str]:
         yield "".join(block)
 
 
-def write_coefficient_cache(path: Path, n: int) -> list[str]:
-    """Write cache_blocks(n) to path, creating its directory, and return them.
+def write_coefficient_cache(path: Path, n: int, out: TextIO) -> None:
+    """Write cache_blocks(n) to path, creating its directory, and to out.
 
-    The blocks go to a fresh temporary file beside path, which then replaces
-    it in one rename: a write that fails part-way leaves neither a partial
-    cache file nor the temporary.  Any OSError raises CacheError.
+    Each block goes to a fresh temporary file beside path and to out as it
+    is made, and none is kept; the temporary then replaces path in one
+    rename: a write that fails part-way leaves neither a partial cache
+    file nor the temporary, but out may hold the blocks made before it.
+    Any OSError raises CacheError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -489,14 +492,14 @@ def write_coefficient_cache(path: Path, n: int) -> list[str]:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "x", encoding="utf-8") as f:
-                blocks = list(cache_blocks(n))
-                f.writelines(blocks)
+                for block in cache_blocks(n):
+                    f.write(block)
+                    out.write(block)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise CacheError(f"cannot write cache file {path}: {exc}") from exc
-    return blocks
 
 
 def _clip(line: str, width: int = 80) -> str:
@@ -518,12 +521,15 @@ def _raise_mismatch(path: Path, f, index: int, block: str, want: str) -> None:
                          f"found {_clip(text)}, expected {_clip(line)}")
 
 
-def read_coefficient_cache(path: Path, n: int) -> list[str]:
-    """The blocks of a cache file written for weight n; anything else raises CacheError.
+def read_coefficient_cache(path: Path, n: int, out: TextIO) -> None:
+    """Check a cache file written for weight n and copy it to out; anything
+    else raises CacheError.
 
     Accepted are exactly the bytes cache_blocks(n) yields, coefficient values
     included, and nothing after them.  The file is compared with the stream
-    one block at a time, and only its blocks are kept.
+    one block at a time, and each block goes to out once it has matched, so
+    out holds only checked blocks, a prefix of the file if it differs; no
+    block is kept.
     """
     expected = cache_blocks(n)
     want = next(expected)  # the header; a bad n raises PreconditionError here
@@ -533,15 +539,16 @@ def read_coefficient_cache(path: Path, n: int) -> list[str]:
             block = f.readline()
             if block != want:
                 raise CacheError(f"{path}: header {_clip(block)}, expected {_clip(want)}")
-            blocks = [block]
+            out.write(block)
+            lines = 1
             for want in expected:
                 block = f.read(len(want))
                 if block != want:
-                    _raise_mismatch(path, f, sum(b.count("\n") for b in blocks), block, want)
+                    _raise_mismatch(path, f, lines, block, want)
                     break  # the file ended at a line end, before the stream did
-                blocks.append(block)
+                out.write(block)
+                lines += block.count("\n")
             if block != want or f.read(1):
                 raise CacheError(f"{path}: not exactly {count_partitions(n)} term lines")
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    return blocks

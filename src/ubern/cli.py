@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success / verified, 1 counterexample
 found (or backend disagreement), 2 usage or precondition error, 3 cache
-integrity error.  JSON output is byte-identical across runs for
-identical inputs; progress notes go to stderr so stdout stays canonical.
+integrity error, 141 stdout closed by its reader (a shell's code for
+SIGPIPE).  JSON output is byte-identical across runs for identical
+inputs; progress notes go to stderr so stdout stays canonical.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .bernoulli import (  # divided_ubern, specialize: perfbench/tracer.py wraps them here
@@ -45,8 +47,10 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_CACHE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _MAX_TEXT_ITEMS = 20
+_SPOOL_CHUNK = 64 * 1024  # characters per copy from the compute spool to stdout
 
 # range bounds of the lemma sweeps: each --x-max flag reaches run_sweep
 # as the keyword x_max
@@ -135,22 +139,44 @@ def _monomial(u) -> str:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    """Print the weight-n cache file as JSONL, or its count and first terms.
+
+    Without a cache the blocks of cache_blocks stream to stdout, and text
+    output builds only the blocks it shows.  With one, the miss or the hit
+    copies the file to an anonymous spool file as it writes or checks it,
+    and the spool goes to stdout only once the cache step has succeeded:
+    a cache error prints nothing, and what is printed are the bytes just
+    written or checked, not a second read of the shared cache file.
+    """
     ceiling = _ceiling(args)
     if args.n < 1:
         raise PreconditionError("--n must be >= 1")
     if args.n > ceiling:
         raise CeilingExceeded(f"n={args.n} exceeds the ceiling {ceiling}")
     cache_dir = args.cache_dir or os.environ.get("UBERN_CACHE_DIR")
-    if cache_dir:
-        path = Path(cache_dir) / cache_file_name(args.n)
+    if not cache_dir:
+        return _emit_compute(args, cache_blocks(args.n))
+    path = Path(cache_dir) / cache_file_name(args.n)
+    try:
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise CacheError(f"cannot open a spool file for {path}: {exc}") from exc
+    with spool:
         if path.exists():
-            blocks = read_coefficient_cache(path, args.n)
+            read_coefficient_cache(path, args.n, spool)
             print(f"cache hit: {path}", file=sys.stderr)
         else:
-            blocks = write_coefficient_cache(path, args.n)
+            write_coefficient_cache(path, args.n, spool)
             print(f"cache write: {path}", file=sys.stderr)
-    else:
-        blocks = cache_blocks(args.n)
+        spool.seek(0)
+        # text reads the spool by lines, JSON in fixed chunks: never whole
+        if args.format == "json":
+            return _emit_compute(args, iter(functools.partial(spool.read, _SPOOL_CHUNK), ""))
+        return _emit_compute(args, spool)
+
+
+def _emit_compute(args: argparse.Namespace, blocks) -> int:
+    # blocks: strings that join to the cache file, in text the header first
     if args.format == "json":
         sys.stdout.writelines(blocks)
         return EXIT_OK
@@ -353,7 +379,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the interpreter's last flush stays quiet, and exit as a shell
+        # reports a command that SIGPIPE ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -253,19 +254,26 @@ def test_sparse_poly_item_order_is_canonical(tmp_path: Path):
     keys = [u for u, _ in poly.items()]
     assert keys == list(enumerate_partitions(6))
     # divided_ubern lists its terms without sorting; the order must still
-    # be the sort_key order, and the cache round trip returns the blocks of
-    # cache_blocks, which follow the same enumeration
+    # be the sort_key order, and the cache round trip copies out the text of
+    # cache_blocks, which follows the same enumeration
     for n in range(1, 41):
         poly = divided_ubern(n)
         want = sorted(poly.items(), key=lambda kv: kv[0].sort_key())
         assert poly.items() == want, n
         path = tmp_path / cache_file_name(n)
-        blocks = list(cache_blocks(n))
-        assert write_coefficient_cache(path, n) == blocks, n
-        assert read_coefficient_cache(path, n) == blocks, n
+        text = "".join(cache_blocks(n))
+        assert _copied(write_coefficient_cache, path, n) == text, n
+        assert _copied(read_coefficient_cache, path, n) == text, n
     # any other polynomial is still sorted
     canonical = divided_ubern(6).items()
     assert SparsePoly(dict(reversed(canonical))).items() == canonical
+
+
+def _copied(cache_step, path, n):
+    # what a cache writer or reader copies to its out; it returns nothing
+    out = io.StringIO()
+    assert cache_step(path, n, out) is None
+    return out.getvalue()
 
 
 def _json_cache_lines(n):
@@ -308,38 +316,38 @@ def test_rational_serialization():
 
 def test_cache_round_trip(tmp_path: Path):
     path = tmp_path / "sub" / "ubern_9.jsonl"
-    blocks = write_coefficient_cache(path, 9)
-    assert path.read_text() == "".join(blocks)
-    assert read_coefficient_cache(path, 9) == blocks
+    written = _copied(write_coefficient_cache, path, 9)
+    assert path.read_text() == written
+    assert _copied(read_coefficient_cache, path, 9) == written
     # byte-for-byte stable
     text = path.read_text()
-    write_coefficient_cache(path, 9)
+    write_coefficient_cache(path, 9, io.StringIO())
     assert path.read_text() == text
 
 
 def test_cache_rejects_corruption(tmp_path: Path):
     path = tmp_path / "ubern_7.jsonl"
-    write_coefficient_cache(path, 7)
+    write_coefficient_cache(path, 7, io.StringIO())
 
     with pytest.raises(CacheError):
-        read_coefficient_cache(path, 8)  # wrong n
+        read_coefficient_cache(path, 8, io.StringIO())  # wrong n
 
     lines = path.read_text().splitlines()
     (tmp_path / "short.jsonl").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(CacheError):
-        read_coefficient_cache(tmp_path / "short.jsonl", 7)
+        read_coefficient_cache(tmp_path / "short.jsonl", 7, io.StringIO())
 
     garbled = lines[:]
     garbled[3] = "{not json"
     (tmp_path / "bad.jsonl").write_text("\n".join(garbled) + "\n")
     with pytest.raises(CacheError):
-        read_coefficient_cache(tmp_path / "bad.jsonl", 7)
+        read_coefficient_cache(tmp_path / "bad.jsonl", 7, io.StringIO())
 
     wrong_weight = lines[:]
     wrong_weight[1] = '{"u":[[1,1]],"c":"1/2"}'
     (tmp_path / "weight.jsonl").write_text("\n".join(wrong_weight) + "\n")
     with pytest.raises(CacheError):
-        read_coefficient_cache(tmp_path / "weight.jsonl", 7)
+        read_coefficient_cache(tmp_path / "weight.jsonl", 7, io.StringIO())
 
     # valid JSON of the wrong shape, and a zero denominator
     for index, text in (
@@ -353,7 +361,7 @@ def test_cache_rejects_corruption(tmp_path: Path):
         broken[index] = text
         (tmp_path / "shape.jsonl").write_text("\n".join(broken) + "\n")
         with pytest.raises(CacheError):
-            read_coefficient_cache(tmp_path / "shape.jsonl", 7)
+            read_coefficient_cache(tmp_path / "shape.jsonl", 7, io.StringIO())
 
     # the reader accepts only the writer's bytes, in enumeration order
     assert lines[1] == '{"u":[[7,1]],"c":"90/1"}'
@@ -373,7 +381,7 @@ def test_cache_rejects_corruption(tmp_path: Path):
     for variant in variants:
         (tmp_path / "order.jsonl").write_text("\n".join(variant) + "\n")
         with pytest.raises(CacheError):
-            read_coefficient_cache(tmp_path / "order.jsonl", 7)
+            read_coefficient_cache(tmp_path / "order.jsonl", 7, io.StringIO())
     # a missing final newline, a blank line at the end and CRLF line ends
     for text in (
         "\n".join(lines),
@@ -382,14 +390,14 @@ def test_cache_rejects_corruption(tmp_path: Path):
     ):
         (tmp_path / "ends.jsonl").write_bytes(text.encode())
         with pytest.raises(CacheError):
-            read_coefficient_cache(tmp_path / "ends.jsonl", 7)
+            read_coefficient_cache(tmp_path / "ends.jsonl", 7, io.StringIO())
 
 
 def test_cache_rejects_wrong_values_in_canonical_form(tmp_path: Path):
     # a coefficient changed but still in lowest terms, and a flipped sign,
     # are not the writer's bytes
     path = tmp_path / "ubern_7.jsonl"
-    write_coefficient_cache(path, 7)
+    write_coefficient_cache(path, 7, io.StringIO())
     lines = path.read_text().splitlines(keepends=True)
     assert lines[1] == '{"u":[[7,1]],"c":"90/1"}\n'
     for index, old, new in ((1, '"90/1"', '"91/1"'), (1, '"90/1"', '"-90/1"'), (7, '"-', '"')):
@@ -397,22 +405,22 @@ def test_cache_rejects_wrong_values_in_canonical_form(tmp_path: Path):
         changed = lines[:index] + [lines[index].replace(old, new)] + lines[index + 1:]
         path.write_text("".join(changed))
         with pytest.raises(CacheError, match=f"term line {index} "):
-            read_coefficient_cache(path, 7)
+            read_coefficient_cache(path, 7, io.StringIO())
     # a weight outside the domain is the caller's error, not the file's
     for bad in (0, -3, 2.0):
         with pytest.raises(PreconditionError):
-            read_coefficient_cache(path, bad)
+            read_coefficient_cache(path, bad, io.StringIO())
 
 
 def test_cache_error_message_is_bounded(tmp_path: Path):
     path = tmp_path / "ubern_9.jsonl"
-    write_coefficient_cache(path, 9)
+    write_coefficient_cache(path, 9, io.StringIO())
     lines = path.read_text().splitlines(keepends=True)
     huge = '{"u":[[1,9]],"c":"' + "7" * 2_000_000 + '/1"}\n'
     for index, name in ((0, "header"), (3, "term line 3 ")):
         path.write_text("".join(lines[:index] + [huge] + lines[index + 1:]))
         with pytest.raises(CacheError) as info:
-            read_coefficient_cache(path, 9)
+            read_coefficient_cache(path, 9, io.StringIO())
         message = str(info.value)
         assert name in message and len(message) < 400 + len(str(path)), message
     # the message names the expected partition of that line
@@ -424,7 +432,7 @@ def test_cache_byte_that_is_not_utf8_names_its_line(tmp_path: Path):
     # a byte that is not UTF-8 is an ordinary mismatch: the error names the
     # header or the term line that holds it, not an offset in a read chunk
     path = tmp_path / "ubern_30.jsonl"
-    data = "".join(write_coefficient_cache(path, 30)).encode()
+    data = _copied(write_coefficient_cache, path, 30).encode()
     for at, name in (
         (300_000, "term line 3802 is not the line of u = [[1,4],[2,1],[3,1],[7,3]]:"),
         (5, "header "),
@@ -432,7 +440,7 @@ def test_cache_byte_that_is_not_utf8_names_its_line(tmp_path: Path):
     ):
         path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         with pytest.raises(CacheError) as info:
-            read_coefficient_cache(path, 30)
+            read_coefficient_cache(path, 30, io.StringIO())
         assert name in str(info.value) and "\\udcff" in str(info.value), (at, info.value)
 
 
@@ -457,10 +465,12 @@ def test_block_reader_names_the_line_the_line_reader_named(tmp_path: Path):
     # name the same term line, u and clipped texts as a line-by-line compare
     rng = random.Random(3544)
     path = tmp_path / "ubern_12.jsonl"
-    write_coefficient_cache(path, 12)
+    write_coefficient_cache(path, 12, io.StringIO())
     text = path.read_text()
     lines = text.splitlines(keepends=True)
     variants = [text + "\n", text + "x", text[:-1]]
+    # the texts of the first k blocks, for each k
+    matched = list(itertools.accumulate(cache_blocks(12), initial=""))
     for i in range(1, len(lines)):
         head, line, rest = "".join(lines[:i]), lines[i], "".join(lines[i + 1:])
         variants += [
@@ -480,11 +490,14 @@ def test_block_reader_names_the_line_the_line_reader_named(tmp_path: Path):
         path.write_text(variant)
         want = _line_reader_messages(path, 12)
         if want is None:
-            assert "".join(read_coefficient_cache(path, 12)) == variant
+            assert _copied(read_coefficient_cache, path, 12) == variant
             continue
+        out = io.StringIO()
         with pytest.raises(CacheError) as info:
-            read_coefficient_cache(path, 12)
+            read_coefficient_cache(path, 12, out)
         assert str(info.value) == want
+        # out holds the blocks that matched, whole, and nothing past them
+        assert out.getvalue() == max((b for b in matched if variant.startswith(b)), key=len)
 
 
 def test_tau_denominator_divides_the_cache_modulus():
@@ -560,26 +573,64 @@ def test_cache_lines_46_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_cache_reader_streams(tmp_path: Path):
-    # the reader compares the file with cache_blocks(n) in lockstep, so its
-    # peak is the blocks it returns plus one expected block, not two lists;
-    # and it holds one string per prefix, not one per line: 5,605 line
-    # strings would hold 1.72 times the file's 444,289 bytes
-    path = tmp_path / "ubern_30.jsonl"
-    write_coefficient_cache(path, 30)
-    read_coefficient_cache(path, 30)  # warm the tables and the imports
+class _Sink:
+    # an out that keeps no text, only its length: a StringIO may hold the
+    # very strings it is sent, so it would hide a step that kept them too
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+# what a text file's buffers may take at once: the raw chunk, its decoded
+# text and the text it replaces, in io.DEFAULT_BUFFER_SIZE reads, with room
+_FILE_BUFFERS = 6 * io.DEFAULT_BUFFER_SIZE
+
+
+def _traced_cache_step(cache_step, path, n):
+    # (kept, peak, largest): what a cache writer or reader still holds after
+    # it returns, the peak it adds to the stream cache_blocks(n) alone, and
+    # the largest block; it must have copied the whole file to its out
+    cache_step(path, n, _Sink())  # warm the imports and the path
+    largest = max(map(len, cache_blocks(n)))
+    out = _Sink()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        blocks = read_coefficient_cache(path, 30)
+        for _ in cache_blocks(n):  # the stream's own tables, one block at a time
+            pass
+        stream = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        cache_step(path, n, out)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(blocks) == 1 + 1886
-    assert "".join(blocks).count("\n") == count_partitions(30) + 1
-    assert peak - base < 1.5 * (held - base), (peak - base, held - base)
-    size = path.stat().st_size
-    assert held - base < 1.4 * size, (held - base, size)
+    assert out.size == path.stat().st_size
+    return held - base, peak - base - stream, largest
+
+
+def test_cache_reader_streams(tmp_path: Path):
+    # the reader compares the file with cache_blocks(n) in lockstep and
+    # copies each checked block to out, so it keeps no block: what it holds
+    # after it returns is about 0 of the file's 444,289 bytes, and its peak
+    # over the stream's is its file buffers and a few blocks, not the file
+    path = tmp_path / "ubern_30.jsonl"
+    write_coefficient_cache(path, 30, _Sink())
+    assert path.stat().st_size == 444_289
+    kept, peak, largest = _traced_cache_step(read_coefficient_cache, path, 30)
+    assert kept < io.DEFAULT_BUFFER_SIZE, kept
+    assert peak < _FILE_BUFFERS + 4 * largest, (peak, largest)
+
+
+def test_cache_writer_streams(tmp_path: Path):
+    # the writer sends each block to the file and to out as it is made: the
+    # same bounds as the reader's
+    path = tmp_path / "ubern_30.jsonl"
+    kept, peak, largest = _traced_cache_step(write_coefficient_cache, path, 30)
+    assert path.stat().st_size == 444_289
+    assert kept < io.DEFAULT_BUFFER_SIZE, kept
+    assert peak < _FILE_BUFFERS + 4 * largest, (peak, largest)
 
 
 def test_tau_valuations_below_matches_full_filter():
@@ -754,15 +805,15 @@ def test_cache_write_is_atomic(tmp_path: Path, monkeypatch):
 
     monkeypatch.setattr(bernoulli, "cache_blocks", failing_blocks)
     with pytest.raises(CacheError, match="disk full"):
-        write_coefficient_cache(path, 9)
+        write_coefficient_cache(path, 9, io.StringIO())
     assert list(tmp_path.iterdir()) == []
 
     # a failed overwrite keeps the previous file byte for byte
     monkeypatch.setattr(bernoulli, "cache_blocks", real_blocks)
-    write_coefficient_cache(path, 9)
+    write_coefficient_cache(path, 9, io.StringIO())
     before = path.read_bytes()
     monkeypatch.setattr(bernoulli, "cache_blocks", failing_blocks)
     with pytest.raises(CacheError, match="disk full"):
-        write_coefficient_cache(path, 9)
+        write_coefficient_cache(path, 9, io.StringIO())
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,8 @@ import ubern.bernoulli as bernoulli
 import ubern.cli as cli
 from ubern.bernoulli import divided_ubern, format_rational
 from ubern.cli import _monomial, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -183,6 +189,91 @@ def test_compute_cache_byte_that_is_not_utf8_exits_3(capsys, tmp_path: Path):
     code, out, err = run(capsys, "compute", "--n", "30", "--cache-dir", str(tmp_path))
     assert (code, out) == (3, "")
     assert "cache error" in err and "term line 3802 " in err, err
+
+
+def test_compute_fails_closed_in_the_middle_of_a_write(capsys, monkeypatch, tmp_path: Path):
+    # the spool keeps the blocks made before the failure from stdout, and
+    # it leaves no file behind, nor does the cache write
+    real_blocks = bernoulli.cache_blocks
+
+    def failing_blocks(n):
+        blocks = real_blocks(n)
+        yield next(blocks)
+        yield next(blocks)
+        raise OSError("disk full")
+
+    cache_dir, spool_dir = tmp_path / "cache", tmp_path / "spool"
+    cache_dir.mkdir()
+    spool_dir.mkdir()
+    monkeypatch.setattr(bernoulli, "cache_blocks", failing_blocks)
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "compute", "--n", "9", "--cache-dir", str(cache_dir), "--format", fmt
+        )
+        assert (code, out) == (3, ""), fmt
+        assert "cache error" in err and "disk full" in err
+        assert list(cache_dir.iterdir()) == [] and list(spool_dir.iterdir()) == []
+    # a spool that cannot be opened fails closed the same way
+    monkeypatch.setattr(bernoulli, "cache_blocks", real_blocks)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    code, out, err = run(capsys, "compute", "--n", "9", "--cache-dir", str(cache_dir))
+    assert (code, out) == (3, "") and "cannot open a spool file" in err
+    assert list(cache_dir.iterdir()) == []
+
+
+def _subprocess_env(tmp_path: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    env.pop("UBERN_CACHE_DIR", None)
+    return env
+
+
+RSS_SCRIPT = """
+import contextlib, os, resource, sys
+import ubern.cli
+floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+argv = ["compute", "--n", "46", "--format", "json", "--cache-dir", sys.argv[1]]
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    codes = [ubern.cli.main(argv), ubern.cli.main(argv)]
+print(*codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - floor)
+"""
+
+# A process takes the peak of the memory it was started from as its first
+# ru_maxrss, which from pytest would hide the rise; a bare interpreter in
+# between starts the measured one from less than the import floor.
+SPAWN = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def test_compute_cache_peak_stays_at_the_import_floor(tmp_path: Path):
+    # a miss and a hit of the 12 MB weight-46 file copy it through a spool
+    # file block by block: the peak resident memory stays within 2 MB of
+    # what importing ubern.cli takes, where holding the file added 13 MB
+    cache_dir = tmp_path / "cache"
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN, sys.executable, "-c", RSS_SCRIPT, str(cache_dir)],
+        env=_subprocess_env(tmp_path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    miss, hit, rise_kb = map(int, proc.stdout.split())
+    assert (miss, hit) == (0, 0) and "cache write" in proc.stderr and "cache hit" in proc.stderr
+    assert rise_kb < 2 * 1024, rise_kb
+    assert (cache_dir / "ubern_46.jsonl").stat().st_size > 12_000_000
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path: Path):
+    # a reader that stops early (| head -1) is not a counterexample: exit
+    # 141, as a shell reports SIGPIPE, and no traceback on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ubern", "compute", "--n", "40", "--format", "json"],
+        env=_subprocess_env(tmp_path), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline()) == {"n": 40, "count": 37338}
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == 141, (code, err)
+    assert "Traceback" not in err, err
 
 
 def test_verify_grid_examples(capsys):
