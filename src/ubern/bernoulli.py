@@ -484,7 +484,7 @@ def write_coefficient_cache(path: Path, n: int, out: TextIO) -> None:
     is made, and none is kept; the temporary then replaces path in one
     rename: a write that fails part-way leaves neither a partial cache
     file nor the temporary, but out may hold the blocks made before it.
-    Any OSError raises CacheError.
+    Any OSError raises CacheError, which names the output for one from out.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -494,12 +494,21 @@ def write_coefficient_cache(path: Path, n: int, out: TextIO) -> None:
             with open(tmp, "x", encoding="utf-8") as f:
                 for block in cache_blocks(n):
                     f.write(block)
-                    out.write(block)
+                    _copy(out, path, block)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise CacheError(f"cannot write cache file {path}: {exc}") from exc
+
+
+def _copy(out: TextIO, path: Path, block: str) -> None:
+    # out.write(block), an OSError from out a CacheError that names the
+    # output: it is no fault of the cache file at path
+    try:
+        out.write(block)
+    except OSError as exc:
+        raise CacheError(f"cannot copy {path} to its output: {exc}") from exc
 
 
 def _clip(line: str, width: int = 80) -> str:
@@ -529,7 +538,7 @@ def read_coefficient_cache(path: Path, n: int, out: TextIO) -> None:
     included, and nothing after them.  The file is compared with the stream
     one block at a time, and each block goes to out once it has matched, so
     out holds only checked blocks, a prefix of the file if it differs; no
-    block is kept.
+    block is kept; an OSError from out is a CacheError naming the output.
     """
     expected = cache_blocks(n)
     want = next(expected)  # the header; a bad n raises PreconditionError here
@@ -539,14 +548,14 @@ def read_coefficient_cache(path: Path, n: int, out: TextIO) -> None:
             block = f.readline()
             if block != want:
                 raise CacheError(f"{path}: header {_clip(block)}, expected {_clip(want)}")
-            out.write(block)
+            _copy(out, path, block)
             lines = 1
             for want in expected:
                 block = f.read(len(want))
                 if block != want:
                     _raise_mismatch(path, f, lines, block, want)
                     break  # the file ended at a line end, before the stream did
-                out.write(block)
+                _copy(out, path, block)
                 lines += block.count("\n")
             if block != want or f.read(1):
                 raise CacheError(f"{path}: not exactly {count_partitions(n)} term lines")

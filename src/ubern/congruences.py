@@ -171,39 +171,27 @@ def _congruence_report(
     The one congruence test: the exact backend feeds it the monomials
     that can fail, found by testing every tau(u) (_exact_terms), the padic
     backend the same monomials, found by a pruned walk (_padic_terms), and
-    poly_congruent a materialized polynomial.  A monomial that no term
-    names has left-hand side 0.  For a rational in lowest terms and
-    k >= 1, v_p >= k holds exactly when p**k divides the numerator (a zero
-    difference included), so each monomial costs one integer test,
-    _nonzero_mod, of num/den where B has no term at u and of the difference
-    where it has; a Fraction is built only where B has the key or the test
-    fails.  The keys only in B come after, tested the same way.
-    vp is computed for the failures alone, and only the failure list is
-    put in canonical order; keys are distinct, so that is the order of the
-    sorted union of both key sets.  p is prime and k >= 1: the caller
-    checked both.
+    poly_congruent a materialized polynomial.  One loop runs over the union
+    of both key sets, a side with no term at u reading 0 there.  For a
+    rational in lowest terms and k >= 1, v_p >= k holds exactly when p**k
+    divides the numerator (a zero difference included), so each key costs
+    one integer test, _nonzero_mod, of the difference.  vp is computed for
+    the failures alone, and only the failure list is put in canonical
+    order.  p is prime and k >= 1: the caller checked both.
     """
     modulus = p**k
+    lhs = {u: Fraction(num, den) for u, num, den in terms}
     b_terms = B._terms
-    matched = set()
+    zero = Fraction(0)
     failures = []
-    for u, num, den in terms:
-        b = b_terms.get(u)
-        if b is None:
-            if _nonzero_mod(num, den, modulus):
-                a = Fraction(num, den)
-                failures.append(CongruenceFailure(u, format_rational(a), "0/1", vp(p, a)))
-            continue
-        matched.add(u)
-        a = Fraction(num, den)
+    for u in lhs.keys() | b_terms.keys():
+        a = lhs.get(u, zero)
+        b = b_terms.get(u, zero)
         diff = a - b
         if _nonzero_mod(diff.numerator, diff.denominator, modulus):
             failures.append(
                 CongruenceFailure(u, format_rational(a), format_rational(b), vp(p, diff))
             )
-    for u, b in b_terms.items():
-        if u not in matched and _nonzero_mod(b.numerator, b.denominator, modulus):
-            failures.append(CongruenceFailure(u, "0/1", format_rational(b), vp(p, b)))
     failures.sort(key=lambda f: f.u.sort_key())
     return CongruenceReport(not failures, p, k, context, failures)
 
@@ -305,7 +293,8 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
 def _exact_terms(n: int, rhs: SparsePoly, low: dict) -> Iterator[tuple[Partition, int, int]]:
     """(u, num, den) for each u of the sweep low (_exact_sweep), then each
     key of rhs of weight n not in low, as the reduced tau(u): the exact
-    backend's term source, each monomial once."""
+    backend's term source, each monomial once.  A right-hand key so gets its
+    true tau(u) in a failure, not the 0 of a key that no term names."""
     for u, (num, den) in low.items():
         yield u, num, den
     for u in rhs.keys():
@@ -345,7 +334,8 @@ def _verify_against_ubern(
     Both backends are term sources for _congruence_report: "exact" yields
     the tau(u) its big-integer sweep kept (_exact_terms), the independent
     oracle; "padic" reads the unit residues of the u its pruned walk named
-    (_padic_terms).  Each adds the keys of rhs of weight n that low skips.
+    (_padic_terms).  Each adds the keys of rhs of weight n that low skips,
+    so only a key of another weight reads 0 on the left-hand side.
     """
     if perturb:
         # mutation self-test: +1 on the first coefficient in canonical order
@@ -376,8 +366,9 @@ def _lifting_walks(
 
 def _lifted_rhs(terms: Iterable, shift: dict[int, int], corrections: list) -> SparsePoly:
     """c^shift times the m-part terms (b, tau(b)) plus the corrections
-    (u, c), as one dict: the 3.5 and 4.9 right-hand sides.  A correction
-    key c^shift b whose b the terms skip gets tau(b) too: every key is full.
+    (u, c), summed in one dict that SparsePoly rids of its zeros: the 3.5
+    and 4.9 right-hand sides.  A correction key c^shift b whose b the terms
+    skip gets tau(b) too: every key is full.
     """
     rhs = {b.merged(shift): c for b, c in terms}
     [(part, mult)] = shift.items()
@@ -385,9 +376,7 @@ def _lifted_rhs(terms: Iterable, shift: dict[int, int], corrections: list) -> Sp
         if u not in rhs and u.multiplicity(part) >= mult:
             c += tau(u.merged({part: -mult}))
         rhs[u] = rhs.get(u, 0) + c
-        if not rhs[u]:
-            del rhs[u]
-    return SparsePoly._wrap(rhs)
+    return SparsePoly(rhs)
 
 
 # -- family 3.5 (odd primes) -------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import itertools
@@ -817,3 +818,31 @@ def test_cache_write_is_atomic(tmp_path: Path, monkeypatch):
         write_coefficient_cache(path, 9, io.StringIO())
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+class _FullOutput:
+    # an out on a full file system: every write raises ENOSPC
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_cache_output_error_names_the_output(tmp_path: Path):
+    # an OSError from out is no fault of the cache file: the writer and the
+    # reader name the output, and the writer leaves no file behind
+    path = tmp_path / "ubern_9.jsonl"
+    blame = f"cannot copy {path} to its output: [Errno {errno.ENOSPC}] No space"
+    with pytest.raises(CacheError) as exc:
+        write_coefficient_cache(path, 9, _FullOutput())
+    assert str(exc.value).startswith(blame), exc.value
+    assert list(tmp_path.iterdir()) == []
+    write_coefficient_cache(path, 9, io.StringIO())
+    before = path.read_bytes()
+    with pytest.raises(CacheError) as exc:
+        read_coefficient_cache(path, 9, _FullOutput())
+    assert str(exc.value).startswith(blame), exc.value
+    assert path.read_bytes() == before
+    # an error of the cache file itself still names the cache file
+    with pytest.raises(CacheError, match="^cannot write cache file "):
+        write_coefficient_cache(path / "ubern_9.jsonl", 9, io.StringIO())
+    with pytest.raises(CacheError, match="^cannot read cache file "):
+        read_coefficient_cache(tmp_path / "ubern_8.jsonl", 8, io.StringIO())

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -220,6 +222,30 @@ def test_compute_fails_closed_in_the_middle_of_a_write(capsys, monkeypatch, tmp_
     code, out, err = run(capsys, "compute", "--n", "9", "--cache-dir", str(cache_dir))
     assert (code, out) == (3, "") and "cannot open a spool file" in err
     assert list(cache_dir.iterdir()) == []
+
+
+class _FullSpool(io.StringIO):
+    # a spool on a full file system: every write raises ENOSPC
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_compute_names_a_full_spool(capsys, monkeypatch, tmp_path: Path):
+    # a spool that cannot take the file is blamed, not the cache file: a
+    # miss and a hit exit 3, print nothing and leave the cache as it was
+    path = tmp_path / bernoulli.cache_file_name(9)
+    argv = ("compute", "--n", "9", "--cache-dir", str(tmp_path))
+    for step in ("miss", "hit"):
+        if step == "hit":
+            assert run(capsys, *argv)[0] == 0
+            before = path.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: _FullSpool())
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), step
+        assert f"cache error: cannot copy {path} to its output: " in err, (step, err)
+        assert list(tmp_path.iterdir()) == ([] if step == "miss" else [path]), step
+    assert path.read_bytes() == before
 
 
 def _subprocess_env(tmp_path: Path) -> dict:

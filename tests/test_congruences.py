@@ -887,6 +887,16 @@ def test_exact_report_on_the_selected_rhs_is_the_full_rhs_report():
     assert failures == 1514
 
 
+def test_lifted_rhs_keeps_no_cancelled_key():
+    # a correction that cancels its key's lifted term leaves no zero
+    # coefficient, and one whose base the terms skip gets that base's tau
+    P = Partition
+    terms = [(P({1: 2}), Fraction(3)), (P({2: 1}), Fraction(5))]
+    corrections = [(P({1: 3}), Fraction(-3)), (P({1: 2, 3: 1}), Fraction(1))]
+    rhs = congruences._lifted_rhs(terms, {1: 1}, corrections)
+    assert rhs == SparsePoly({P({1: 1, 2: 1}): 5, P({1: 2, 3: 1}): 1 + tau(P({1: 1, 3: 1}))})
+
+
 def test_lifted_families_never_build_divided_ubern(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("divided_ubern called")

@@ -6,7 +6,9 @@ from outside the program.  A refactor that removes one of them breaks
 ``perfbench/run.py --trace 1`` without failing any other tier-1 test,
 so this installs the tracer in a fresh interpreter and runs one traced
 verification on both backends, plain and with ``--perturb`` (only a
-failure reaches the wrapped ``vp``), one public 3.5 right-hand side,
+failure reaches the wrapped ``vp``), one 3.5 and one 4.9 verification
+on both backends, each of which must build its right-hand side through
+a wrapped builder, one public 3.5 right-hand side,
 whose ``divided_ubern(m)`` enumerates through the wrapped
 ``ubern.bernoulli.enumerate_partitions``, a ``compute`` cache miss and hit in
 text and in JSON, which reach the wrapped cache writer and reader, one
@@ -47,6 +49,17 @@ assert tracer.counts["padic.vp.calls"], dict(tracer.counts)
 # congruences.padic_report_s figure is read from
 assert any(span["name"] == "congruences.verify" and span["backend"] == "padic"
            for span in tracer.spans), [span["name"] for span in tracer.spans]
+# each backend's run of a lifting family builds its right-hand side in a
+# congruences.rhs span, which the congruences.rhs_s figure is read from:
+# verify_theorem_4_9 reaches it through the private _rhs_theorem_4_9
+for theorem, flags in (("3.5", ["--p", "5", "--s", "1", "--l", "5"]),
+                       ("4.9", ["--m", "7", "--k", "1", "--N", "3"])):
+    tracer.op = "verify-" + theorem
+    code = ubern.cli.main(["verify", "--theorem", theorem, *flags, "--backend", "both"])
+    assert code == 0, (theorem, code)
+    names = [span["name"] for span in tracer.spans if span["op"] == tracer.op]
+    assert names.count("congruences.verify") == 2, (theorem, names)
+    assert names.count("congruences.rhs") == 2, (theorem, names)
 # both backends sweep the partitions of n and m themselves; the public
 # right-hand side builds all of divided_ubern(m) through the wrapped
 # enumeration: at (3, 3, 3) that is m = 6, p(6) = 11 partitions
