@@ -272,7 +272,8 @@ def _tau_prefixes(
     n: int, run: list[list[int]]
 ) -> Iterator[tuple[list[tuple[int, int, int, int]], int]]:
     """(runs, rem) for each prefix of the partitions of n, in
-    enumerate_partitions order: the walk every full sweep shares.
+    enumerate_partitions order: the walk of cache_blocks and _tau_sum,
+    which need every partition.
 
     A partition u of n is its prefix, the runs of parts >= 3, plus the tail
     2**j 1**(rem-2j) of the weight rem the prefix leaves; the partitions of

@@ -143,10 +143,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
     Without a cache the blocks of cache_blocks stream to stdout, and text
     output builds only the blocks it shows.  With one, the miss or the hit
-    copies the file to an anonymous spool file as it writes or checks it,
-    and the spool goes to stdout only once the cache step has succeeded:
-    a cache error prints nothing, and what is printed are the bytes just
-    written or checked, not a second read of the shared cache file.
+    copies the file as it writes or checks it, JSON to an anonymous spool
+    file and text to a _TextHead that keeps the header and the lines it
+    shows, and the copy goes to stdout only once the cache step has
+    succeeded: a cache error prints nothing, and what is printed are the
+    bytes just written or checked, not a second read of the shared cache
+    file.
     """
     ceiling = _ceiling(args)
     if args.n < 1:
@@ -157,22 +159,41 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if not cache_dir:
         return _emit_compute(args, cache_blocks(args.n))
     path = Path(cache_dir) / cache_file_name(args.n)
+    if args.format == "text":
+        head = _TextHead(1 + _MAX_TEXT_ITEMS)
+        _cache_step(path, args.n, head)
+        return _emit_compute(args, head.lines)
     try:
         spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise CacheError(f"cannot open a spool file for {path}: {exc}") from exc
     with spool:
-        if path.exists():
-            read_coefficient_cache(path, args.n, spool)
-            print(f"cache hit: {path}", file=sys.stderr)
-        else:
-            write_coefficient_cache(path, args.n, spool)
-            print(f"cache write: {path}", file=sys.stderr)
+        _cache_step(path, args.n, spool)
         spool.seek(0)
-        # text reads the spool by lines, JSON in fixed chunks: never whole
-        if args.format == "json":
-            return _emit_compute(args, iter(functools.partial(spool.read, _SPOOL_CHUNK), ""))
-        return _emit_compute(args, spool)
+        # in fixed chunks: never the whole file at once
+        return _emit_compute(args, iter(functools.partial(spool.read, _SPOOL_CHUNK), ""))
+
+
+class _TextHead:
+    """A write-only text stream that keeps its first lines and drops the rest."""
+
+    def __init__(self, room: int):
+        self.lines: list[str] = []
+        self.room = room
+
+    def write(self, text: str) -> None:
+        if len(self.lines) < self.room:
+            self.lines += text.splitlines(keepends=True)[: self.room - len(self.lines)]
+
+
+def _cache_step(path: Path, n: int, out) -> None:
+    # read and check the cache file at path, or write it, copying it to out
+    if path.exists():
+        read_coefficient_cache(path, n, out)
+        print(f"cache hit: {path}", file=sys.stderr)
+    else:
+        write_coefficient_cache(path, n, out)
+        print(f"cache write: {path}", file=sys.stderr)
 
 
 def _emit_compute(args: argparse.Namespace, blocks) -> int:

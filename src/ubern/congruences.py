@@ -15,14 +15,13 @@ valuation), never a silent skip.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
     _runs_valuations,
-    _tau_prefixes,
     _tau_tables,
     _tau_unit,
     _valuation_tables,
@@ -237,57 +236,100 @@ def _padic_terms(
             yield u, unit, p**-v
 
 
-def _tail_clearing(n: int) -> list[int]:
-    """[2**rem * 3**(rem // 2) for rem <= n]: the factor that stands for
-    all the tails of weight rem in the block screen of _exact_sweep."""
-    return [2**rem * 3 ** (rem // 2) for rem in range(n + 1)]
+def _subtree_clearing(n: int) -> Callable[[int, int], int]:
+    """clearing(r, c) = L(r, c) for r <= n: the lcm of prod (i+1)**v_i over
+    the partitions v of r into parts <= c, the factor that stands for a
+    whole subtree of _exact_sweep's walk in its screen.
+
+    The partitions of r into parts <= c are those with no part c and c
+    plus those of r - c into parts <= c, so L(r, c) = lcm(L(r, c-1),
+    (c+1) L(r-c, c)), with L(0, c) = 1, L(r, 1) = 2**r and L(r, c) =
+    L(r, r) for c > r; the c = 2 column is 2**r 3**(r//2).  Entries are
+    made on first use, each row left to right, so a sweep pays only for
+    the nodes its walk reaches.  The entries one entry reads run r/2 rows
+    deep, so they are filled from a stack, not by recursion.
+    """
+    rows = [[1]] + [[1, 2**r] for r in range(1, n + 1)]
+
+    def clearing(r: int, c: int) -> int:
+        c = min(c, r)
+        todo = [(r, c)] if c >= len(rows[r]) else []
+        while todo:
+            s, b = todo[-1]
+            row = rows[s]
+            j = len(row)  # the next column of row s, which reads row s - j
+            if b < j:
+                todo.pop()
+                continue
+            below, t = rows[s - j], min(j, s - j)
+            if t < len(below):
+                row.append(lcm(row[-1], (j + 1) * below[t]))
+            else:
+                todo.append((s - j, t))
+        return rows[r][c]
+
+    return clearing
 
 
 def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int, int]]]:
     """(u, (num, den)) with tau(u) = num/den for each partition u of n with
-    tau(u) != 0 mod p**k, in _tau_fractions order: the exact backend's sweep.
+    tau(u) != 0 mod p**k, in enumerate_partitions order: the exact
+    backend's sweep.
 
     The independent oracle: every partition is settled by big-integer
     remainders of tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u); no valuation is
-    computed.  The outer loop walks the prefixes of u, its runs of parts
-    >= 3 (_tau_prefixes).  A prefix of gamma G and degree D leaves a block
-    of tails 2**j 1**(rem-2j), j <= rem // 2; the partition at j has degree
-    D + rem - j and gamma G * tail[rem][j], tail[rem][j] = 3**j j!
-    2**(rem-2j) (rem-2j)!.  Two tests settle each block.
+    computed.  The walk has the shape of tau_valuations_below's: the
+    largest part first, multiplicity descending, down to parts >= 3, and
+    after the children of a node its own tail block, the tails 2**j
+    1**(r-2j), j falling from r // 2 to 0.
 
-    The block screen, one remainder per prefix: with F = (n+D-2)!, when
-    p**k G 2**rem 3**(rem//2) divides F, the whole block is skipped.  The
-    numerator at j is F P_j, P_j a product of rem - j consecutive integers,
-    so P_j / (j! (rem-2j)!) = C(rem-j, j) P_j/(rem-j)! is an integer, and
-    tau(u)/p**k = +-[F / (p**k G 2**rem 3**(rem//2))] [P_j / (j! (rem-2j)!)]
-    4**j 3**(rem//2-j) is one too: each skipped tau(u) is 0 mod p**k.  At
-    n = 1 the empty prefix has n+D-2 = -1 and no block screen.
+    The screen, one remainder per node: a node has a prefix of gamma G and
+    degree D, parts > c, and leaves weight r to parts <= c.  Each u below
+    it is the prefix plus some v of r, so with F = (n+D-2)! and L(r, c)
+    from _subtree_clearing, tau(u)/p**k = +-[F / (p**k G L)] [P / prod
+    v_i!] [L / prod (i+1)**v_i], P a product of deg v consecutive
+    integers: prod v_i! divides (deg v)!, which divides P, and all three
+    factors are integers when p**k G L(r, c) divides F.  Then every
+    tau(u) below the node is 0 mod p**k and the whole subtree is skipped.
+    Each child is screened before it is entered, and a node with children
+    screens its tail block on its own, at c = 2.  The root is not screened:
+    L(n, n) holds 2**n, which (n-2)! lacks.
 
     The screen is only sufficient, so each tail of a block it keeps goes to
     the congruence test, _nonzero_mod, and the yields are that test's
-    alone.  The inner loop closes the tails, j falling from rem // 2 to 0,
-    each with one table lookup and one product, gamma(u) = G *
-    tail[rem][j].  A Partition is built only for a yielded term.  den =
-    gamma(u), not reduced.
+    alone: gamma(u) = G * tail[r][j], one product per tail.  A Partition is
+    built only for a yielded term.  den = gamma(u), not reduced.
     """
     modulus = p**k
     fact, run, tail = _tau_tables(n)
-    block = [modulus * c for c in _tail_clearing(n)]
-    for runs, rem in _tau_prefixes(n, run):
-        _, _, gamma, degree = runs[-1]
+    clearing = _subtree_clearing(n)
+
+    def walk(r, cap, gamma, degree, pairs):
+        # below a prefix of gamma, degree and pairs, part ascending: the
+        # partitions of r into parts <= cap, the node itself not screened
+        for part in range(min(cap, r), 2, -1):
+            row = run[part]
+            for mult in range(r // part, 0, -1):
+                rest = r - part * mult
+                g = gamma * row[mult]
+                d = degree + mult
+                if fact[n + d - 2] % (modulus * g * clearing(rest, part - 1)):
+                    yield from walk(rest, part - 1, g, d, ((part, mult),) + pairs)
+        # the tail block: a node with no children is its tail block, which
+        # its caller screened already (at n <= 2 the root, with no screen)
         base = n + degree - 2
-        if base >= 0 and fact[base] % (gamma * block[rem]) == 0:
-            continue
-        d = degree + rem  # the degree of u at j = 0, one less per 2
-        top = base + rem
-        gammas = tail[rem]
-        for j in range(rem // 2, -1, -1):
-            num = fact[top - j]
-            den = gamma * gammas[j]
-            if _nonzero_mod(num, den, modulus):
-                pairs = [pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1]]
-                pairs += [(part, mult) for part, mult, _, _ in runs[:0:-1]]
-                yield Partition._raw(pairs), ((num if (d - j) % 2 else -num), den)
+        if min(cap, r) < 3 or fact[base] % (modulus * gamma * clearing(r, 2)):
+            d = degree + r  # the degree of u at j = 0, one less per 2
+            top = base + r
+            gammas = tail[r]
+            for j in range(r // 2, -1, -1):
+                num = fact[top - j]
+                den = gamma * gammas[j]
+                if _nonzero_mod(num, den, modulus):
+                    head = tuple(pm for pm in ((1, r - 2 * j), (2, j)) if pm[1])
+                    yield Partition._raw(head + pairs), ((num if (d - j) % 2 else -num), den)
+
+    yield from walk(n, n, 1, 0, ())
 
 
 def _exact_terms(n: int, rhs: SparsePoly, low: dict) -> Iterator[tuple[Partition, int, int]]:

@@ -655,9 +655,10 @@ def test_tau_valuations_below_matches_exact_oracle_past_32():
         (5, (36, 44, 52), (1, 2)),
         (7, (36, 42, 48), (1, 2)),
         # past n = 56, where no other test checks that the walk misses nothing
-        (2, (62, 70), (3,)),
-        (3, (66,), (2,)),
-        (5, (68,), (2,)),
+        (2, (62, 70, 80, 90), (3,)),
+        (3, (66, 90), (2,)),
+        (5, (68, 90), (2,)),
+        (7, (90,), (2,)),
     ):
         for n in weights:
             for k in exponents:

@@ -216,10 +216,13 @@ def test_compute_fails_closed_in_the_middle_of_a_write(capsys, monkeypatch, tmp_
         assert (code, out) == (3, ""), fmt
         assert "cache error" in err and "disk full" in err
         assert list(cache_dir.iterdir()) == [] and list(spool_dir.iterdir()) == []
-    # a spool that cannot be opened fails closed the same way
+    # a spool that cannot be opened fails closed the same way (JSON: text
+    # keeps its lines in memory)
     monkeypatch.setattr(bernoulli, "cache_blocks", real_blocks)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    code, out, err = run(capsys, "compute", "--n", "9", "--cache-dir", str(cache_dir))
+    code, out, err = run(
+        capsys, "compute", "--n", "9", "--cache-dir", str(cache_dir), "--format", "json"
+    )
     assert (code, out) == (3, "") and "cannot open a spool file" in err
     assert list(cache_dir.iterdir()) == []
 
@@ -232,9 +235,9 @@ class _FullSpool(io.StringIO):
 
 def test_compute_names_a_full_spool(capsys, monkeypatch, tmp_path: Path):
     # a spool that cannot take the file is blamed, not the cache file: a
-    # miss and a hit exit 3, print nothing and leave the cache as it was
+    # JSON miss and hit exit 3, print nothing and leave the cache as it was
     path = tmp_path / bernoulli.cache_file_name(9)
-    argv = ("compute", "--n", "9", "--cache-dir", str(tmp_path))
+    argv = ("compute", "--n", "9", "--cache-dir", str(tmp_path), "--format", "json")
     for step in ("miss", "hit"):
         if step == "hit":
             assert run(capsys, *argv)[0] == 0
@@ -246,6 +249,32 @@ def test_compute_names_a_full_spool(capsys, monkeypatch, tmp_path: Path):
         assert f"cache error: cannot copy {path} to its output: " in err, (step, err)
         assert list(tmp_path.iterdir()) == ([] if step == "miss" else [path]), step
     assert path.read_bytes() == before
+
+
+# sha256 of the text of compute --n 30, without a cache
+TEXT_30_SHA256 = "7d9ce77ef6c577d730f25244d7f377f33482548ca37540018b00f4ebd6729778"
+
+
+def test_compute_text_keeps_its_lines_without_a_spool(capsys, monkeypatch, tmp_path: Path):
+    # text shows the header and 20 terms: a miss and a hit keep those lines,
+    # open no spool file and print the bytes of the run without a cache; a
+    # cache error past the lines shown still prints nothing and exits 3
+    def no_spool(*args, **kwargs):
+        raise AssertionError("text compute opened a spool file")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_spool)
+    argv = ("compute", "--n", "30", "--cache-dir", str(tmp_path))
+    for step in ("cache write", "cache hit"):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and step in err, (step, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == TEXT_30_SHA256, step
+    path = tmp_path / bernoulli.cache_file_name(30)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1000] = _flip_sign(lines[1000])
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, ""), err
+    assert "cache error" in err and "term line 1000 " in err, err
 
 
 def _subprocess_env(tmp_path: Path) -> dict:

@@ -9,8 +9,6 @@ import pytest
 import ubern.congruences as congruences
 from ubern.bernoulli import (
     _tau_fractions,
-    _tau_prefixes,
-    _tau_tables,
     classical_bernoulli,
     divided_ubern,
     tau,
@@ -203,8 +201,8 @@ def test_exact_terms_sweep_every_partition():
 
 def test_exact_sweep_matches_fraction_filter():
     # every (p, k) on every weight up to 30 against the Fraction of each
-    # term of _tau_fractions: the empty prefix (n <= 2), refill remainders
-    # 0, 1 and 2, and tau(u) that are not p-integral, which the p**k den | num
+    # term of _tau_fractions: the unscreened root (n <= 2), nodes left with
+    # weight 0, 1 and 2, and tau(u) that are not p-integral, which the
     # screen must pass on to the full test
     for n in range(1, 31):
         terms = [(u, (num, den), Fraction(num, den)) for u, num, den in _tau_fractions(n)]
@@ -214,50 +212,129 @@ def test_exact_sweep_matches_fraction_filter():
                 assert list(congruences._exact_sweep(p, n, k)) == want, (p, n, k)
 
 
-def test_block_screen_clears_every_tail_it_skips():
-    # the lemma behind _exact_sweep's block screen, on every prefix of every
-    # weight up to 30: when p**k G 2**rem 3**(rem//2) divides (n+D-2)!, with
-    # G and D the prefix's gamma and degree, every tail's tau(u)/p**k is an
-    # integer: each Fraction tau(u) of its Partition is an integer, and p**k
-    # divides their gcd
+def _brute_clearing(r, c):
+    # the lcm of prod (i+1)**v_i over the partitions v of r into parts <= c
+    out = 1
+    for v in enumerate_partitions(r) if r else [Partition()]:
+        if not v or max(part for part, _ in v) <= c:
+            out = math.lcm(out, math.prod((part + 1) ** mult for part, mult in v))
+    return out
+
+
+def test_subtree_clearing_matches_brute_force_lcm():
+    # every entry of weight <= 20, caps past r included, read from one
+    # table in a shuffled order and from a fresh table each: the lazy memo
+    # returns the same value whatever was asked before
+    cells = [(r, c) for r in range(21) for c in range(1, r + 3)]
+    random.Random(33).shuffle(cells)
+    shared = congruences._subtree_clearing(20)
+    for r, c in cells:
+        want = _brute_clearing(r, c)
+        assert shared(r, c) == want, (r, c)
+        assert congruences._subtree_clearing(20)(r, c) == want, (r, c)
+
+
+def test_subtree_clearing_c_2_column_is_the_tail_factor():
+    # the column the tail blocks read: 2**r 3**(r//2), the former block factor
+    clearing = congruences._subtree_clearing(60)
+    assert [clearing(r, 2) for r in range(61)] == [2**r * 3 ** (r // 2) for r in range(61)]
+    # a deep entry read first from a fresh table: the entries it reads run
+    # 1,500 rows deep, past the interpreter's recursion limit
+    assert congruences._subtree_clearing(3000)(3000, 2) == 2**3000 * 3**1500
+
+
+def _walk_nodes(n):
+    # every node of _exact_sweep's walk at weight n, none cut: (prefix, r,
+    # c) for the root (n >= 2, so (n+D-2)! is defined), for each child,
+    # and at c = 2 for the tail block of each node with children
+    def walk(prefix, r, cap):
+        for part in range(min(cap, r), 2, -1):
+            for mult in range(r // part, 0, -1):
+                child = {**prefix, part: mult}
+                yield child, r - part * mult, part - 1
+                yield from walk(child, r - part * mult, part - 1)
+        if min(cap, r) >= 3:
+            yield prefix, r, 2
+
+    if n >= 2:
+        yield {}, n, n
+    yield from walk({}, n, n)
+
+
+def test_subtree_screen_clears_every_partition_it_skips():
+    # the lemma behind _exact_sweep's screen, on every node of every weight
+    # up to 30: when p**k G L(r, c) divides (n+D-2)!, with G and D the
+    # prefix's gamma and degree, every u below the node has tau(u)/p**k an
+    # integer: each Fraction tau(u) of its Partition is an integer, and
+    # p**k divides their gcd
     skipped = fallbacks = 0
+    below = {0: [Partition()], **{r: list(enumerate_partitions(r)) for r in range(1, 31)}}
     for n in range(1, 31):
-        _, run, _ = _tau_tables(n)
-        for runs, rem in _tau_prefixes(n, run):
-            _, _, gamma, degree = runs[-1]
-            if n + degree - 2 < 0:
-                continue  # n = 1: no block screen
+        clearing = congruences._subtree_clearing(n)
+        for prefix, r, c in _walk_nodes(n):
+            degree = sum(prefix.values())
+            gamma = math.prod(
+                (part + 1) ** mult * math.factorial(mult) for part, mult in prefix.items()
+            )
             factorial = math.factorial(n + degree - 2)
-            prefix = {part: mult for part, mult, _, _ in runs[1:]}
             taus = [
-                tau(Partition({**prefix, 1: rem - 2 * j, 2: j}))
-                for j in range(rem // 2 + 1)
+                tau(Partition({**prefix, **dict(v)}))
+                for v in below[r]
+                if not v or max(part for part, _ in v) <= c
             ]
             integral = all(t.denominator == 1 for t in taus)
             common = math.gcd(*(t.numerator for t in taus))
             for p in (2, 3, 5, 7):
                 for k in range(1, 5):
-                    if factorial % (p**k * gamma * 2**rem * 3 ** (rem // 2)):
+                    if factorial % (p**k * gamma * clearing(r, c)):
                         fallbacks += 1
                         continue
                     skipped += 1
-                    assert integral and common % p**k == 0, (p, n, k, prefix)
+                    assert integral and common % p**k == 0, (p, n, k, prefix, r, c)
     assert skipped > 0 and fallbacks > 0, (skipped, fallbacks)
 
 
+# the proved table, kept apart from the name the mutation controls replace
+PROVED_CLEARING = congruences._subtree_clearing
+
+
+def _weakened(n, value):
+    # a _subtree_clearing(n) whose entry at (r, c) is value(r, c, L), c read
+    # as min(c, r) and L the proved table
+    clearing = PROVED_CLEARING(n)
+    return lambda r, c: value(r, min(c, r), clearing)
+
+
+def _clearing_without_the_part_factor(n):
+    # the recurrence of _subtree_clearing with its (c+1) factor dropped
+    rows = [[1]] + [[1, 2**r] for r in range(1, n + 1)]
+
+    def clearing(r, c):
+        row = rows[r]
+        c = min(c, r)
+        for b in range(len(row), c + 1):
+            row.append(math.lcm(row[-1], clearing(r - b, b)))
+        return row[c]
+
+    return clearing
+
+
 @pytest.mark.parametrize("weakened, first", [
-    (lambda rem: 1, (2, 4, 1)),
-    # one factor 2 short, and one factor 3 short, of the proved factor
-    (lambda rem: 2 ** max(rem - 1, 0) * 3 ** (rem // 2), (2, 6, 2)),
-    (lambda rem: 2**rem * 3 ** max(rem // 2 - 1, 0), (3, 7, 1)),
+    (lambda n: _weakened(n, lambda r, c, L: 1), (2, 4, 1)),
+    # one factor 2 short, and one factor 3 short, of the c = 2 column
+    (lambda n: _weakened(n, lambda r, c, L: L(r, c) // (2 if c == 2 else 1)), (2, 6, 2)),
+    (lambda n: _weakened(n, lambda r, c, L: L(r, c) // (3 if c == 2 else 1)), (3, 7, 1)),
+    # one factor 2 short in every column c >= 3
+    (lambda n: _weakened(n, lambda r, c, L: L(r, c) // (2 if c >= 3 else 1)), (2, 9, 3)),
+    # the c = 2 column read for every c
+    (lambda n: _weakened(n, lambda r, c, L: L(r, min(c, 2))), (5, 11, 2)),
+    (_clearing_without_the_part_factor, (3, 7, 1)),
 ])
 def test_weakened_block_screen_fails_the_fraction_filter(monkeypatch, weakened, first):
-    # mutation controls: a clearing factor below 2**rem 3**(rem//2) skips a
-    # block holding a tau(u) != 0 mod p**k, and the exhaustive comparison
-    # with the Fraction filter names the first (p, n, k) where it does
-    monkeypatch.setattr(
-        congruences, "_tail_clearing", lambda n: [weakened(rem) for rem in range(n + 1)]
-    )
+    # mutation controls: a clearing table below L(r, c) skips a subtree
+    # holding a tau(u) != 0 mod p**k, and the exhaustive comparison with
+    # the Fraction filter names the first (p, n, k) where it does
+    monkeypatch.setattr(congruences, "_subtree_clearing", weakened)
     with pytest.raises(AssertionError) as failed:
         test_exact_sweep_matches_fraction_filter()
     assert str(failed.value).startswith(str(first)), str(failed.value)[:40]
