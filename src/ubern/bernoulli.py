@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, TextIO
 
-from .errors import CacheError, CeilingExceeded, PreconditionError, _require_ints
+from .errors import CacheError, PreconditionError, _require_ceiling, _require_ints
 from .padic import _require_prime, _vp_factorial, vp_int
 from .partitions import Partition, count_partitions, enumerate_partitions
 
@@ -63,22 +63,20 @@ def tau(u: Partition) -> Fraction:
     return Fraction(num, gamma(u))
 
 
-def _gamma_valuation(p: int, u: Partition) -> int:
-    """v_p(gamma(u)) = sum_i [u_i v_p(i+1) + v_p(u_i!)]; the caller checks p."""
-    v = 0
-    for part, mult in u:
-        if (part + 1) % p == 0:
-            v += mult * vp_int(p, part + 1)
-        v += _vp_factorial(p, mult)
-    return v
-
-
 def tau_valuation(p: int, u: Partition) -> int:
-    """v_p(tau(u)) from digit sums alone; no factorial is formed."""
+    """v_p(tau(u)) from digit sums alone; no factorial is formed.
+
+    v_p((n+d-2)!) less v_p(gamma(u)) = sum_i [u_i v_p(i+1) + v_p(u_i!)].
+    """
     if not u:
         raise PreconditionError("tau needs a nonempty partition")
     _require_prime(p)
-    return _vp_factorial(p, u.weight + u.degree - 2) - _gamma_valuation(p, u)
+    v = _vp_factorial(p, u.weight + u.degree - 2)
+    for part, mult in u:
+        if (part + 1) % p == 0:
+            v -= mult * vp_int(p, part + 1)
+        v -= _vp_factorial(p, mult)
+    return v
 
 
 def _valuation_tables(p: int, n: int) -> tuple[list[int], list[list[int]]]:
@@ -88,7 +86,7 @@ def _valuation_tables(p: int, n: int) -> tuple[list[int], list[list[int]]]:
     mult v_p(part+1) + v_p(mult!), the term of v_p(gamma(u)) from one
     run, for part * mult <= n.  So for u of weight n and degree d,
     v_p(tau(u)) = vfact[n+d-2] - sum of gain over the runs of u, the
-    formula tau_valuation and _gamma_valuation state per partition.
+    formula tau_valuation states per partition.
     """
     size = max(2 * n - 2, n) + 1
     # Legendre: v_p(i!) = k + v_p(k!) for k = i // p, one value per block of p
@@ -193,31 +191,25 @@ class SparsePoly:
     then the enumeration order of partitions of that weight).
     """
 
-    __slots__ = ("_terms", "_ordered", "_canonical")
+    __slots__ = ("_terms", "_ordered")
 
     def __init__(self, terms: Mapping[Partition, Fraction | int] = {}):
         self._terms = {u: q for u, c in terms.items() if (q := Fraction(c))}
         self._ordered: list[tuple[Partition, Fraction]] | None = None
-        self._canonical = False
 
     @classmethod
-    def _wrap(cls, terms: dict, canonical: bool = False):
-        # terms: nonzero Fraction coefficients, taken as they are; canonical
-        # if keyed in enumerate_partitions order, so items() needs no sort
+    def _wrap(cls, terms: dict):
+        # terms: nonzero Fraction coefficients, taken as they are
         self = object.__new__(cls)
         self._terms = terms
         self._ordered = None
-        self._canonical = canonical
         return self
 
     def items(self) -> list[tuple[Partition, Fraction]]:
-        # built on first use: callers that never ask for the order (the exact
-        # backend's largest polynomials) pay neither the sort nor the list
+        # sorted on first use and kept: callers that never ask for the order
+        # (the exact backend's largest polynomials) pay neither sort nor list
         if self._ordered is None:
-            if self._canonical:
-                self._ordered = list(self._terms.items())
-            else:
-                self._ordered = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+            self._ordered = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
         return self._ordered
 
     def keys(self):
@@ -368,11 +360,10 @@ def divided_ubern(n: int, *, n_ceiling: int = DEFAULT_N_CEILING) -> SparsePoly:
     One term per partition of n, built from _tau_fractions.  Refuses n
     above the configurable ceiling (count_partitions grows fast).
     """
-    _require_ints(1, n=n, n_ceiling=n_ceiling)
-    if n > n_ceiling:
-        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
+    _require_ints(1, n=n)
+    _require_ceiling(n_ceiling, n=n)
     terms = {u: Fraction(num, den) for u, num, den in _tau_fractions(n)}
-    return SparsePoly._wrap(terms, canonical=True)
+    return SparsePoly._wrap(terms)
 
 
 def specialize(poly: SparsePoly, values: Mapping[int, Fraction | int]) -> Fraction:

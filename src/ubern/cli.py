@@ -40,7 +40,7 @@ from .congruences import (  # verify_theorem_* are called by name: _verify
     verify_theorem_4_8,
     verify_theorem_4_9,
 )
-from .errors import CacheError, CeilingExceeded, PreconditionError
+from .errors import CacheError, PreconditionError, _require_ceiling
 from .lemmas import SWEEPS, run_sweep
 
 EXIT_OK = 0
@@ -153,8 +153,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
     if args.n < 1:
         raise PreconditionError("--n must be >= 1")
-    if args.n > ceiling:
-        raise CeilingExceeded(f"n={args.n} exceeds the ceiling {ceiling}")
+    _require_ceiling(ceiling, n=args.n)
     cache_dir = args.cache_dir or os.environ.get("UBERN_CACHE_DIR")
     if not cache_dir:
         return _emit_compute(args, cache_blocks(args.n))
@@ -288,9 +287,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
     if args.name in ("4.6", "4.7"):  # every partition of each weight up to n_max
         (default,) = SWEEPS[args.name].__defaults__  # of n_max, its one parameter
         n_max = overrides.get("n_max", default)
-        ceiling = _ceiling(args)
-        if n_max > ceiling:
-            raise PreconditionError(f"--n-max {n_max} exceeds the ceiling {ceiling}")
+        _require_ceiling(_ceiling(args), n_max=n_max)
     result = run_sweep(args.name, **overrides)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
@@ -311,10 +308,7 @@ def _cmd_classical(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
     if args.n_max < 1:
         raise PreconditionError("--n-max must be >= 1")
-    if args.n_max > ceiling:
-        raise PreconditionError(
-            f"--n-max {args.n_max} exceeds the ceiling {ceiling}"
-        )
+    _require_ceiling(ceiling, n_max=args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
         # at c_i = (-1)**i every monomial of weight n is (-1)**n

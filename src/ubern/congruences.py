@@ -33,7 +33,7 @@ from .bernoulli import (
     tau_valuation,
     tau_valuations_below,
 )
-from .errors import CeilingExceeded, PreconditionError, _require_ints
+from .errors import PreconditionError, _require_ceiling, _require_ints
 from .padic import (
     _require_odd_prime,
     _require_prime,
@@ -354,9 +354,7 @@ def _sweep(backend: str, p: int, n: int, k: int, n_ceiling: int) -> dict:
     """
     if backend not in ("exact", "padic"):
         raise PreconditionError(f"unknown backend {backend!r}")
-    _require_ints(1, n_ceiling=n_ceiling)
-    if n > n_ceiling:
-        raise CeilingExceeded(f"n={n} exceeds the ceiling {n_ceiling}")
+    _require_ceiling(n_ceiling, n=n)
     return dict((_exact_sweep if backend == "exact" else tau_valuations_below)(p, n, k))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .bernoulli import _runs_valuations, _valuation_tables, tau_valuation
-from .errors import PreconditionError, _require_ints
+from .errors import PreconditionError, _require_ceiling, _require_ints
 from .padic import (
     _vp,
     _vp_factorial,
@@ -42,11 +42,6 @@ _SEED = 91724
 # k 2**N: 4.2 takes about 0.8 s at N = 10, and each step up about triples
 # the cost of both (4.1 at N = 16 had not finished after 110 s)
 _EXPONENT_MAX = 10
-
-
-def _require_exponent(n_max: int) -> None:
-    if n_max > _EXPONENT_MAX:
-        raise PreconditionError(f"n_max {n_max} exceeds the ceiling {_EXPONENT_MAX}")
 
 
 class LemmaSweepResult(NamedTuple):
@@ -258,7 +253,7 @@ def lemma_3_2(s_max: int = 3, i_max: int = 4) -> LemmaSweepResult:
 def lemma_4_1(k_max: int | None = None, n_max: int = 8) -> LemmaSweepResult:
     """Double-factorial signs: (2k-1)!! mod 4, (4k-3)!! mod 16, and
     (k 2**N - 3)!! = -1 mod 2**(N+1) for N >= 3."""
-    _require_exponent(n_max)
+    _require_ceiling(_EXPONENT_MAX, n_max=n_max)
     failures: list[dict] = []
     detail = {"i": 0, "ii": 0, "iii": 0}
     k1 = k_max if k_max is not None else 399
@@ -285,7 +280,7 @@ def lemma_4_1(k_max: int | None = None, n_max: int = 8) -> LemmaSweepResult:
 
 def lemma_4_2(k_max: int = 9, a_max: int = 30, n_max: int = 8) -> LemmaSweepResult:
     """Shifted double-factorial congruences along k 2**N."""
-    _require_exponent(n_max)
+    _require_ceiling(_EXPONENT_MAX, n_max=n_max)
     failures: list[dict] = []
     detail = {"i": 0, "ii": 0, "iii": 0}
     for N in range(3, n_max + 1):

@@ -254,13 +254,14 @@ def test_sparse_poly_item_order_is_canonical(tmp_path: Path):
     poly = divided_ubern(6)
     keys = [u for u, _ in poly.items()]
     assert keys == list(enumerate_partitions(6))
-    # divided_ubern lists its terms without sorting; the order must still
-    # be the sort_key order, and the cache round trip copies out the text of
-    # cache_blocks, which follows the same enumeration
+    # divided_ubern keys its terms in enumeration order, the order that
+    # cache_blocks writes; that order must be the sort_key order items()
+    # sorts by, and the cache round trip copies out the text of cache_blocks
     for n in range(1, 41):
         poly = divided_ubern(n)
-        want = sorted(poly.items(), key=lambda kv: kv[0].sort_key())
-        assert poly.items() == want, n
+        enumerated = list(poly._terms)
+        assert enumerated == sorted(enumerated, key=Partition.sort_key), n
+        assert poly.items() == list(poly._terms.items()), n
         path = tmp_path / cache_file_name(n)
         text = "".join(cache_blocks(n))
         assert _copied(write_coefficient_cache, path, n) == text, n

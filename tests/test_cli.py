@@ -14,6 +14,9 @@ import ubern.bernoulli as bernoulli
 import ubern.cli as cli
 from ubern.bernoulli import divided_ubern, format_rational
 from ubern.cli import _monomial, main
+from ubern.congruences import verify_theorem_4_8
+from ubern.errors import CeilingExceeded
+from ubern.lemmas import run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -623,3 +626,49 @@ def test_verify_ceiling_names_n(capsys, monkeypatch, backend, argv, n):
     code, out, err = run(capsys, "verify", *argv, "--backend", backend)
     assert (code, out) == (2, "")
     assert err == f"error: n={n} exceeds the ceiling 60\n"
+
+
+# every cap of every command, each over-cap input with the one message of
+# its cap; lemma takes no --n-ceiling, and the exponent cap of lemmas 4.1
+# and 4.2 is 10 whatever the weight ceiling
+_OVER_CAP = [
+    (("compute", "--n", "13"), "n=13 exceeds the ceiling 12"),
+    (("verify", "--theorem", "4.8", "--n", "14", "--backend", "exact"), "n=14 exceeds the ceiling 12"),
+    (("verify", "--theorem", "4.8", "--n", "14", "--backend", "padic"), "n=14 exceeds the ceiling 12"),
+    (("sweep", "--theorem", "4.8", "--n-max", "14", "--backend", "padic"), "n=14 exceeds the ceiling 12"),
+    (("classical", "--n-max", "13"), "n_max=13 exceeds the ceiling 12"),
+    (("lemma", "--name", "4.6", "--n-max", "13"), "n_max=13 exceeds the ceiling 12"),
+    (("lemma", "--name", "4.7", "--n-max", "13"), "n_max=13 exceeds the ceiling 12"),
+    (("lemma", "--name", "4.1", "--n-max", "11"), "n_max=11 exceeds the ceiling 10"),
+    (("lemma", "--name", "4.2", "--n-max", "11"), "n_max=11 exceeds the ceiling 10"),
+]
+
+_CAP_RUNS = [
+    (via, argv, message)
+    for argv, message in _OVER_CAP
+    for via in ("flag", "env")
+    if via == "env" or argv[0] != "lemma"
+]
+
+
+@pytest.mark.parametrize(
+    "via, argv, message", _CAP_RUNS, ids=[f"{via}-{' '.join(argv)}" for via, argv, _ in _CAP_RUNS]
+)
+def test_every_cap_raises_ceiling_exceeded_with_one_message(capsys, monkeypatch, via, argv, message):
+    if via == "flag":
+        argv += ("--n-ceiling", "12")
+    else:
+        monkeypatch.setenv("UBERN_N_CEILING", "12")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_library_caps_raise_ceiling_exceeded():
+    with pytest.raises(CeilingExceeded, match="^n=13 exceeds the ceiling 12$"):
+        divided_ubern(13, n_ceiling=12)
+    for backend in ("exact", "padic"):
+        with pytest.raises(CeilingExceeded, match="^n=14 exceeds the ceiling 12$"):
+            verify_theorem_4_8(14, backend=backend, n_ceiling=12)
+    for name in ("4.1", "4.2"):
+        with pytest.raises(CeilingExceeded, match="^n_max=11 exceeds the ceiling 10$"):
+            run_sweep(name, n_max=11)

@@ -6,9 +6,9 @@ import pytest
 import ubern.lemmas as lemmas
 import ubern.padic as padic
 from ubern.bernoulli import (
-    _gamma_valuation,
     _runs_valuations,
     _valuation_tables,
+    gamma,
     tau_valuation,
 )
 from ubern.congruences import (
@@ -234,7 +234,7 @@ def _lemma_4_6_reference(n_max=24):
         for u in enumerate_partitions(n):
             checked += 1
             u1, u3, u7 = u.multiplicity(1), u.multiplicity(3), u.multiplicity(7)
-            e = _gamma_valuation(2, u) - vp_factorial(2, 2 * u1) - 2 * u3 - vp_factorial(2, u3)
+            e = vp_int(2, gamma(u)) - vp_factorial(2, 2 * u1) - 2 * u3 - vp_factorial(2, u3)
             offset = n + u.degree - 2 - 2 * (u1 + 2 * u3 + e)
             ndot = n - u1 - 3 * u3
             if ndot == 0:
@@ -336,12 +336,12 @@ def test_valuation_tables_match_the_per_partition_formulas(p):
         assert [len(row) for row in gain] == [1] + [n // part + 1 for part in range(1, n + 1)]
         for u in enumerate_partitions(n):
             got = _runs_valuations(vfact, gain, u)
-            assert got == (u.degree, _gamma_valuation(p, u), tau_valuation(p, u))
+            assert got == (u.degree, vp_int(p, gamma(u)), tau_valuation(p, u))
     # lemma 3.2's largest weight, at its degree budget
     vfact, gain = _valuation_tables(p, 76)
     for u in enumerate_partitions_bounded(76, 5):
         got = _runs_valuations(vfact, gain, u)
-        assert got == (u.degree, _gamma_valuation(p, u), tau_valuation(p, u))
+        assert got == (u.degree, vp_int(p, gamma(u)), tau_valuation(p, u))
 
 
 # the instance count of each sweep at its defaults: the work the identity
