@@ -15,7 +15,7 @@ valuation), never a silent skip.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bernoulli import (
@@ -39,6 +39,7 @@ from .padic import (
     _require_prime,
     _unit_factorials,
     double_factorial,
+    is_prime,
     vp,
     vp_int,
 )
@@ -197,11 +198,10 @@ def _congruence_report(
 
 def _nonzero_mod(num: int, den: int, modulus: int) -> bool:
     """num/den != 0 mod modulus = p**k, k >= 1, den > 0: the integer
-    congruence test.  The numerator in lowest terms is the quotient when
-    den divides num, else num over gcd(num, den); p**k divides it exactly
-    when v_p(num/den) >= k."""
-    q, r = divmod(num, den)
-    return (num // gcd(num, den) if r else q) % modulus != 0
+    congruence test.  In lowest terms num/den has numerator num/g, g =
+    gcd(num, den), and p**k divides it exactly when p**k g divides num
+    (num = 0: g = den)."""
+    return num % (modulus * gcd(num, den)) != 0
 
 
 def _padic_terms(
@@ -236,39 +236,33 @@ def _padic_terms(
             yield u, unit, p**-v
 
 
-def _subtree_clearing(n: int) -> Callable[[int, int], int]:
-    """clearing(r, c) = L(r, c) for r <= n: the lcm of prod (i+1)**v_i over
-    the partitions v of r into parts <= c, the factor that stands for a
-    whole subtree of _exact_sweep's walk in its screen.
+def _subtree_clearing(n: int) -> Callable[[int], list[int]]:
+    """column(c)[r] = L(r, c) for r <= n, c >= 1: the lcm of prod (i+1)**v_i
+    over the partitions v of r into parts <= c, which stands for a whole
+    subtree of _exact_sweep's walk in its screen.
 
-    The partitions of r into parts <= c are those with no part c and c
-    plus those of r - c into parts <= c, so L(r, c) = lcm(L(r, c-1),
-    (c+1) L(r-c, c)), with L(0, c) = 1, L(r, 1) = 2**r and L(r, c) =
-    L(r, r) for c > r; the c = 2 column is 2**r 3**(r//2).  Entries are
-    made on first use, each row left to right, so a sweep pays only for
-    the nodes its walk reaches.  The entries one entry reads run r/2 rows
-    deep, so they are filled from a stack, not by recursion.
+    L(r, c) = prod q**(r // (q-1)) over the primes q <= c+1.  The lcm has
+    the largest v_q of the products.  As i+1 >= q**e >= 1 + e(q-1) for e =
+    v_q(i+1), v_q(prod (i+1)**v_i) <= sum v_i i/(q-1) = r/(q-1), and only
+    primes q <= c+1 divide an i+1; r // (q-1) parts q-1, then 1s, reach
+    the bound.  So column c is column c-1 times q**(r // (q-1)) where c+1 =
+    q is prime, else column c-1 itself; q > r+1 leaves entry r alone.
+    Each is built on first use: column 2 alone builds columns 1 and 2.  The
+    padic walk codes the same bound as bernoulli._gain_ceiling; the
+    independent oracle does not call it, so that one wrong bound cannot
+    pass both backends, and the tests tie the two codings.
     """
-    rows = [[1]] + [[1, 2**r] for r in range(1, n + 1)]
+    columns = [[1] * (n + 1)]  # c = 0: the empty product
 
-    def clearing(r: int, c: int) -> int:
-        c = min(c, r)
-        todo = [(r, c)] if c >= len(rows[r]) else []
-        while todo:
-            s, b = todo[-1]
-            row = rows[s]
-            j = len(row)  # the next column of row s, which reads row s - j
-            if b < j:
-                todo.pop()
-                continue
-            below, t = rows[s - j], min(j, s - j)
-            if t < len(below):
-                row.append(lcm(row[-1], (j + 1) * below[t]))
-            else:
-                todo.append((s - j, t))
-        return rows[r][c]
+    def column(c: int) -> list[int]:
+        while len(columns) <= c:
+            q, prev = len(columns) + 1, columns[-1]
+            if is_prime(q):
+                prev = [x * q ** (r // (q - 1)) for r, x in enumerate(prev)]
+            columns.append(prev)
+        return columns[c]
 
-    return clearing
+    return column
 
 
 def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int, int]]]:
@@ -293,7 +287,8 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     tau(u) below the node is 0 mod p**k and the whole subtree is skipped.
     Each child is screened before it is entered, and a node with children
     screens its tail block on its own, at c = 2.  The root is not screened:
-    L(n, n) holds 2**n, which (n-2)! lacks.
+    L(n, n) holds 2**n, which (n-2)! lacks.  A node takes column part - 1
+    once per part, a sweep the c = 2 column once; a screen is a list index.
 
     The screen is only sufficient, so each tail of a block it keeps goes to
     the congruence test, _nonzero_mod, and the yields are that test's
@@ -303,22 +298,24 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     modulus = p**k
     fact, run, tail = _tau_tables(n)
     clearing = _subtree_clearing(n)
+    tail_clearing = clearing(2)  # the column the tail blocks read
 
     def walk(r, cap, gamma, degree, pairs):
         # below a prefix of gamma, degree and pairs, part ascending: the
         # partitions of r into parts <= cap, the node itself not screened
         for part in range(min(cap, r), 2, -1):
             row = run[part]
+            below = clearing(part - 1)
             for mult in range(r // part, 0, -1):
                 rest = r - part * mult
                 g = gamma * row[mult]
                 d = degree + mult
-                if fact[n + d - 2] % (modulus * g * clearing(rest, part - 1)):
+                if fact[n + d - 2] % (modulus * g * below[rest]):
                     yield from walk(rest, part - 1, g, d, ((part, mult),) + pairs)
         # the tail block: a node with no children is its tail block, which
         # its caller screened already (at n <= 2 the root, with no screen)
         base = n + degree - 2
-        if min(cap, r) < 3 or fact[base] % (modulus * gamma * clearing(r, 2)):
+        if min(cap, r) < 3 or fact[base] % (modulus * gamma * tail_clearing[r]):
             d = degree + r  # the degree of u at j = 0, one less per 2
             top = base + r
             gammas = tail[r]

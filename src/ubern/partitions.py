@@ -9,7 +9,7 @@ multiplicity sum(u_i).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import PreconditionError, _require_ints
 from .padic import _require_odd_prime

@@ -532,6 +532,22 @@ def test_classical_builds_no_polynomial(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of sweep --theorem all --format json on each backend: every verdict
+# and every failure record of the shipped grid
+SWEEP_ALL_SHA256 = {
+    "exact": "5bdb181cdbdd2724c4ec4cea299c4542c642308e1b414f52b291eb7077fde5dc",
+    "padic": "46b70426584156279252ffce5608b6043dff50466875a5be99741e0b9bd1a4a4",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(SWEEP_ALL_SHA256))
+def test_sweep_all_json_bytes_are_pinned(capsys, backend):
+    argv = ("sweep", "--theorem", "all", "--backend", backend, "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_ALL_SHA256[backend]
+
+
 def test_sweep_subcommand(capsys):
     code, out, _ = run(capsys, "sweep", "--theorem", "4.8", "--n-min", "12", "--n-max", "16")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import ubern.bernoulli as bernoulli
 import ubern.congruences as congruences
 from ubern.bernoulli import (
     _tau_fractions,
@@ -46,6 +48,7 @@ from ubern.padic import (
     is_prime,
     vp,
     vp_factorial,
+    vp_int,
 )
 from ubern.partitions import Partition, enumerate_partitions
 
@@ -212,35 +215,72 @@ def test_exact_sweep_matches_fraction_filter():
                 assert list(congruences._exact_sweep(p, n, k)) == want, (p, n, k)
 
 
-def _brute_clearing(r, c):
-    # the lcm of prod (i+1)**v_i over the partitions v of r into parts <= c
-    out = 1
-    for v in enumerate_partitions(r) if r else [Partition()]:
-        if not v or max(part for part, _ in v) <= c:
-            out = math.lcm(out, math.prod((part + 1) ** mult for part, mult in v))
-    return out
+def _brute_clearing(r):
+    # {c: the lcm of prod (i+1)**v_i over the partitions v of r into parts
+    # <= c} for 1 <= c <= r + 2, by partition and lcm alone
+    products = [(0, 1)] if r == 0 else [
+        (max(part for part, _ in v), math.prod((part + 1) ** mult for part, mult in v))
+        for v in enumerate_partitions(r)
+    ]
+    return {c: math.lcm(*(x for top, x in products if top <= c)) for c in range(1, r + 3)}
 
 
 def test_subtree_clearing_matches_brute_force_lcm():
-    # every entry of weight <= 20, caps past r included, read from one
-    # table in a shuffled order and from a fresh table each: the lazy memo
-    # returns the same value whatever was asked before
-    cells = [(r, c) for r in range(21) for c in range(1, r + 3)]
+    # every entry of weight <= 30, caps past r included, read from one
+    # table in a shuffled order and from a fresh table each: the lazy
+    # columns return the same value whatever was asked before
+    brute = {r: _brute_clearing(r) for r in range(31)}
+    cells = [(r, c) for r in range(31) for c in range(1, r + 3)]
     random.Random(33).shuffle(cells)
-    shared = congruences._subtree_clearing(20)
+    shared = congruences._subtree_clearing(30)
     for r, c in cells:
-        want = _brute_clearing(r, c)
-        assert shared(r, c) == want, (r, c)
-        assert congruences._subtree_clearing(20)(r, c) == want, (r, c)
+        want = brute[r][c]
+        assert shared(c)[r] == want, (r, c)
+        assert congruences._subtree_clearing(30)(c)[r] == want, (r, c)
 
 
 def test_subtree_clearing_c_2_column_is_the_tail_factor():
     # the column the tail blocks read: 2**r 3**(r//2), the former block factor
+    assert congruences._subtree_clearing(60)(2) == [2**r * 3 ** (r // 2) for r in range(61)]
+    # a deep entry read first from a fresh table, which builds no column
+    # past c = 2
+    assert congruences._subtree_clearing(3000)(2)[3000] == 2**3000 * 3**1500
+
+
+def test_subtree_clearing_is_the_gain_ceiling_of_each_prime():
+    # the exact oracle's closed form and the padic walk's _gain_ceiling are
+    # two codings of one bound, v_q(i+1) <= i/(q-1), that share no code:
+    # L(r, c) holds q**_gain_ceiling(q, c, r) for each prime q <= 61 and no
+    # other prime factor
+    primes = [q for q in range(2, 62) if is_prime(q)]
     clearing = congruences._subtree_clearing(60)
-    assert [clearing(r, 2) for r in range(61)] == [2**r * 3 ** (r // 2) for r in range(61)]
-    # a deep entry read first from a fresh table: the entries it reads run
-    # 1,500 rows deep, past the interpreter's recursion limit
-    assert congruences._subtree_clearing(3000)(3000, 2) == 2**3000 * 3**1500
+    for c in range(1, 63):
+        for r, entry in enumerate(clearing(c)):
+            for q in primes:
+                v = vp_int(q, entry)
+                assert v == bernoulli._gain_ceiling(q, c, r), (q, r, c)
+                entry //= q**v
+            assert entry == 1, (r, c)
+
+
+def test_nonzero_mod_is_its_definition():
+    # num/den != 0 mod p**k: the numerator of num/den in lowest terms is not
+    # divisible by p**k, for zero, negative, small and factorial-sized
+    # numerators over denominators that share factors with num and p**k
+    rng = random.Random(35)
+    heads = [0, 1, -1, 6, -45, 2**61 - 1, math.factorial(450), -math.factorial(1000)]
+    outcomes = set()
+    for p in (2, 3, 5, 7):
+        for k in range(1, 6):
+            modulus = p**k
+            for _ in range(150):
+                shared = rng.choice([1, p, p**k, p ** (k + 2), math.factorial(rng.randrange(2, 30))])
+                num = rng.choice(heads) * rng.randrange(-40, 41) * p ** rng.randrange(8) * shared
+                den = rng.randrange(1, 60) * p ** rng.randrange(8) * shared
+                want = Fraction(num, den).numerator % modulus != 0
+                assert congruences._nonzero_mod(num, den, modulus) == want, (num, den, p, k)
+                outcomes.add((num == 0, want))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def _walk_nodes(n):
@@ -286,7 +326,7 @@ def test_subtree_screen_clears_every_partition_it_skips():
             common = math.gcd(*(t.numerator for t in taus))
             for p in (2, 3, 5, 7):
                 for k in range(1, 5):
-                    if factorial % (p**k * gamma * clearing(r, c)):
+                    if factorial % (p**k * gamma * clearing(c)[r]):
                         fallbacks += 1
                         continue
                     skipped += 1
@@ -299,24 +339,25 @@ PROVED_CLEARING = congruences._subtree_clearing
 
 
 def _weakened(n, value):
-    # a _subtree_clearing(n) whose entry at (r, c) is value(r, c, L), c read
-    # as min(c, r) and L the proved table
-    clearing = PROVED_CLEARING(n)
-    return lambda r, c: value(r, min(c, r), clearing)
+    # a _subtree_clearing(n) whose column c holds value(r, c, L) at r, c
+    # read as min(c, r) and L(r, c) the proved entry
+    column = PROVED_CLEARING(n)
+
+    def proved(r, c):
+        return column(c)[r]
+
+    return lambda c: [value(r, min(c, r), proved) for r in range(n + 1)]
 
 
 def _clearing_without_the_part_factor(n):
-    # the recurrence of _subtree_clearing with its (c+1) factor dropped
-    rows = [[1]] + [[1, 2**r] for r in range(1, n + 1)]
-
-    def clearing(r, c):
-        row = rows[r]
+    # the lcm recurrence L(r, c) = lcm(L(r, c-1), (c+1) L(r-c, c)), L(r, 1)
+    # = 2**r, with its (c+1) factor dropped
+    @functools.cache
+    def entry(r, c):
         c = min(c, r)
-        for b in range(len(row), c + 1):
-            row.append(math.lcm(row[-1], clearing(r - b, b)))
-        return row[c]
+        return 2**r if c <= 1 else math.lcm(entry(r, c - 1), entry(r - c, c))
 
-    return clearing
+    return lambda c: [entry(r, c) for r in range(n + 1)]
 
 
 @pytest.mark.parametrize("weakened, first", [
