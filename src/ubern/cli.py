@@ -31,9 +31,7 @@ from .bernoulli import (  # divided_ubern, specialize: perfbench/tracer.py wraps
     write_coefficient_cache,
 )
 from .congruences import (  # verify_theorem_* are called by name: _verify
-    GRID_THEOREM_3_5,
-    GRID_THEOREM_4_8,
-    GRID_THEOREM_4_9,
+    FAMILIES,
     CongruenceReport,
     reports_agree,
     verify_theorem_3_5,
@@ -58,9 +56,8 @@ _LEMMA_BOUND_FLAGS = (
     "k-max", "a-max", "i-max", "n-max", "m-max", "l-max", "q-max", "r-max", "e-max", "s-max",
 )
 
-# the congruence families: the flags of each, in the order its
-# verify_theorem_* takes them
-_FAMILIES = {"3.5": ("p", "s", "l"), "4.8": ("n",), "4.9": ("m", "k", "N")}
+# the flags of every congruence family, once each
+_FAMILY_FLAGS = tuple(dict.fromkeys(flag for names, _ in FAMILIES.values() for flag in names))
 
 
 @functools.cache  # one parser per process; parse_args leaves it as it was
@@ -83,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="verify one congruence-family instance")
-    p.add_argument("--theorem", choices=tuple(_FAMILIES), required=True)
-    for flag in dict.fromkeys(itertools.chain(*_FAMILIES.values())):
+    p.add_argument("--theorem", choices=tuple(FAMILIES), required=True)
+    for flag in _FAMILY_FLAGS:
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--backend", choices=("exact", "padic", "both"), default="exact")
     p.add_argument(
@@ -106,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("sweep", help="run a whole verification grid")
-    p.add_argument("--theorem", choices=(*_FAMILIES, "all"), default="all")
+    p.add_argument("--theorem", choices=(*FAMILIES, "all"), default="all")
     p.add_argument("--backend", choices=("exact", "padic"), default="exact")
     p.add_argument("--n-min", type=int, default=None, help="least n of the 4.8 cases")
     p.add_argument("--n-max", type=int, default=None, help="largest n of the 4.8 cases")
@@ -242,15 +239,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
 
     def need() -> list:
-        names = _FAMILIES[args.theorem]
+        names, _ = FAMILIES[args.theorem]
         missing = [n for n in names if getattr(args, n) is None]
         if missing:
             flags = ", ".join(f"--{n}" for n in missing)
             raise PreconditionError(f"theorem {args.theorem} requires {flags}")
         # a flag of another family is refused, not silently dropped
         foreign = [
-            f"--{n}" for n in dict.fromkeys(itertools.chain(*_FAMILIES.values()))
-            if n not in names and getattr(args, n) is not None
+            f"--{n}" for n in _FAMILY_FLAGS if n not in names and getattr(args, n) is not None
         ]
         if foreign:
             raise PreconditionError(f"theorem {args.theorem} does not take {', '.join(foreign)}")
@@ -343,19 +339,19 @@ def _cmd_classical(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
-    if args.theorem in ("3.5", "4.9") and (args.n_min, args.n_max) != (None, None):
+    names = tuple(FAMILIES) if args.theorem == "all" else (args.theorem,)
+    if "4.8" not in names and (args.n_min, args.n_max) != (None, None):
         raise PreconditionError(f"--n-min and --n-max select 4.8 cases, not {args.theorem}")
-    lo = args.n_min if args.n_min is not None else GRID_THEOREM_4_8[0]
-    hi = args.n_max if args.n_max is not None else GRID_THEOREM_4_8[-1]
-    grid_4_8 = range(lo + lo % 2, hi + 1, 2)
+    (lo,), *_, (hi,) = FAMILIES["4.8"][1]  # --n-min and --n-max move these bounds
+    lo = args.n_min if args.n_min is not None else lo
+    hi = args.n_max if args.n_max is not None else hi
+    grid_4_8 = [(n,) for n in range(lo + lo % 2, hi + 1, 2)]
     if not grid_4_8:
         raise PreconditionError(f"no even n in {lo}..{hi}: the sweep would check nothing")
-    grids = {"3.5": GRID_THEOREM_3_5, "4.8": [(n,) for n in grid_4_8], "4.9": GRID_THEOREM_4_9}
-    names = _FAMILIES if args.theorem == "all" else (args.theorem,)
     reports = [
         _verify(name, params, backend=args.backend, n_ceiling=ceiling)
         for name in names
-        for params in grids[name]
+        for params in (grid_4_8 if name == "4.8" else FAMILIES[name][1])
     ]
     ok = all(r.holds for r in reports)
     if args.format == "json":

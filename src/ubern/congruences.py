@@ -3,9 +3,11 @@
 Three congruence families are implemented, identified by the rule ids
 "3.5" (odd primes p, weight divisible by p-1), "4.8" (p = 2, a fixed
 mod-4 / mod-8 shape) and "4.9" (p = 2, lifting along l = k * 2**N).
-Each has an explicit right-hand-side builder and a verifier that sweeps
-every partition of the target weight.  Verdicts are carried by
-CongruenceReport, which serializes to a stable JSON document.
+Each is one function that checks its parameters and returns one record,
+_Case; one driver, _verify_case, checks every partition of the target
+weight against any of them.  FAMILIES lists each family's parameters and
+shipped grid.  Verdicts are carried by CongruenceReport, which serializes
+to a stable JSON document.
 
 Congruence of rationals mod p**k means v_p(lhs - rhs) >= k.  A
 non-p-integral difference is a hard failure (recorded with its negative
@@ -52,6 +54,7 @@ from .partitions import (
 __all__ = [
     "CongruenceFailure",
     "CongruenceReport",
+    "FAMILIES",
     "GRID_THEOREM_3_5",
     "GRID_THEOREM_4_8",
     "GRID_THEOREM_4_9",
@@ -83,6 +86,13 @@ GRID_THEOREM_4_8 = tuple(range(12, 41, 2))
 GRID_THEOREM_4_9 = tuple((m, k, 3) for k in (1, 3) for m in range(7, 17)) + tuple(
     (m, 1, 4) for m in range(9, 13)
 )
+# each family's parameters, in the order its verify_theorem_* takes them
+# (the CLI's flags), and its shipped grid (the CLI's sweep)
+FAMILIES = {
+    "3.5": (("p", "s", "l"), GRID_THEOREM_3_5),
+    "4.8": (("n",), tuple((n,) for n in GRID_THEOREM_4_8)),
+    "4.9": (("m", "k", "N"), GRID_THEOREM_4_9),
+}
 
 
 class CongruenceFailure(NamedTuple):
@@ -200,8 +210,11 @@ def _nonzero_mod(num: int, den: int, modulus: int) -> bool:
     """num/den != 0 mod modulus = p**k, k >= 1, den > 0: the integer
     congruence test.  In lowest terms num/den has numerator num/g, g =
     gcd(num, den), and p**k divides it exactly when p**k g divides num
-    (num = 0: g = den)."""
-    return num % (modulus * gcd(num, den)) != 0
+    (num = 0: g = den).  num is reduced mod p**k den first, so the gcd is
+    taken of numbers no larger than p**k den: p**k g divides p**k den, so
+    x = num mod p**k den is num mod p**k g, and gcd(x, den) = g."""
+    x = num % (modulus * den)
+    return x % (modulus * gcd(x, den)) != 0
 
 
 def _padic_terms(
@@ -356,13 +369,7 @@ def _sweep(backend: str, p: int, n: int, k: int, n_ceiling: int) -> dict:
 
 
 def _verify_against_ubern(
-    n: int,
-    rhs: SparsePoly,
-    p: int,
-    k: int,
-    context: dict,
-    backend: str,
-    low: dict,
+    n: int, rhs: SparsePoly, p: int, k: int, context: dict, backend: str, low: dict,
     perturb: bool = False,
 ) -> CongruenceReport:
     """Check divided_ubern(n) against rhs mod p**k on one backend, given
@@ -383,32 +390,70 @@ def _verify_against_ubern(
     return _congruence_report(terms, rhs, p, k, context)
 
 
-def _lifting_walks(
-    p: int, n: int, m: int, k: int, shift: dict[int, int], backend: str, n_ceiling: int
-) -> tuple[dict, list[tuple[Partition, Fraction]]]:
-    """(low, terms) of a 3.5 or 4.9 case, both from _sweep: low is the
-    backend's own sweep at n, run first, so backend and n are checked
-    before any sweep; terms the m-part (b, tau(b)) of c^shift *
-    divided_ubern(m) that can matter: its sweep at m, c_m (its shift is the
-    first shifted key: --perturb) and each b whose shift low names, so a
-    failure there shows the full rhs.  Any other key c^shift b has tau(b)
-    = tau(c^shift b) = 0 mod p**k and no term names it.
+class _Case(NamedTuple):
+    """One case of a family: divided_ubern(n) = c^shift divided_ubern(m) +
+    corrections mod p**k, shift {part: mult} (c_(p-1)**l for 3.5, c_1**l
+    for 4.9).  4.8 has no m-part (m and shift None): its listed terms are
+    its corrections.  A correction is a pair ({part: mult}, Fraction), made
+    a Partition only by _lifted_rhs, so a verifier, which builds its record
+    and then its right-hand side, builds each monomial once.  context is
+    the report's; the driver adds the backend at its end, or where a
+    "backend" key is.
     """
+
+    p: int
+    n: int
+    k: int
+    m: int | None
+    shift: dict[int, int] | None
+    corrections: list[tuple[dict[int, int], Fraction]]
+    context: dict
+
+
+def _verify_case(
+    case: _Case, build: Callable, backend: str, n_ceiling: int, perturb: bool
+) -> CongruenceReport:
+    """Check divided_ubern(n) against the right-hand side of case on one
+    backend: the one verifier of the three families.
+
+    The backend's sweep at n runs first (_sweep), so backend and n are
+    checked before any sweep.  A lifting case hands build the m-part terms
+    (b, tau(b)) of c^shift divided_ubern(m) that can matter: its sweep at
+    m, c_m (its shift is the first shifted key: --perturb) and each b whose
+    shift the sweep at n names, so a failure there shows the full
+    right-hand side.  Any other key c^shift b has tau(b) = tau(c^shift b) =
+    0 mod p**k and no term names it.  4.8 hands build None.  Each verifier
+    passes a build that calls its builder by module name, so a replaced
+    attribute (a tracer's span) is the one called.
+    """
+    p, n, k, m, shift, _, context = case
     low = _sweep(backend, p, n, k, n_ceiling)
-    [(part, mult)] = shift.items()
-    bases = {Partition({m: 1}), *_sweep(backend, p, m, k, n_ceiling)}
-    bases.update(u.merged({part: -mult}) for u in low if u.multiplicity(part) >= mult)
-    return low, [(b, tau(b)) for b in bases]
+    terms = None
+    if shift is not None:
+        [(part, mult)] = shift.items()
+        bases = {Partition({m: 1}), *_sweep(backend, p, m, k, n_ceiling)}
+        bases.update(u.merged({part: -mult}) for u in low if u.multiplicity(part) >= mult)
+        terms = [(b, tau(b)) for b in bases]
+    context = {**context, "backend": backend}
+    return _verify_against_ubern(n, build(terms), p, k, context, backend, low, perturb)
 
 
-def _lifted_rhs(terms: Iterable, shift: dict[int, int], corrections: list) -> SparsePoly:
-    """c^shift times the m-part terms (b, tau(b)) plus the corrections
-    (u, c), summed in one dict that SparsePoly rids of its zeros: the 3.5
-    and 4.9 right-hand sides.  A correction key c^shift b whose b the terms
-    skip gets tau(b) too: every key is full.
+def _lifted_rhs(
+    case: _Case, terms: Iterable | None = None, n_ceiling: int = DEFAULT_N_CEILING
+) -> SparsePoly:
+    """The right-hand side of case: c^shift times the m-part terms (b,
+    tau(b)), by default all of divided_ubern(m), plus the corrections,
+    summed in one dict that SparsePoly rids of its zeros.  A correction key
+    c^shift b whose b the terms skip gets tau(b) too: every key is full.
+    4.8 (no shift) is its corrections alone.
     """
-    rhs = {b.merged(shift): c for b, c in terms}
-    [(part, mult)] = shift.items()
+    corrections = [(Partition(exps), c) for exps, c in case.corrections]
+    if case.shift is None:
+        return SparsePoly(dict(corrections))
+    if terms is None:
+        terms = divided_ubern(case.m, n_ceiling=n_ceiling)._terms.items()
+    rhs = {b.merged(case.shift): c for b, c in terms}
+    [(part, mult)] = case.shift.items()
     for u, c in corrections:
         if u not in rhs and u.multiplicity(part) >= mult:
             c += tau(u.merged({part: -mult}))
@@ -427,146 +472,126 @@ def tau_pure(p: int, w: int) -> Fraction:
     return tau(Partition({p - 1: w // (p - 1)}))
 
 
-def _theorem_3_5_params(p: int, s: int, l: int) -> tuple[int, int, int]:
-    _require_odd_prime(p)
-    _require_ints(1, s=s, l=l)
-    N = vp_int(p, l) if l % p == 0 else 0
-    need = -(-(N + 2) // (p - 2))
-    if s < need:
-        raise PreconditionError(
-            f"s >= ceil((N+2)/(p-2)) = {need} required, got s={s} (N={N})"
-        )
-    m = s * (p - 1)
-    n = m + l * (p - 1)
-    return N, m, n
-
-
-def rhs_theorem_3_5(
-    p: int, s: int, l: int, *, n_ceiling: int = DEFAULT_N_CEILING, terms: Iterable | None = None
-) -> SparsePoly:
-    """Right-hand side of family 3.5 at (p, s, l); weight n = (s+l)(p-1).
+def _case_3_5(p: int, s: int, l: int) -> _Case:
+    """Family 3.5 at (p, s, l): weight n = (s+l)(p-1) lifts along
+    c_(p-1)**l from m = s(p-1), mod p**(N+1), N = v_p(l).
 
     The correction coefficient is the exact rational difference
     tau_pure(n) - tau_pure(m): each summand alone is not p-integral, only
     the difference is constrained by the congruence.  For p = 3 the extra
     c2^(l+s-4) c8 term carries 0, +l or -l according to s mod 3, read off
     the grid, where 3 | l.  It is wrong when 3 does not divide l: verify
-    fails at c8 for (3, 2, 2), a strict xfail in the tests.  terms: the
-    m-part (_lifted_rhs), by default all of divided_ubern(m).
+    fails at c8 for (3, 2, 2), a strict xfail in the tests.
     """
-    N, m, n = _theorem_3_5_params(p, s, l)
-    corrections = [(Partition({p - 1: l + s}), tau_pure(p, n) - tau_pure(p, m))]
+    _require_odd_prime(p)
+    _require_ints(1, s=s, l=l)
+    N = vp_int(p, l) if l % p == 0 else 0
+    need = -(-(N + 2) // (p - 2))
+    if s < need:
+        raise PreconditionError(f"s >= ceil((N+2)/(p-2)) = {need} required, got s={s} (N={N})")
+    m = s * (p - 1)
+    n = m + l * (p - 1)
+    corrections = [({p - 1: l + s}, tau_pure(p, n) - tau_pure(p, m))]
     if p == 3 and l + s >= 4 and s % 3 != 1:
         # the signs are pinned by exact arithmetic on the grid, where 3 | l
         # (at s = 3 the whole coefficient is psi, and it equals +l, not -l)
         psi = l if s % 3 == 0 else -l
-        corrections.append((Partition({2: l + s - 4, 8: 1}), Fraction(psi)))
-    if terms is None:
-        terms = divided_ubern(m, n_ceiling=n_ceiling)._terms.items()
-    return _lifted_rhs(terms, {p - 1: l}, corrections)
+        corrections.append(({2: l + s - 4, 8: 1}, Fraction(psi)))
+    context = {"theorem": "3.5", "p": p, "s": s, "l": l, "N": N, "m": m, "n": n}
+    return _Case(p, n, N + 1, m, {p - 1: l}, corrections, context)
+
+
+def rhs_theorem_3_5(
+    p: int, s: int, l: int, *, n_ceiling: int = DEFAULT_N_CEILING, terms: Iterable | None = None
+) -> SparsePoly:
+    """Right-hand side of family 3.5 (_case_3_5); terms: the m-part
+    (_lifted_rhs), by default all of divided_ubern(m)."""
+    return _lifted_rhs(_case_3_5(p, s, l), terms, n_ceiling)
 
 
 def verify_theorem_3_5(
-    p: int,
-    s: int,
-    l: int,
-    *,
-    backend: str = "exact",
-    n_ceiling: int = DEFAULT_N_CEILING,
+    p: int, s: int, l: int, *, backend: str = "exact", n_ceiling: int = DEFAULT_N_CEILING,
     perturb: bool = False,
 ) -> CongruenceReport:
     """Check divided_ubern(n) against rhs_theorem_3_5 mod p**(N+1)."""
-    N, m, n = _theorem_3_5_params(p, s, l)
-    low, terms = _lifting_walks(p, n, m, N + 1, {p - 1: l}, backend, n_ceiling)
-    rhs = rhs_theorem_3_5(p, s, l, terms=terms)
-    context = {
-        "theorem": "3.5",
-        "p": p,
-        "s": s,
-        "l": l,
-        "N": N,
-        "m": m,
-        "n": n,
-        "backend": backend,
-    }
-    return _verify_against_ubern(n, rhs, p, N + 1, context, backend, low, perturb=perturb)
+    return _verify_case(
+        _case_3_5(p, s, l), lambda terms: rhs_theorem_3_5(p, s, l, terms=terms),
+        backend, n_ceiling, perturb,
+    )
 
 
 # -- family 4.8 (p = 2, fixed shape) ------------------------------------
 
-def _theorem_4_8_params(n: int) -> tuple[int, int]:
+def _case_4_8(n: int) -> _Case:
+    """Family 4.8 at n: no m-part, read mod 4 (k = 2) for v(n) = 1 and mod
+    8 (k = 3) for v(n) >= 2.
+
+    Two mod-8 coefficients are sensitive beyond the mod-4 picture and are
+    pinned by exact arithmetic on the verification grid: the pure-power
+    coefficient is 1/(2n) - 2 for v(n) = 2 but 1/(2n) + 2 for v(n) >= 3,
+    and the c1^(n-4) c4 coefficient is -2 (it only looks like +2 mod 4).
+    """
     _require_ints(n=n)
     if n % 2:
         raise PreconditionError(f"n must be even, got {n}")
     _require_ints(12, n=n)  # so every listed exponent is nonnegative
     v = vp_int(2, n)
-    return v, (2 if v == 1 else 3)
+    if v == 1:
+        terms = [
+            ({1: n}, Fraction(-1, 2 * n)),
+            ({1: n - 3, 3: 1}, Fraction(n - 2, 2)),
+            ({1: n - 6, 3: 2}, Fraction(3 * (n - 4), 4)),
+            ({1: n - 2, 2: 1}, Fraction(-1)),
+            ({1: n - 5, 2: 1, 3: 1}, Fraction(2)),
+            ({1: n - 4, 4: 1}, Fraction(2)),
+        ]
+    else:
+        terms = [
+            ({1: n}, Fraction(1, 2 * n) + (-2 if v == 2 else 2)),
+            ({1: n - 3, 3: 1}, Fraction(-3 * (n - 2), 2)),
+            ({1: n - 6, 3: 2}, Fraction(n - 4, 4)),
+            ({1: n - 12, 3: 4}, Fraction(n - 8, 4)),
+            ({1: n - 2, 2: 1}, Fraction(-3)),
+            ({1: n - 4, 4: 1}, Fraction(-2)),
+            ({1: n - 4, 2: 2}, Fraction(4)),
+            ({1: n - 8, 2: 1, 3: 2}, Fraction(n - 4)),
+            ({1: n - 5, 2: 1, 3: 1}, Fraction(n - 4)),
+        ]
+    context = {"theorem": "4.8", "n": n, "case": "i" if v == 1 else "ii", "v2_n": v}
+    return _Case(2, n, 2 if v == 1 else 3, None, None, terms, context)
 
 
 def rhs_theorem_4_8(n: int) -> tuple[SparsePoly, int]:
-    """Right-hand side and modulus exponent (2 or 4 and 8, i.e. k = 2 or 3).
-
-    Case v(n) = 1 is read mod 4, case v(n) >= 2 mod 8.  Two mod-8
-    coefficients are sensitive beyond the mod-4 picture and are pinned by
-    exact arithmetic on the verification grid: the pure-power coefficient
-    is 1/(2n) - 2 for v(n) = 2 but 1/(2n) + 2 for v(n) >= 3, and the
-    c1^(n-4) c4 coefficient is -2 (it only looks like +2 mod 4).
-    """
-    v, k = _theorem_4_8_params(n)
-    P = Partition
-    if v == 1:
-        terms = {
-            P({1: n}): Fraction(-1, 2 * n),
-            P({1: n - 3, 3: 1}): Fraction(n - 2, 2),
-            P({1: n - 6, 3: 2}): Fraction(3 * (n - 4), 4),
-            P({1: n - 2, 2: 1}): Fraction(-1),
-            P({1: n - 5, 2: 1, 3: 1}): Fraction(2),
-            P({1: n - 4, 4: 1}): Fraction(2),
-        }
-    else:
-        head = Fraction(1, 2 * n) + (-2 if v == 2 else 2)
-        terms = {
-            P({1: n}): head,
-            P({1: n - 3, 3: 1}): Fraction(-3 * (n - 2), 2),
-            P({1: n - 6, 3: 2}): Fraction(n - 4, 4),
-            P({1: n - 12, 3: 4}): Fraction(n - 8, 4),
-            P({1: n - 2, 2: 1}): Fraction(-3),
-            P({1: n - 4, 4: 1}): Fraction(-2),
-            P({1: n - 4, 2: 2}): Fraction(4),
-            P({1: n - 8, 2: 1, 3: 2}): Fraction(n - 4),
-            P({1: n - 5, 2: 1, 3: 1}): Fraction(n - 4),
-        }
-    return SparsePoly(terms), k
+    """Right-hand side and modulus exponent k = 2 or 3 of family 4.8
+    (_case_4_8)."""
+    case = _case_4_8(n)
+    return _lifted_rhs(case), case.k
 
 
 def verify_theorem_4_8(
-    n: int,
-    *,
-    backend: str = "exact",
-    n_ceiling: int = DEFAULT_N_CEILING,
-    perturb: bool = False,
+    n: int, *, backend: str = "exact", n_ceiling: int = DEFAULT_N_CEILING, perturb: bool = False
 ) -> CongruenceReport:
     """Check divided_ubern(n) against rhs_theorem_4_8 mod 4 or mod 8.
 
     The difference is formed exactly, so the non-2-integral pure-power
     coefficients cancel; only the difference must clear the modulus.
     """
-    v, k = _theorem_4_8_params(n)
-    low = _sweep(backend, 2, n, k, n_ceiling)
-    rhs, _ = rhs_theorem_4_8(n)
-    context = {
-        "theorem": "4.8",
-        "n": n,
-        "case": "i" if v == 1 else "ii",
-        "v2_n": v,
-        "backend": backend,
-    }
-    return _verify_against_ubern(n, rhs, 2, k, context, backend, low, perturb=perturb)
+    return _verify_case(
+        _case_4_8(n), lambda terms: rhs_theorem_4_8(n)[0], backend, n_ceiling, perturb
+    )
 
 
 # -- family 4.9 (p = 2, lifting along l = k * 2**N) ----------------------
 
-def _theorem_4_9_params(m: int, k: int, N: int) -> tuple[int, int]:
+def _case_4_9(m: int, k: int, N: int) -> _Case:
+    """Family 4.9 at (m, k, N): weight n = m + l lifts along c_1**l, l = k
+    2**N, mod 2**(N+1), with corrections keyed by m mod 8.
+
+    Both coefficient groups of the odd-m case are summed; their monomial
+    sets are disjoint, and the reading is pinned by the verification grid.
+    Every c1 exponent of a correction is >= 0 on the domain: m >= 2N+1 >= 7
+    and l >= 8, so n >= 15 (odd m), n >= 18 (m = 2 mod 4), n >= 24 (c3^8).
+    """
     _require_ints(m=m)
     _require_ints(1, k=k)
     _require_ints(3, N=N)
@@ -575,24 +600,13 @@ def _theorem_4_9_params(m: int, k: int, N: int) -> tuple[int, int]:
     if m < 2 * N + 1:
         raise PreconditionError(f"m >= 2N+1 = {2 * N + 1} required, got m={m}")
     l = k * 2**N
-    return l, m + l
-
-
-def _theorem_4_9_correction(
-    m: int, k: int, N: int
-) -> list[tuple[dict[int, int], Fraction]]:
-    """Correction terms added to c1^l * divided_ubern(m), keyed by m mod 8.
-
-    Both coefficient groups of the odd-m case are summed; their monomial
-    sets are disjoint, and the reading is pinned by the verification grid.
-    """
-    l, n = _theorem_4_9_params(m, k, N)
+    n = m + l
     half = Fraction(l, 2)
     quarter = Fraction(l, 4)
     whole = Fraction(l)
     if m % 2:
         sign = -1 if ((m + 1) // 2) % 2 else 1
-        return [
+        terms = [
             ({1: n}, -sign * half),
             ({1: n - 3, 3: 1}, sign * half),
             ({1: n - 6, 3: 2}, sign * half),
@@ -603,9 +617,9 @@ def _theorem_4_9_correction(
             ({1: n - 8, 2: 1, 3: 2}, whole),
             ({1: n - 7, 7: 1}, whole),
         ]
-    if m % 4:
+    elif m % 4:
         theta = -half if N == 3 else half
-        return [
+        terms = [
             ({1: n}, whole + Fraction(l, 2 * m * n)),
             ({1: n - 3, 3: 1}, -half),
             ({1: n - 6, 3: 2}, 3 * quarter),
@@ -615,8 +629,8 @@ def _theorem_4_9_correction(
             ({1: n - 5, 2: 1, 3: 1}, whole),
             ({1: n - 8, 2: 1, 3: 2}, whole),
         ]
-    if m % 8:
-        return [
+    elif m % 8:
+        terms = [
             ({1: n}, whole - Fraction(l, 2 * m * n)),
             ({1: n - 3, 3: 1}, half),
             ({1: n - 6, 3: 2}, quarter),
@@ -624,73 +638,55 @@ def _theorem_4_9_correction(
             ({1: n - 5, 2: 1, 3: 1}, whole),
             ({1: n - 8, 2: 1, 3: 2}, whole),
         ]
-    head = -(
-        Fraction(double_factorial(2 * n - 3), 2 * n)
-        - Fraction(double_factorial(2 * m - 3), 2 * m)
-    )
-    out = [
-        ({1: n}, head),
-        ({1: n - 3, 3: 1}, half),
-        ({1: n - 6, 3: 2}, quarter),
-        ({1: n - 12, 3: 4}, 5 * quarter),
-        ({1: n - 5, 2: 1, 3: 1}, whole),
-        ({1: n - 8, 2: 1, 3: 2}, whole),
-    ]
-    if m >= 16:
-        # the c3^8 correction exists only from m = 16 on; at m = 8 the
-        # matching coefficient already sits above the working modulus
-        out.append(({1: n - 24, 3: 8}, whole))
-    return out
-
-
-def _rhs_theorem_4_9(
-    m: int, k: int, N: int, *, n_ceiling: int = DEFAULT_N_CEILING, terms: Iterable | None = None
-) -> SparsePoly:
-    # every c1 exponent of a correction is >= 0 on the domain: m >= 2N+1 >= 7
-    # and l >= 8, so n >= 15 (odd m), n >= 18 (m = 2 mod 4), n >= 24 (c3^8)
-    l, _ = _theorem_4_9_params(m, k, N)
-    corrections = [(Partition(exps), c) for exps, c in _theorem_4_9_correction(m, k, N)]
-    if terms is None:
-        terms = divided_ubern(m, n_ceiling=n_ceiling)._terms.items()
-    return _lifted_rhs(terms, {1: l}, corrections)
-
-
-def rhs_theorem_4_9(
-    m: int, k: int, N: int, *, n_ceiling: int = DEFAULT_N_CEILING
-) -> SparsePoly:
-    """Right-hand side of family 4.9: c1^l * divided_ubern(m) plus the
-    corrections of _theorem_4_9_correction."""
-    return _rhs_theorem_4_9(m, k, N, n_ceiling=n_ceiling)
-
-
-def verify_theorem_4_9(
-    m: int,
-    k: int,
-    N: int,
-    *,
-    backend: str = "exact",
-    n_ceiling: int = DEFAULT_N_CEILING,
-    perturb: bool = False,
-) -> CongruenceReport:
-    """Check divided_ubern(m + k*2**N) against rhs_theorem_4_9 mod 2**(N+1)."""
-    l, n = _theorem_4_9_params(m, k, N)
-    low, terms = _lifting_walks(2, n, m, N + 1, {1: l}, backend, n_ceiling)
-    rhs = _rhs_theorem_4_9(m, k, N, terms=terms)
-    context = {
-        "theorem": "4.9",
-        "m": m,
-        "k": k,
-        "N": N,
-        "l": l,
-        "n": n,
-        "case": ("i", "ii", "iii", "iv")[(0 if m % 2 else 1 if m % 4 else 2 if m % 8 else 3)],
-        "backend": backend,
-    }
+    else:
+        head = -(
+            Fraction(double_factorial(2 * n - 3), 2 * n)
+            - Fraction(double_factorial(2 * m - 3), 2 * m)
+        )
+        terms = [
+            ({1: n}, head),
+            ({1: n - 3, 3: 1}, half),
+            ({1: n - 6, 3: 2}, quarter),
+            ({1: n - 12, 3: 4}, 5 * quarter),
+            ({1: n - 5, 2: 1, 3: 1}, whole),
+            ({1: n - 8, 2: 1, 3: 2}, whole),
+        ]
+        if m >= 16:
+            # the c3^8 correction exists only from m = 16 on; at m = 8 the
+            # matching coefficient already sits above the working modulus
+            terms.append(({1: n - 24, 3: 8}, whole))
+    case = ("i", "ii", "iii", "iv")[(0 if m % 2 else 1 if m % 4 else 2 if m % 8 else 3)]
+    # the driver sets the backend, which comes before the note
+    context = {"theorem": "4.9", "m": m, "k": k, "N": N, "l": l, "n": n, "case": case,
+               "backend": None}
     if m % 8 == 0 and m < 16:
         context["omitted_terms"] = [
             {"u": [[1, n - 24], [3, 8]], "why": "only present for m >= 16"}
         ]
-    return _verify_against_ubern(n, rhs, 2, N + 1, context, backend, low, perturb=perturb)
+    return _Case(2, n, N + 1, m, {1: l}, terms, context)
+
+
+def rhs_theorem_4_9(
+    m: int, k: int, N: int, *, n_ceiling: int = DEFAULT_N_CEILING, terms: Iterable | None = None
+) -> SparsePoly:
+    """Right-hand side of family 4.9 (_case_4_9): c1^l times the m-part
+    terms (_lifted_rhs), by default all of divided_ubern(m), plus the
+    corrections."""
+    return _lifted_rhs(_case_4_9(m, k, N), terms, n_ceiling)
+
+
+_rhs_theorem_4_9 = rhs_theorem_4_9  # verify_theorem_4_9 calls it: perfbench/tracer.py wraps it
+
+
+def verify_theorem_4_9(
+    m: int, k: int, N: int, *, backend: str = "exact", n_ceiling: int = DEFAULT_N_CEILING,
+    perturb: bool = False,
+) -> CongruenceReport:
+    """Check divided_ubern(m + k*2**N) against rhs_theorem_4_9 mod 2**(N+1)."""
+    return _verify_case(
+        _case_4_9(m, k, N), lambda terms: _rhs_theorem_4_9(m, k, N, terms=terms),
+        backend, n_ceiling, perturb,
+    )
 
 
 # -- classical check and valuation sweeps --------------------------------

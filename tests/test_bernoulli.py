@@ -848,3 +848,22 @@ def test_cache_output_error_names_the_output(tmp_path: Path):
         write_coefficient_cache(path / "ubern_9.jsonl", 9, io.StringIO())
     with pytest.raises(CacheError, match="^cannot read cache file "):
         read_coefficient_cache(tmp_path / "ubern_8.jsonl", 8, io.StringIO())
+
+
+def test_universal_von_staudt_at_large_weights():
+    # Clarke's universal von Staudt theorem read on the padic walk, far past
+    # the n <= 90 where it is checked against the exact walk: for p-1 | n
+    # the least v_p(tau(u)) over the partitions of n is -1 - v_p(n), and the
+    # pure c_(p-1)^(n/(p-1)) alone reaches it
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for n in (12, 24, 48, 60, 96, 120, 240, 480, 960, 1920):
+            assert n % (p - 1) == 0
+            low = dict(tau_valuations_below(p, n, 1))
+            least = min(low.values())
+            assert least == -1 - vp_int(p, n), (p, n)
+            [u] = [u for u, v in low.items() if v == least]
+            assert u == Partition({p - 1: n // (p - 1)}), (p, n)
+            assert vp(p, tau(u)) == least, (p, n)
+            checked += 1
+    assert checked == 40

@@ -14,7 +14,7 @@ import ubern.bernoulli as bernoulli
 import ubern.cli as cli
 from ubern.bernoulli import divided_ubern, format_rational
 from ubern.cli import _monomial, main
-from ubern.congruences import verify_theorem_4_8
+from ubern.congruences import FAMILIES, verify_theorem_4_8
 from ubern.errors import CeilingExceeded
 from ubern.lemmas import run_sweep
 
@@ -546,6 +546,67 @@ def test_sweep_all_json_bytes_are_pinned(capsys, backend):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_ALL_SHA256[backend]
+
+
+# sha256 of verify ... --perturb --backend both --format json, each exit 1:
+# the mutation controls on both backends, and at 4.9 (8, 1, 3) the order of
+# its omitted_terms, backend and perturbed keys
+PERTURBED_SHA256 = {
+    "4.9-8-1-3": (("4.9", "--m", "8", "--k", "1", "--N", "3"),
+                  "497d5c9414f26765fb5cbae76ca24e1288229fe8efe8791d5667e0cfff3f5cd7"),
+    "3.5-5-1-5": (("3.5", "--p", "5", "--s", "1", "--l", "5"),
+                  "8bc884a7acb21857af24f4e7aaba80d726e70fc36a80e5a3c692405ec91d7255"),
+    "4.8-12": (("4.8", "--n", "12"),
+               "903357305f1adb1fe50130b424859f7ccf956fb714ff1379c341b29a580201d3"),
+    "4.9-7-1-3": (("4.9", "--m", "7", "--k", "1", "--N", "3"),
+                  "7b7a8432adb20d30864029dc4feaa7821140a39b7dfd20728c2d0e40b2fff593"),
+}
+
+
+@pytest.mark.parametrize("case", list(PERTURBED_SHA256))
+def test_perturbed_verify_json_bytes_are_pinned(capsys, case):
+    (theorem, *flags), digest = PERTURBED_SHA256[case]
+    argv = ("verify", "--theorem", theorem, *flags, "--perturb", "--backend", "both",
+            "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_family_table_drives_verify_and_sweep(capsys):
+    # verify --theorem takes the families of congruences.FAMILIES and no
+    # other, each with its own flags, and refuses a flag of another family;
+    # sweep --theorem runs each family's shipped grid
+    names = tuple(FAMILIES)
+    assert names == ("3.5", "4.8", "4.9")
+    code, out, err = run(capsys, "verify", "--theorem", "4.7", "--n", "12")
+    assert (code, out) == (2, "")
+    assert "(choose from " + ", ".join(f"'{name}'" for name in names) + ")" in err
+    flags = dict.fromkeys(flag for params, _ in FAMILIES.values() for flag in params)
+    assert tuple(flags) == ("p", "s", "l", "n", "m", "k", "N")
+    for name, (params, grid) in FAMILIES.items():
+        argv = ["verify", "--theorem", name]
+        for flag, value in zip(params, grid[0], strict=True):
+            argv += [f"--{flag}", str(value)]
+        assert run(capsys, *argv)[0] == 0, argv
+        foreign = next(flag for flag in flags if flag not in params)
+        code, out, err = run(capsys, *argv, f"--{foreign}", "7")
+        assert (code, out, err) == (2, "", f"error: theorem {name} does not take --{foreign}\n")
+    code, _, err = run(capsys, "verify", "--theorem", "4.8", "--n", "12", "--q", "3")
+    assert code == 2 and "unrecognized arguments: --q 3" in err
+    for name, count in zip(names, (8, 15, 24), strict=True):
+        assert len(FAMILIES[name][1]) == count
+        code, out, _ = run(capsys, "sweep", "--theorem", name)
+        assert (code, out.splitlines()[-1]) == (0, f"sweep: {count} cases, all hold"), name
+    code, out, _ = run(capsys, "sweep", "--n-min", "20", "--n-max", "24")
+    assert (code, out.splitlines()[-1]) == (0, "sweep: 35 cases, all hold")
+    # the --n-min/--n-max rules, word for word, "all" included
+    for argv, message in (
+        (("--theorem", "3.5", "--n-min", "12"), "--n-min and --n-max select 4.8 cases, not 3.5"),
+        (("--theorem", "4.9", "--n-max", "40"), "--n-min and --n-max select 4.8 cases, not 4.9"),
+        (("--n-min", "13", "--n-max", "13"), "no even n in 13..13: the sweep would check nothing"),
+    ):
+        assert run(capsys, "sweep", *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_sweep_subcommand(capsys):

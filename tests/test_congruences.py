@@ -268,7 +268,8 @@ def test_nonzero_mod_is_its_definition():
     # divisible by p**k, for zero, negative, small and factorial-sized
     # numerators over denominators that share factors with num and p**k
     rng = random.Random(35)
-    heads = [0, 1, -1, 6, -45, 2**61 - 1, math.factorial(450), -math.factorial(1000)]
+    heads = [0, 1, -1, 6, -45, 2**61 - 1, math.factorial(450), -math.factorial(1000),
+             math.factorial(2000), -math.factorial(1998)]  # (2n)! at n = 1,000
     outcomes = set()
     for p in (2, 3, 5, 7):
         for k in range(1, 6):
@@ -560,7 +561,7 @@ def test_theorem_4_9_correction_exponents_are_nonnegative():
         for N in range(3, 7)
         for k in (1, 3, 5, 7)
         for m in range(2 * N + 1, 2 * N + 60)
-        for exps, _ in congruences._theorem_4_9_correction(m, k, N)
+        for exps, _ in congruences._case_4_9(m, k, N).corrections
     ]
     assert min(exponents) == 0
 
@@ -921,11 +922,22 @@ def _selected_rhs(verify, args, backend, **kwargs):
 
 
 def _lifted_rhs(verify, args, terms=None, n_ceiling=DEFAULT_N_CEILING):
-    # the right-hand side of a 3.5 or 4.9 case on the m-part terms, by
-    # default all of divided_ubern(m)
-    if verify is verify_theorem_3_5:
-        return rhs_theorem_3_5(*args, n_ceiling=n_ceiling, terms=terms)
-    return congruences._rhs_theorem_4_9(*args, n_ceiling=n_ceiling, terms=terms)
+    # the public right-hand side of a 3.5 or 4.9 case on the m-part terms,
+    # by default all of divided_ubern(m)
+    rhs = rhs_theorem_3_5 if verify is verify_theorem_3_5 else rhs_theorem_4_9
+    return rhs(*args, n_ceiling=n_ceiling, terms=terms)
+
+
+def _verify_at(verify, args, k, backend, n_ceiling=DEFAULT_N_CEILING):
+    # the driver on the record of a 3.5 or 4.9 case moved to modulus p**k:
+    # its own sweeps at n and m select the m-part of the right-hand side
+    family = congruences._case_3_5 if verify is verify_theorem_3_5 else congruences._case_4_9
+    case = family(*args)._replace(k=k)
+
+    def build(terms):
+        return _lifted_rhs(verify, args, terms=terms, n_ceiling=n_ceiling)
+
+    return case, congruences._verify_case(case, build, backend, n_ceiling, False)
 
 
 LIFTED_CASES = [(verify_theorem_3_5, args) for args in GRID_THEOREM_3_5] + [
@@ -1000,19 +1012,12 @@ def test_exact_report_on_the_selected_rhs_is_the_full_rhs_report():
     failures = 0
     for verify, args in LIFTED_CASES:
         ctx = verify(*args).context
-        p = ctx.get("p", 2)
-        part = p - 1 if verify is verify_theorem_3_5 else 1
         full = _lifted_rhs(verify, args)
         for k in range(ctx["N"] + 1, ctx["N"] + 4):
-            low, terms = congruences._lifting_walks(
-                p, ctx["n"], ctx["m"], k, {part: ctx["l"]}, "exact", DEFAULT_N_CEILING
-            )
-            selected, whole = (
-                _verify_against_ubern(ctx["n"], rhs, p, k, {}, "exact", w)
-                for rhs, w in (
-                    (_lifted_rhs(verify, args, terms=terms), low),
-                    (full, _low("exact", p, ctx["n"], k)),
-                )
+            case, selected = _verify_at(verify, args, k, "exact")
+            whole = _verify_against_ubern(
+                case.n, full, case.p, k, dict(selected.context), "exact",
+                _low("exact", case.p, case.n, k),
             )
             assert selected.to_json() == whole.to_json(), (args, k)
             failures += len(whole.failures)
@@ -1024,8 +1029,9 @@ def test_lifted_rhs_keeps_no_cancelled_key():
     # coefficient, and one whose base the terms skip gets that base's tau
     P = Partition
     terms = [(P({1: 2}), Fraction(3)), (P({2: 1}), Fraction(5))]
-    corrections = [(P({1: 3}), Fraction(-3)), (P({1: 2, 3: 1}), Fraction(1))]
-    rhs = congruences._lifted_rhs(terms, {1: 1}, corrections)
+    corrections = [({1: 3}, Fraction(-3)), ({1: 2, 3: 1}, Fraction(1))]
+    case = congruences._Case(2, 3, 1, 2, {1: 1}, corrections, {})
+    rhs = congruences._lifted_rhs(case, terms)
     assert rhs == SparsePoly({P({1: 1, 2: 1}): 5, P({1: 2, 3: 1}): 1 + tau(P({1: 1, 3: 1}))})
 
 
@@ -1077,12 +1083,10 @@ def test_padic_rhs_shows_the_full_rhs_at_real_failures(verify, args):
     # each failure shows the full right-hand side, tau(b) plus any
     # correction, checked here where divided_ubern(m) is out of reach
     report = verify(*args, backend="padic", n_ceiling=100)
-    ctx = report.context
-    p, k, n, m, l = report.prime, report.mod_exp + 1, ctx["n"], ctx["m"], ctx["l"]
-    part, mult = (p - 1, l) if verify is verify_theorem_3_5 else (1, l)
-    low, terms = congruences._lifting_walks(p, n, m, k, {part: mult}, "padic", 100)
-    rhs = _lifted_rhs(verify, args, terms=terms, n_ceiling=100)
-    failures = _verify_against_ubern(n, rhs, p, k, {}, "padic", low).failures
+    case, moved = _verify_at(verify, args, report.mod_exp + 1, "padic", n_ceiling=100)
+    p, k = case.p, case.k
+    [(part, mult)] = case.shift.items()
+    failures = moved.failures
     corrections = _lifted_rhs(verify, args, terms=[])
     named_by_low = 0
     for f in failures:

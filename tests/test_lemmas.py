@@ -14,7 +14,7 @@ from ubern.bernoulli import (
 from ubern.congruences import (
     CongruenceFailure,
     CongruenceReport,
-    _theorem_4_9_correction,
+    _case_4_9,
     check_corollary_3_4,
 )
 from ubern.errors import PreconditionError
@@ -419,7 +419,7 @@ def test_theorem_4_9_head_is_the_lemma_4_5_increment(monkeypatch):
             l = k * 2**N
             for m in range(2 * N + 1, 101):
                 n = m + l
-                [head] = [c for exps, c in _theorem_4_9_correction(m, k, N) if exps == {1: n}]
+                [head] = [c for exps, c in _case_4_9(m, k, N).corrections if exps == {1: n}]
                 want = padic.g_func(n) - padic.g_func(m) if m % 8 == 0 else corr[m, l]
                 assert head == want, (m, k, N)
                 checked += 1
