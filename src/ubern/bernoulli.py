@@ -240,24 +240,22 @@ class SparsePoly:
         return SparsePoly._wrap(terms)
 
 
-def _tau_tables(n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """The three tables tau(u) of weight n is read from: fact[i] = i! for
-    i <= 2n, run[part][mult] = (part+1)**mult * mult!, the factor of
-    gamma(u) from one run, for part * mult <= n, and tail[rem][j] =
-    run[2][j] * run[1][rem-2j], the gamma of the tail 2**j 1**(rem-2j)
-    that _tau_prefixes leaves after a prefix, for rem <= n."""
+def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
+    """The two tables tau(u) of weight n is read from: fact[i] = i! for
+    i <= 2n, and run[part][mult] = (part+1)**mult * mult!, the factor of
+    gamma(u) from one run, for part * mult <= n, part <= max(n, 2).  The
+    tail 2**j 1**(rem-2j) that _tau_prefixes leaves after a prefix has
+    gamma run[2][j] * run[1][rem-2j], as any other run product."""
     fact = [1] * (2 * n + 1)
     for i in range(1, 2 * n + 1):
         fact[i] = fact[i - 1] * i
     run: list[list[int]] = [[1]]
-    for part in range(1, n + 1):
+    for part in range(1, max(n, 2) + 1):
         row = [1]
         for mult in range(1, n // part + 1):
             row.append(row[-1] * (part + 1) * mult)
         run.append(row)
-    twos = run[2] if n >= 2 else [1]  # n = 1 has no row for part 2
-    tail = [[twos[j] * run[1][rem - 2 * j] for j in range(rem // 2 + 1)] for rem in range(n + 1)]
-    return fact, run, tail
+    return fact, run
 
 
 def _tau_prefixes(
@@ -270,10 +268,10 @@ def _tau_prefixes(
     A partition u of n is its prefix, the runs of parts >= 3, plus the tail
     2**j 1**(rem-2j) of the weight rem the prefix leaves; the partitions of
     one prefix are adjacent, j falling from rem // 2 to 0, so a sweep closes
-    the tails of each prefix in an inner loop, from the tail table of
-    _tau_tables.  The walk is the enumerate_partitions_bounded successor on
-    the prefix alone, on one live stack of int runs (part, mult, gamma,
-    degree), parts decreasing, over a base (0, 0, 1, 0); each entry's gamma
+    the tails of each prefix in an inner loop, from rows 1 and 2 of run.
+    The walk is the enumerate_partitions_bounded successor on the prefix
+    alone, on one live stack of int runs (part, mult, gamma, degree),
+    parts decreasing, over a base (0, 0, 1, 0); each entry's gamma
     and degree cover the runs up to it, so runs[-1] holds the prefix's, and
     no Partition is built.  runs is valid until the next step, which pops
     exactly the top run and pushes at most three: runs[:len(r) - 1] of the
@@ -319,7 +317,7 @@ def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
     is not reduced.  The (n+d-2)! numerators and the run factors of
     gamma(u) come from _tau_tables.
     """
-    fact, run, _ = _tau_tables(n)
+    fact, run = _tau_tables(n)
     for u in enumerate_partitions(n):
         d = 0
         den = 1
@@ -339,7 +337,8 @@ def _tau_sum(n: int) -> Fraction:
     prefix into the group of its (rem, degree); each tail then divides a
     group's total exactly, once per group, not once per prefix.
     """
-    fact, run, tail = _tau_tables(n)
+    fact, run = _tau_tables(n)
+    ones, twos = run[1], run[2]
     common = fact[2 * n]
     groups: dict[tuple[int, int], int] = {}
     for runs, rem in _tau_prefixes(n, run):
@@ -348,8 +347,8 @@ def _tau_sum(n: int) -> Fraction:
     total = 0
     for (rem, degree), share in groups.items():
         d = degree + rem  # the degree of u at j = 0, one less per 2
-        for j, tail_gamma in enumerate(tail[rem]):
-            term = fact[n + d - j - 2] * (share // tail_gamma)
+        for j in range(rem // 2 + 1):
+            term = fact[n + d - j - 2] * (share // (twos[j] * ones[rem - 2 * j]))
             total += term if (d - j) % 2 else -term
     return Fraction(total, common)
 
@@ -439,9 +438,10 @@ def cache_blocks(n: int) -> Iterator[str]:
     """
     _require_ints(1, n=n)
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
-    fact, run, tail = _tau_tables(n)
+    fact, run = _tau_tables(n)
+    ones, twos = run[1], run[2]
     # label[part][mult] = ",[part,mult]", for part * mult <= n, and
-    # heads[rem][j] = "[1,rem-2j],[2,j]", the text of the tail tail[rem][j]
+    # heads[rem][j] = "[1,rem-2j],[2,j]", the text of the tail 2**j 1**(rem-2j)
     label = [[]] + [[",[%d,%d]" % (part, mult) for mult in range(n // part + 1)]
                     for part in range(1, n + 1)]
     heads = [[",".join("[%d,%d]" % pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1])
@@ -456,11 +456,10 @@ def cache_blocks(n: int) -> Iterator[str]:
             text = text[1:]  # no tail: the prefix's first pair opens the list
         _, _, gamma, degree = runs[-1]
         top = n + degree + rem  # n + d of u at j = 0, one less per 2
-        gammas = tail[rem]
         head = heads[rem]
         block = []
         for j in range(rem // 2, -1, -1):
-            num = fact[top - j] // (gamma * gammas[j])
+            num = fact[top - j] // (gamma * (twos[j] * ones[rem - 2 * j]))
             den = (top - j) * (top - j - 1)
             g = math.gcd(num % den, den)
             block.append('{"u":[%s%s],"c":"%d/%d"}\n' % (

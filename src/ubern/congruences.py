@@ -249,33 +249,31 @@ def _padic_terms(
             yield u, unit, p**-v
 
 
-def _subtree_clearing(n: int) -> Callable[[int], list[int]]:
-    """column(c)[r] = L(r, c) for r <= n, c >= 1: the lcm of prod (i+1)**v_i
-    over the partitions v of r into parts <= c, which stands for a whole
-    subtree of _exact_sweep's walk in its screen.
+def _subtree_clearing(n: int) -> list[list[int]]:
+    """columns[c][r] = L(r, c), the lcm of prod (i+1)**v_i over the
+    partitions v of r into parts <= c, which stands for a whole subtree of
+    _exact_sweep's walk in its screen, for c < max(n, 3) and the rows the
+    walk reads: every r <= n at c <= 2 (the tail screens read column 2),
+    r <= n - c - 1 at c >= 3 (what a child of part c + 1 leaves).
 
     L(r, c) = prod q**(r // (q-1)) over the primes q <= c+1.  The lcm has
     the largest v_q of the products.  As i+1 >= q**e >= 1 + e(q-1) for e =
     v_q(i+1), v_q(prod (i+1)**v_i) <= sum v_i i/(q-1) = r/(q-1), and only
     primes q <= c+1 divide an i+1; r // (q-1) parts q-1, then 1s, reach
     the bound.  So column c is column c-1 times q**(r // (q-1)) where c+1 =
-    q is prime, else column c-1 itself; q > r+1 leaves entry r alone.
-    Each is built on first use: column 2 alone builds columns 1 and 2.  The
-    padic walk codes the same bound as bernoulli._gain_ceiling; the
+    q is prime, else the list of column c-1; q > r+1 leaves entry r alone.
+    The padic walk codes the same bound as bernoulli._gain_ceiling; the
     independent oracle does not call it, so that one wrong bound cannot
     pass both backends, and the tests tie the two codings.
     """
     columns = [[1] * (n + 1)]  # c = 0: the empty product
-
-    def column(c: int) -> list[int]:
-        while len(columns) <= c:
-            q, prev = len(columns) + 1, columns[-1]
-            if is_prime(q):
-                prev = [x * q ** (r // (q - 1)) for r, x in enumerate(prev)]
-            columns.append(prev)
-        return columns[c]
-
-    return column
+    for q in range(2, max(n, 3) + 1):
+        column = columns[-1]
+        if is_prime(q):
+            rows = n + 1 if q <= 3 else n - q + 1
+            column = [x * q ** (r // (q - 1)) for r, x in enumerate(column[:rows])]
+        columns.append(column)
+    return columns
 
 
 def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int, int]]]:
@@ -305,20 +303,21 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
 
     The screen is only sufficient, so each tail of a block it keeps goes to
     the congruence test, _nonzero_mod, and the yields are that test's
-    alone: gamma(u) = G * tail[r][j], one product per tail.  A Partition is
-    built only for a yielded term.  den = gamma(u), not reduced.
+    alone: gamma(u) = G * run[2][j] * run[1][r-2j].  A Partition is built
+    only for a yielded term.  den = gamma(u), not reduced.
     """
     modulus = p**k
-    fact, run, tail = _tau_tables(n)
+    fact, run = _tau_tables(n)
+    ones, twos = run[1], run[2]
     clearing = _subtree_clearing(n)
-    tail_clearing = clearing(2)  # the column the tail blocks read
+    tail_clearing = clearing[2]  # the column the tail blocks read
 
     def walk(r, cap, gamma, degree, pairs):
         # below a prefix of gamma, degree and pairs, part ascending: the
         # partitions of r into parts <= cap, the node itself not screened
         for part in range(min(cap, r), 2, -1):
             row = run[part]
-            below = clearing(part - 1)
+            below = clearing[part - 1]
             for mult in range(r // part, 0, -1):
                 rest = r - part * mult
                 g = gamma * row[mult]
@@ -331,10 +330,9 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
         if min(cap, r) < 3 or fact[base] % (modulus * gamma * tail_clearing[r]):
             d = degree + r  # the degree of u at j = 0, one less per 2
             top = base + r
-            gammas = tail[r]
             for j in range(r // 2, -1, -1):
                 num = fact[top - j]
-                den = gamma * gammas[j]
+                den = gamma * (twos[j] * ones[r - 2 * j])
                 if _nonzero_mod(num, den, modulus):
                     head = tuple(pm for pm in ((1, r - 2 * j), (2, j)) if pm[1])
                     yield Partition._raw(head + pairs), ((num if (d - j) % 2 else -num), den)

@@ -513,10 +513,10 @@ def test_tau_denominator_divides_the_cache_modulus():
 
 def test_tau_prefixes_match_tau_fractions():
     # the shared prefix walk, each prefix closed by its tails 2**j 1**(rem-2j)
-    # from the tail table, against the independent reference:
-    # enumerate_partitions and a gamma product per partition
+    # from rows 1 and 2 of the run table, against the independent
+    # reference: enumerate_partitions and a gamma product per partition
     for n in range(1, 31):
-        fact, run, tail = bernoulli._tau_tables(n)
+        fact, run = bernoulli._tau_tables(n)
         want = bernoulli._tau_fractions(n)
         got = 0
         for runs, rem in bernoulli._tau_prefixes(n, run):
@@ -529,7 +529,8 @@ def test_tau_prefixes_match_tau_fractions():
                 assert head + prefix == u
                 degree = d + rem - j
                 num2 = fact[n + degree - 2]
-                assert (num2 if degree % 2 else -num2, g * tail[rem][j]) == (num, den), (n, u)
+                tail_gamma = run[2][j] * run[1][rem - 2 * j]
+                assert (num2 if degree % 2 else -num2, g * tail_gamma) == (num, den), (n, u)
                 got += 1
         assert next(want, None) is None, n
         assert got == count_partitions(n), n
@@ -539,7 +540,7 @@ def test_tau_prefixes_step_pops_one_run_and_holds_only_ints():
     # the walk's contract its readers rely on: each run is four ints, and a
     # step pops exactly the top run, so the runs below it are unchanged
     for n in range(1, 31):
-        _, run, _ = bernoulli._tau_tables(n)
+        _, run = bernoulli._tau_tables(n)
         previous = None
         for runs, rem in bernoulli._tau_prefixes(n, run):
             assert all(len(r) == 4 and all(type(x) is int for x in r) for r in runs), n
@@ -646,6 +647,15 @@ def test_tau_valuations_below_matches_full_filter():
                 assert list(tau_valuations_below(p, n, k)) == want, (p, n, k)
 
 
+def _walk_matches_exact_oracle(p, n, k):
+    # the padic walk names the partitions the exact sweep keeps, in its
+    # order, each with its true valuation
+    got = list(tau_valuations_below(p, n, k))
+    want = [u for u, _, _ in _exact_terms(n, SparsePoly(), _sweep("exact", p, n, k, n))]
+    assert [u for u, _ in got] == want, (p, n, k)
+    assert all(v == vp(p, tau(u)) for u, v in got), (p, n, k)
+
+
 def test_tau_valuations_below_matches_exact_oracle_past_32():
     # the exact backend's term source tests every tau(u) with big integers;
     # the walk must name the same partitions, in the same order, past the
@@ -660,13 +670,23 @@ def test_tau_valuations_below_matches_exact_oracle_past_32():
         (3, (66, 90), (2,)),
         (5, (68, 90), (2,)),
         (7, (90,), (2,)),
+        # past n = 90, up to where an exact sweep still takes under a second
+        (2, (300, 600), (3,)),
+        (3, (300, 600), (2,)),
+        (5, (300, 600), (2,)),
     ):
         for n in weights:
             for k in exponents:
-                got = list(tau_valuations_below(p, n, k))
-                want = [u for u, _, _ in _exact_terms(n, SparsePoly(), _sweep("exact", p, n, k, n))]
-                assert [u for u, _ in got] == want, (p, n, k)
-                assert all(v == vp(p, tau(u)) for u, v in got), (p, n, k)
+                _walk_matches_exact_oracle(p, n, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", (1000, 2000))
+@pytest.mark.parametrize("p, k", ((2, 3), (3, 2), (5, 2)))
+def test_tau_valuations_below_matches_exact_oracle_at_2000(p, n, k):
+    # the same check where the exact sweep takes 2-4 s (n = 1,000) and
+    # 23-41 s (n = 2,000): the slow tier
+    _walk_matches_exact_oracle(p, n, k)
 
 
 def _tight_walk_reference(p, n, k):

@@ -215,6 +215,20 @@ def test_exact_sweep_matches_fraction_filter():
                 assert list(congruences._exact_sweep(p, n, k)) == want, (p, n, k)
 
 
+def test_exact_sweep_tables_are_sized_to_its_walk():
+    # the factorials, the run factors and the clearing rows the walk reads:
+    # at n = 600 the peak is about 8 MB, yields included; a table of every
+    # tail's gamma, or clearing rows the walk cannot read, passes 16 MB
+    list(congruences._exact_sweep(2, 30, 3))  # warm the imports
+    tracemalloc.start()
+    try:
+        list(congruences._exact_sweep(2, 600, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
+
+
 def _brute_clearing(r):
     # {c: the lcm of prod (i+1)**v_i over the partitions v of r into parts
     # <= c} for 1 <= c <= r + 2, by partition and lcm alone
@@ -227,35 +241,50 @@ def _brute_clearing(r):
 
 def test_subtree_clearing_matches_brute_force_lcm():
     # every entry of weight <= 30, caps past r included, read from one
-    # table in a shuffled order and from a fresh table each: the lazy
-    # columns return the same value whatever was asked before
+    # table that reaches them all and from the smallest table each: L(r, c)
+    # does not depend on n, and column c >= 3 of the table of weight n keeps
+    # the rows r <= n - c - 1, so the table of weight r + c + 1 holds it
     brute = {r: _brute_clearing(r) for r in range(31)}
-    cells = [(r, c) for r in range(31) for c in range(1, r + 3)]
-    random.Random(33).shuffle(cells)
-    shared = congruences._subtree_clearing(30)
-    for r, c in cells:
-        want = brute[r][c]
-        assert shared(c)[r] == want, (r, c)
-        assert congruences._subtree_clearing(30)(c)[r] == want, (r, c)
+    shared = congruences._subtree_clearing(63)
+    for r in range(31):
+        for c in range(1, r + 3):
+            want = brute[r][c]
+            assert shared[c][r] == want, (r, c)
+            assert congruences._subtree_clearing(r + c + 1)[c][r] == want, (r, c)
+
+
+def test_subtree_clearing_keeps_the_rows_the_walk_reads():
+    # columns c < max(n, 3); the c <= 2 columns keep every r <= n, for the
+    # tail screens, and each column c >= 3 the r <= n - c - 1 a child of
+    # part c + 1 leaves; a column c with c + 1 not prime is column c - 1
+    for n in range(1, 41):
+        columns = congruences._subtree_clearing(n)
+        assert len(columns) == max(n, 3), n
+        for c, column in enumerate(columns):
+            if c <= 2 or is_prime(c + 1):
+                assert len(column) == (n + 1 if c <= 2 else n - c), (n, c)
+            else:
+                assert column is columns[c - 1], (n, c)
 
 
 def test_subtree_clearing_c_2_column_is_the_tail_factor():
-    # the column the tail blocks read: 2**r 3**(r//2), the former block factor
-    assert congruences._subtree_clearing(60)(2) == [2**r * 3 ** (r // 2) for r in range(61)]
-    # a deep entry read first from a fresh table, which builds no column
-    # past c = 2
-    assert congruences._subtree_clearing(3000)(2)[3000] == 2**3000 * 3**1500
+    # the column the tail blocks read: 2**r 3**(r//2), the former block
+    # factor, at every r <= n
+    assert congruences._subtree_clearing(60)[2] == [2**r * 3 ** (r // 2) for r in range(61)]
+    assert congruences._subtree_clearing(600)[2] == [2**r * 3 ** (r // 2) for r in range(601)]
 
 
 def test_subtree_clearing_is_the_gain_ceiling_of_each_prime():
     # the exact oracle's closed form and the padic walk's _gain_ceiling are
     # two codings of one bound, v_q(i+1) <= i/(q-1), that share no code:
     # L(r, c) holds q**_gain_ceiling(q, c, r) for each prime q <= 61 and no
-    # other prime factor
+    # other prime factor, for r <= 60 and c <= 62, which the table of
+    # weight 123 keeps
     primes = [q for q in range(2, 62) if is_prime(q)]
-    clearing = congruences._subtree_clearing(60)
+    clearing = congruences._subtree_clearing(123)
     for c in range(1, 63):
-        for r, entry in enumerate(clearing(c)):
+        for r in range(61):
+            entry = clearing[c][r]
             for q in primes:
                 v = vp_int(q, entry)
                 assert v == bernoulli._gain_ceiling(q, c, r), (q, r, c)
@@ -310,8 +339,10 @@ def test_subtree_screen_clears_every_partition_it_skips():
     # p**k divides their gcd
     skipped = fallbacks = 0
     below = {0: [Partition()], **{r: list(enumerate_partitions(r)) for r in range(1, 31)}}
+    # L(r, c) does not depend on n: one table that keeps every r, c <= 30,
+    # the root's L(n, n) included, which no walk reads
+    clearing = congruences._subtree_clearing(61)
     for n in range(1, 31):
-        clearing = congruences._subtree_clearing(n)
         for prefix, r, c in _walk_nodes(n):
             degree = sum(prefix.values())
             gamma = math.prod(
@@ -327,7 +358,7 @@ def test_subtree_screen_clears_every_partition_it_skips():
             common = math.gcd(*(t.numerator for t in taus))
             for p in (2, 3, 5, 7):
                 for k in range(1, 5):
-                    if factorial % (p**k * gamma * clearing(c)[r]):
+                    if factorial % (p**k * gamma * clearing[c][r]):
                         fallbacks += 1
                         continue
                     skipped += 1
@@ -339,15 +370,21 @@ def test_subtree_screen_clears_every_partition_it_skips():
 PROVED_CLEARING = congruences._subtree_clearing
 
 
+def _columns(n, entry):
+    # a _subtree_clearing(n) of full columns: entry(r, c) at every r <= n
+    return [[entry(r, c) for r in range(n + 1)] for c in range(max(n, 3))]
+
+
 def _weakened(n, value):
     # a _subtree_clearing(n) whose column c holds value(r, c, L) at r, c
-    # read as min(c, r) and L(r, c) the proved entry
-    column = PROVED_CLEARING(n)
+    # read as min(c, r) and L(r, c) the proved entry, from a table that
+    # keeps every r, c <= n
+    table = PROVED_CLEARING(2 * n + 1)
 
     def proved(r, c):
-        return column(c)[r]
+        return table[c][r]
 
-    return lambda c: [value(r, min(c, r), proved) for r in range(n + 1)]
+    return _columns(n, lambda r, c: value(r, min(c, r), proved))
 
 
 def _clearing_without_the_part_factor(n):
@@ -358,7 +395,7 @@ def _clearing_without_the_part_factor(n):
         c = min(c, r)
         return 2**r if c <= 1 else math.lcm(entry(r, c - 1), entry(r - c, c))
 
-    return lambda c: [entry(r, c) for r in range(n + 1)]
+    return _columns(n, entry)
 
 
 @pytest.mark.parametrize("weakened, first", [
