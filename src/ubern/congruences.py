@@ -165,32 +165,25 @@ def poly_congruent(
     """
     _require_prime(p)
     _require_ints(1, k=k)
-    terms = ((u, a.numerator, a.denominator) for u, a in A._terms.items())
-    return _congruence_report(terms, B, p, k, context or {})
+    return _congruence_report(A._terms, B, p, k, context or {})
 
 
 def _congruence_report(
-    terms: Iterable[tuple[Partition, int, int]],
-    B: SparsePoly,
-    p: int,
-    k: int,
-    context: dict,
+    lhs: dict[Partition, Fraction], B: SparsePoly, p: int, k: int, context: dict
 ) -> CongruenceReport:
-    """Check the left-hand terms (u, num, den), den > 0, against B mod p**k.
+    """Check the left-hand side lhs, u -> coefficient, against B mod p**k.
 
-    The one congruence test: the exact backend feeds it the monomials
-    that can fail, found by testing every tau(u) (_exact_terms), the padic
-    backend the same monomials, found by a pruned walk (_padic_terms), and
-    poly_congruent a materialized polynomial.  One loop runs over the union
-    of both key sets, a side with no term at u reading 0 there.  For a
-    rational in lowest terms and k >= 1, v_p >= k holds exactly when p**k
-    divides the numerator (a zero difference included), so each key costs
-    one integer test, _nonzero_mod, of the difference.  vp is computed for
-    the failures alone, and only the failure list is put in canonical
-    order.  p is prime and k >= 1: the caller checked both.
+    The one congruence test: _verify_case feeds it a backend's left-hand
+    side (_lhs), the monomials that can fail, and poly_congruent a
+    materialized polynomial.  One loop runs over the union of both key
+    sets, a side with no term at u reading 0 there.  For a rational in
+    lowest terms and k >= 1, v_p >= k holds exactly when p**k divides the
+    numerator (a zero difference included), so each key costs one integer
+    test, _nonzero_mod, of the difference.  vp is computed for the
+    failures alone, and only the failure list is put in canonical order.
+    p is prime and k >= 1: the caller checked both.
     """
     modulus = p**k
-    lhs = {u: Fraction(num, den) for u, num, den in terms}
     b_terms = B._terms
     zero = Fraction(0)
     failures = []
@@ -215,38 +208,6 @@ def _nonzero_mod(num: int, den: int, modulus: int) -> bool:
     x = num mod p**k den is num mod p**k g, and gcd(x, den) = g."""
     x = num % (modulus * den)
     return x % (modulus * gcd(x, den)) != 0
-
-
-def _padic_terms(
-    n: int, rhs: SparsePoly, p: int, k: int, low: dict
-) -> Iterator[tuple[Partition, int, int]]:
-    """(u, num, den) for each monomial of divided_ubern(n) that can break
-    the congruence with rhs mod p**k: the padic backend's term source.
-
-    Those are the u with v_p(tau(u)) < k, low, which the exact
-    branch-and-bound walk tau_valuations_below finds without visiting the
-    bulk of the p(n) partitions (_sweep), and the keys of rhs of weight n.
-    Each value is p**v times the unit residue of tau(u) mod p**(k - vmin),
-    vmin <= 0 the least valuation of a named tau(u) (the walk has every
-    negative one, as k >= 1).  As v >= vmin, the value is tau(u) mod
-    p**(k + max(0, v)) at least, whatever the right-hand side: verdicts and
-    vp_diff below k are exact.  The unit residues share one unit-factorial
-    table up to 2n - 2.
-    """
-    low = dict(low)
-    for u in rhs.keys():
-        if u.weight == n and u not in low:
-            low[u] = tau_valuation(p, u)
-    vmin = min([0, *low.values()])
-    precision = k - vmin
-    m = p**precision
-    ufact = _unit_factorials(p, 2 * n - 2, precision)
-    for u, v in low.items():
-        unit = _tau_unit(p, u, ufact, m)
-        if v >= 0:
-            yield u, unit * p**v, 1
-        else:
-            yield u, unit, p**-v
 
 
 def _subtree_clearing(n: int) -> list[list[int]]:
@@ -340,19 +301,6 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     yield from walk(n, n, 1, 0, ())
 
 
-def _exact_terms(n: int, rhs: SparsePoly, low: dict) -> Iterator[tuple[Partition, int, int]]:
-    """(u, num, den) for each u of the sweep low (_exact_sweep), then each
-    key of rhs of weight n not in low, as the reduced tau(u): the exact
-    backend's term source, each monomial once.  A right-hand key so gets its
-    true tau(u) in a failure, not the 0 of a key that no term names."""
-    for u, (num, den) in low.items():
-        yield u, num, den
-    for u in rhs.keys():
-        if u.weight == n and u not in low:
-            t = tau(u)
-            yield u, t.numerator, t.denominator
-
-
 def _sweep(backend: str, p: int, n: int, k: int, n_ceiling: int) -> dict:
     """The backend's sweep at weight n, the u that can fail mod p**k: u ->
     (num, den) of tau(u) on "exact" (_exact_sweep), u -> v_p(tau(u)) on
@@ -366,26 +314,38 @@ def _sweep(backend: str, p: int, n: int, k: int, n_ceiling: int) -> dict:
     return dict((_exact_sweep if backend == "exact" else tau_valuations_below)(p, n, k))
 
 
-def _verify_against_ubern(
-    n: int, rhs: SparsePoly, p: int, k: int, context: dict, backend: str, low: dict,
-    perturb: bool = False,
-) -> CongruenceReport:
-    """Check divided_ubern(n) against rhs mod p**k on one backend, given
-    that backend's sweep low at n (_sweep, which checked backend and n).
+def _lhs(
+    backend: str, p: int, n: int, k: int, low: dict, rhs: SparsePoly
+) -> dict[Partition, Fraction]:
+    """The left-hand side u -> coefficient of divided_ubern(n) that the
+    congruence test needs against rhs mod p**k: the u of the backend's
+    sweep low at n (_sweep, which checked backend and n) and the keys of
+    rhs of weight n that low skips, each once, so only a key of another
+    weight reads 0 there and a failure at a right-hand key shows its tau(u).
 
-    Both backends are term sources for _congruence_report: "exact" yields
-    the tau(u) its big-integer sweep kept (_exact_terms), the independent
-    oracle; "padic" reads the unit residues of the u its pruned walk named
-    (_padic_terms).  Each adds the keys of rhs of weight n that low skips,
-    so only a key of another weight reads 0 on the left-hand side.
+    "exact", the independent oracle, takes tau(u) from its sweep's (num,
+    den) and tau itself for a skipped key.  "padic" reads p**v times the
+    unit residue of tau(u) mod p**(k - vmin), vmin <= 0 the least
+    valuation of a named tau(u) (the walk has every negative one, as k >=
+    1).  As v >= vmin, the value is tau(u) mod p**(k + max(0, v)) at
+    least, whatever the right-hand side: verdicts and vp_diff below k are
+    exact.  The unit residues share one unit-factorial table up to 2n - 2.
     """
-    if perturb:
-        # mutation self-test: +1 on the first coefficient in canonical order
-        first = rhs.items()[0][0]
-        rhs = rhs.add_term(first, 1)
-        context["perturbed"] = True
-    terms = _exact_terms(n, rhs, low) if backend == "exact" else _padic_terms(n, rhs, p, k, low)
-    return _congruence_report(terms, rhs, p, k, context)
+    skipped = [u for u in rhs.keys() if u.weight == n and u not in low]
+    if backend == "exact":
+        lhs = {u: Fraction(num, den) for u, (num, den) in low.items()}
+        lhs.update((u, tau(u)) for u in skipped)
+        return lhs
+    valuations = {**low, **{u: tau_valuation(p, u) for u in skipped}}
+    vmin = min([0, *valuations.values()])
+    precision = k - vmin
+    m = p**precision
+    ufact = _unit_factorials(p, 2 * n - 2, precision)
+    lhs = {}
+    for u, v in valuations.items():
+        unit = _tau_unit(p, u, ufact, m)
+        lhs[u] = Fraction(unit * p**v) if v >= 0 else Fraction(unit, p**-v)
+    return lhs
 
 
 class _Case(NamedTuple):
@@ -422,7 +382,9 @@ def _verify_case(
     right-hand side.  Any other key c^shift b has tau(b) = tau(c^shift b) =
     0 mod p**k and no term names it.  4.8 hands build None.  Each verifier
     passes a build that calls its builder by module name, so a replaced
-    attribute (a tracer's span) is the one called.
+    attribute (a tracer's span) is the one called.  --perturb moves the
+    built right-hand side; the backend's left-hand side (_lhs) then meets
+    it in the one congruence test.
     """
     p, n, k, m, shift, _, context = case
     low = _sweep(backend, p, n, k, n_ceiling)
@@ -432,8 +394,13 @@ def _verify_case(
         bases = {Partition({m: 1}), *_sweep(backend, p, m, k, n_ceiling)}
         bases.update(u.merged({part: -mult}) for u in low if u.multiplicity(part) >= mult)
         terms = [(b, tau(b)) for b in bases]
+    rhs = build(terms)
     context = {**context, "backend": backend}
-    return _verify_against_ubern(n, build(terms), p, k, context, backend, low, perturb)
+    if perturb:
+        # mutation self-test: +1 on the first coefficient in canonical order
+        rhs = rhs.add_term(rhs.items()[0][0], 1)
+        context["perturbed"] = True
+    return _congruence_report(_lhs(backend, p, n, k, low, rhs), rhs, p, k, context)
 
 
 def _lifted_rhs(

@@ -444,6 +444,23 @@ def lemma_4_5(k_max: int = 5, m_max: int = 30) -> LemmaSweepResult:
     return LemmaSweepResult("4.5", checked, failures)
 
 
+def _two_adic_walk(n_max: int):
+    """(u, n, d, u1, u3, u7, ndot, e, v) for every partition u of each
+    weight n = 1..n_max, d its degree, u_i its multiplicity of part i, v =
+    v2(tau(u)), ndot and e as in lemma_4_6: the one walk of lemmas 4.6 and
+    4.7."""
+    vfact, gain = _valuation_tables(2, n_max)
+    for n in range(1, n_max + 1):
+        for u in enumerate_partitions(n):
+            mults = dict(u)
+            u1 = mults.get(1, 0)
+            u3 = mults.get(3, 0)
+            d, g, v = _runs_valuations(vfact, gain, u)
+            # v2((2 u1)!) = u1 + v2(u1!)
+            e = g - (u1 + vfact[u1]) - 2 * u3 - vfact[u3]
+            yield u, n, d, u1, u3, mults.get(7, 0), n - u1 - 3 * u3, e, v
+
+
 def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
     """Exhaustive bucket check of n+d-2 - 2(u1 + 2*u3 + e) over all weights <= n_max.
 
@@ -453,29 +470,19 @@ def lemma_4_6(n_max: int = 24) -> LemmaSweepResult:
     """
     failures = []
     checked = 0
-    vfact, gain = _valuation_tables(2, n_max)
-    for n in range(1, n_max + 1):
-        for u in enumerate_partitions(n):
-            checked += 1
-            mults = dict(u)
-            u1 = mults.get(1, 0)
-            u3 = mults.get(3, 0)
-            u7 = mults.get(7, 0)
-            d, g, _ = _runs_valuations(vfact, gain, u)
-            # v2((2 u1)!) = u1 + v2(u1!)
-            e = g - (u1 + vfact[u1]) - 2 * u3 - vfact[u3]
-            offset = n + d - 2 - 2 * (u1 + 2 * u3 + e)
-            ndot = n - u1 - 3 * u3
-            if ndot == 0:
-                ok, want = offset == -2, "-2"
-            elif ndot == 2:
-                ok, want = offset == 1, "1"
-            elif u7 and ndot == 7 * u7 and u7 & (u7 - 1) == 0:
-                ok, want = offset == 0, "0"
-            else:
-                ok, want = offset >= 2, ">=2"
-            if not ok:
-                failures.append({"u": u.to_pairs(), "offset": str(offset), "want": want})
+    for u, n, d, u1, u3, u7, ndot, e, _ in _two_adic_walk(n_max):
+        checked += 1
+        offset = n + d - 2 - 2 * (u1 + 2 * u3 + e)
+        if ndot == 0:
+            ok, want = offset == -2, "-2"
+        elif ndot == 2:
+            ok, want = offset == 1, "1"
+        elif u7 and ndot == 7 * u7 and u7 & (u7 - 1) == 0:
+            ok, want = offset == 0, "0"
+        else:
+            ok, want = offset >= 2, ">=2"
+        if not ok:
+            failures.append({"u": u.to_pairs(), "offset": str(offset), "want": want})
     return LemmaSweepResult("4.6", checked, failures)
 
 
@@ -483,22 +490,14 @@ def lemma_4_7(n_max: int = 24) -> LemmaSweepResult:
     """v2(tau(u)) >= u3 + ceil(ndot/2) - 1 for ndot > 0 (-3 when ndot = 7*u7)."""
     failures = []
     checked = 0
-    vfact, gain = _valuation_tables(2, n_max)
-    for n in range(1, n_max + 1):
-        for u in enumerate_partitions(n):
-            mults = dict(u)
-            u1 = mults.get(1, 0)
-            u3 = mults.get(3, 0)
-            u7 = mults.get(7, 0)
-            ndot = n - u1 - 3 * u3
-            if ndot <= 0:
-                continue
-            checked += 1
-            slack = 3 if (u7 and ndot == 7 * u7) else 1
-            bound = u3 + (ndot + 1) // 2 - slack
-            v = _runs_valuations(vfact, gain, u)[2]
-            if v < bound:
-                failures.append({"u": u.to_pairs(), "v": str(v), "bound": str(bound)})
+    for u, _, _, _, u3, u7, ndot, _, v in _two_adic_walk(n_max):
+        if ndot <= 0:
+            continue
+        checked += 1
+        slack = 3 if (u7 and ndot == 7 * u7) else 1
+        bound = u3 + (ndot + 1) // 2 - slack
+        if v < bound:
+            failures.append({"u": u.to_pairs(), "v": str(v), "bound": str(bound)})
     return LemmaSweepResult("4.7", checked, failures)
 
 

@@ -43,7 +43,7 @@ class Partition(tuple):
         last = 0
         for part, mult in sorted(items):
             if part == last:
-                raise ValueError(f"duplicate part {part}")
+                raise PreconditionError(f"duplicate part {part}")
             last = part
             if mult:
                 pairs.append((part, mult))

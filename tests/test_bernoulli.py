@@ -29,7 +29,7 @@ from ubern.bernoulli import (
     write_coefficient_cache,
 )
 import ubern.bernoulli as bernoulli
-from ubern.congruences import _exact_terms, _sweep
+from ubern.congruences import _lhs, _sweep
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
 from ubern.padic import _unit_factorials, _vp_factorial, vp, vp_int
 from ubern.partitions import Partition, count_partitions, enumerate_partitions
@@ -651,13 +651,13 @@ def _walk_matches_exact_oracle(p, n, k):
     # the padic walk names the partitions the exact sweep keeps, in its
     # order, each with its true valuation
     got = list(tau_valuations_below(p, n, k))
-    want = [u for u, _, _ in _exact_terms(n, SparsePoly(), _sweep("exact", p, n, k, n))]
+    want = list(_lhs("exact", p, n, k, _sweep("exact", p, n, k, n), SparsePoly()))
     assert [u for u, _ in got] == want, (p, n, k)
     assert all(v == vp(p, tau(u)) for u, v in got), (p, n, k)
 
 
 def test_tau_valuations_below_matches_exact_oracle_past_32():
-    # the exact backend's term source tests every tau(u) with big integers;
+    # the exact backend's sweep tests every tau(u) with big integers;
     # the walk must name the same partitions, in the same order, past the
     # range where the full tau_valuation filter above is cheap
     for p, weights, exponents in (

@@ -18,9 +18,8 @@ from ubern.bernoulli import (
     tau_valuations_below,
 )
 from ubern.congruences import (
-    _exact_terms,
-    _padic_terms,
-    _verify_against_ubern,
+    _congruence_report,
+    _lhs,
     GRID_THEOREM_3_5,
     GRID_THEOREM_4_8,
     GRID_THEOREM_4_9,
@@ -54,8 +53,15 @@ from ubern.partitions import Partition, enumerate_partitions
 
 
 def _low(backend, p, n, k, n_ceiling=DEFAULT_N_CEILING):
-    # the backend's own sweep at n, as its term source takes it
+    # the backend's own sweep at n, as _lhs takes it
     return congruences._sweep(backend, p, n, k, n_ceiling)
+
+
+def _report(backend, p, n, k, rhs, context=None, n_ceiling=DEFAULT_N_CEILING):
+    # the last step of _verify_case on rhs: the backend's left-hand side
+    # from its own sweep at n, checked against rhs in the one congruence test
+    lhs = _lhs(backend, p, n, k, _low(backend, p, n, k, n_ceiling), rhs)
+    return _congruence_report(lhs, rhs, p, k, {} if context is None else context)
 
 
 def test_poly_congruent_basics():
@@ -198,8 +204,9 @@ def test_exact_terms_sweep_every_partition():
     # the sweep yields each partition: the terms of _tau_fractions, in order
     for n in range(1, 31):
         k = math.factorial(2 * n - 2).bit_length()
-        terms = _exact_terms(n, SparsePoly(), _low("exact", 2, n, k))
-        assert list(terms) == list(_tau_fractions(n)), n
+        lhs = _lhs("exact", 2, n, k, _low("exact", 2, n, k), SparsePoly())
+        want = [(u, Fraction(num, den)) for u, num, den in _tau_fractions(n)]
+        assert list(lhs.items()) == want, n
 
 
 def test_exact_sweep_matches_fraction_filter():
@@ -432,20 +439,21 @@ def test_screen_only_congruence_test_fails_the_fraction_filter(monkeypatch):
 
 
 def test_exact_and_padic_terms_name_the_same_keys():
-    # the two term sources of the one congruence test name the same
-    # monomials, each once, on every shipped grid case and every control
+    # the two backends' left-hand sides name the same monomials, the
+    # exact sweep's and the right-hand keys of weight n, on every shipped
+    # grid case and every control
     cases = [(verify, build(*args), args) for verify, build, args in _grid_cases(60)]
     assert len(cases) == 47
     cases += [(verify, _perturbed(build(*args)), args) for verify, build, args in CONTROL_CASES]
     for verify, rhs, args in cases:
         report = verify(*args, backend="padic")
         n, p, k = report.context["n"], report.prime, report.mod_exp
-        exact = list(_exact_terms(n, rhs, _low("exact", p, n, k)))
-        keys = [u for u, _, _ in exact]
-        assert len(keys) == len(set(keys)), args
-        padic = _padic_terms(n, rhs, p, k, _low("padic", p, n, k))
-        assert set(keys) == {u for u, _, _ in padic}, args
-        assert all(Fraction(num, den) == tau(u) for u, num, den in exact), args
+        low = _low("exact", p, n, k)
+        exact = _lhs("exact", p, n, k, low, rhs)
+        assert exact.keys() == low.keys() | {u for u in rhs.keys() if u.weight == n}, args
+        padic = _lhs("padic", p, n, k, _low("padic", p, n, k), rhs)
+        assert exact.keys() == padic.keys(), args
+        assert all(c == tau(u) for u, c in exact.items()), args
 
 
 def test_exact_backend_takes_no_valuation_shortcut(monkeypatch):
@@ -471,7 +479,7 @@ def test_exact_stream_missing_and_wrong_weight_rhs_keys():
     pure, fails, holds = Partition({1: 12}), Partition({1: 11}), Partition({1: 3, 5: 2})
     rhs = rhs.add_term(pure, -rhs.get(pure)).add_term(fails, Fraction(3, 2)).add_term(holds, 8)
     assert pure not in rhs
-    report = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "exact", _low("exact", 2, 12, 3))
+    report = _report("exact", 2, 12, 3, rhs, {"n": 12})
     assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in report.failures] == [
         (fails, "0/1", "3/2", -1),
         (pure, format_rational(tau(pure)), "0/1", -3),
@@ -479,7 +487,7 @@ def test_exact_stream_missing_and_wrong_weight_rhs_keys():
     _assert_stream_matches_materialised(report, rhs)
     # the padic backend feeds the same test, so it lists the same
     # failures in the same order: the lower-weight key first
-    padic = _verify_against_ubern(12, rhs, 2, 3, {"n": 12}, "padic", _low("padic", 2, 12, 3))
+    padic = _report("padic", 2, 12, 3, rhs, {"n": 12})
     assert reports_agree(report, padic)
     assert [(f.u, f.rhs, f.vp_diff) for f in padic.failures] == [
         (f.u, f.rhs, f.vp_diff) for f in report.failures]
@@ -786,10 +794,7 @@ def test_reports_agree_checks_failure_evidence(u, v):
     # v_2(tau(u)) = 3 >= k keeps 0/1 and tau(u) congruent mod 8
     assert tau_valuation(2, u) == v
     rhs = rhs_theorem_4_8(12)[0].add_term(u, 4)
-    exact, padic = (
-        _verify_against_ubern(12, rhs, 2, 3, {}, backend, _low(backend, 2, 12, 3))
-        for backend in ("exact", "padic")
-    )
+    exact, padic = (_report(backend, 2, 12, 3, rhs) for backend in ("exact", "padic"))
     assert reports_agree(exact, padic)
     [failure] = padic.failures
     assert failure.u == u
@@ -825,10 +830,7 @@ def test_boundary_mutations_on_both_backends(case):
     for u, _ in rhs.items():
         for shift, holds in ((p ** (k - 1), False), (p**k, True)):
             mutated = rhs.add_term(u, shift)
-            exact, padic = (
-                _verify_against_ubern(n, mutated, p, k, {}, backend, _low(backend, p, n, k))
-                for backend in ("exact", "padic")
-            )
+            exact, padic = (_report(backend, p, n, k, mutated) for backend in ("exact", "padic"))
             assert [(f.u, f.lhs, f.rhs, f.vp_diff) for f in exact.failures] == (
                 _poly_congruent_reference(full, mutated, p, k))
             assert reports_agree(exact, padic), (case, u, shift)
@@ -844,8 +846,8 @@ def test_boundary_mutations_on_both_backends(case):
 
 @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
 def test_padic_terms_are_tau_to_the_modulus(case):
-    # the padic term source names every monomial that can fail, each once,
-    # with a value congruent to tau(u) mod p**k; on the shipped right-hand
+    # the padic left-hand side names every monomial that can fail, each
+    # with a Fraction congruent to tau(u) mod p**k; on the shipped right-hand
     # side and on each of its p**(k-1) moves
     verify, build = BOUNDARY_CASES[case]
     base = verify()
@@ -853,13 +855,11 @@ def test_padic_terms_are_tau_to_the_modulus(case):
     rhs = build()
     low = {u for u in enumerate_partitions(n) if tau_valuation(p, u) < k}
     for mutated in [rhs] + [rhs.add_term(u, p ** (k - 1)) for u, _ in rhs.items()]:
-        terms = list(_padic_terms(n, mutated, p, k, _low("padic", p, n, k)))
-        keys = [u for u, _, _ in terms]
-        assert len(keys) == len(set(keys))
-        assert set(keys) == low | {u for u in mutated.keys() if u.weight == n}
-        for u, num, den in terms:
-            assert den > 0
-            assert vp(p, Fraction(num, den) - tau(u)) >= k
+        lhs = _lhs("padic", p, n, k, _low("padic", p, n, k), mutated)
+        assert lhs.keys() == low | {u for u in mutated.keys() if u.weight == n}
+        for u, c in lhs.items():
+            assert isinstance(c, Fraction)
+            assert vp(p, c - tau(u)) >= k
 
 
 # family 3.5 at p = 3 with 3 not dividing l, off the shipped grid
@@ -918,9 +918,7 @@ def test_padic_holds_past_the_grid():
     assert len(rhs) == 9
     for u, _ in rhs.items():
         for shift, holds in ((2 ** (k - 1), False), (2**k, True)):
-            report = _verify_against_ubern(
-                200, rhs.add_term(u, shift), 2, k, {}, "padic", _low("padic", 2, 200, k, ceiling)
-            )
+            report = _report("padic", 2, 200, k, rhs.add_term(u, shift), n_ceiling=ceiling)
             assert report.holds is holds, (u, shift)
             if not holds:
                 assert [(f.u, f.vp_diff) for f in report.failures] == [(u, k - 1)]
@@ -932,9 +930,7 @@ def test_padic_holds_past_the_grid():
     assert report.holds and len(rhs) > 2
     for u, _ in rhs.items():
         for shift, holds in ((p ** (k - 1), False), (p**k, True)):
-            moved = _verify_against_ubern(
-                n, rhs.add_term(u, shift), p, k, {}, "padic", _low("padic", p, n, k, ceiling)
-            )
+            moved = _report("padic", p, n, k, rhs.add_term(u, shift), n_ceiling=ceiling)
             assert moved.holds is holds, (u, shift)
             if not holds:
                 assert [(f.u, f.vp_diff) for f in moved.failures] == [(u, k - 1)]
@@ -947,9 +943,9 @@ def _selected_rhs(verify, args, backend, **kwargs):
     seen = []
     report = congruences._congruence_report
 
-    def spy(terms, B, *rest):
+    def spy(lhs, B, *rest):
         seen.append(B)
-        return report(terms, B, *rest)
+        return report(lhs, B, *rest)
 
     congruences._congruence_report = spy
     try:
@@ -1002,8 +998,10 @@ def test_padic_rhs_is_the_full_rhs_where_it_matters():
                 p, k, n = lazy_report.prime, lazy_report.mod_exp, lazy_report.context["n"]
                 context = {key: v for key, v in lazy_report.context.items()
                            if key != "perturbed"}
-                full_report = _verify_against_ubern(
-                    n, full, p, k, context, backend, _low(backend, p, n, k), perturb=perturb
+                if perturb:
+                    context["perturbed"] = True
+                full_report = _report(
+                    backend, p, n, k, _perturbed(full) if perturb else full, context
                 )
                 assert lazy_report.to_json() == full_report.to_json(), (args, perturb)
             # the --perturb control hits the first key of the full right-hand side
@@ -1034,8 +1032,7 @@ def test_padic_rhs_boundary_moves_match_the_full_rhs(case):
             for shift in (p ** (k - 1), p**k):
                 on_lazy = lazy.add_term(u, shift if u in lazy else c + shift)
                 lazy_report, full_report = (
-                    _verify_against_ubern(n, rhs, p, k, {}, backend, _low(backend, p, n, k))
-                    for rhs in (on_lazy, full.add_term(u, shift))
+                    _report(backend, p, n, k, rhs) for rhs in (on_lazy, full.add_term(u, shift))
                 )
                 assert lazy_report.to_json() == full_report.to_json(), (backend, u, shift)
                 assert lazy_report.holds is (shift == p**k)
@@ -1052,10 +1049,7 @@ def test_exact_report_on_the_selected_rhs_is_the_full_rhs_report():
         full = _lifted_rhs(verify, args)
         for k in range(ctx["N"] + 1, ctx["N"] + 4):
             case, selected = _verify_at(verify, args, k, "exact")
-            whole = _verify_against_ubern(
-                case.n, full, case.p, k, dict(selected.context), "exact",
-                _low("exact", case.p, case.n, k),
-            )
+            whole = _report("exact", case.p, case.n, k, full, dict(selected.context))
             assert selected.to_json() == whole.to_json(), (args, k)
             failures += len(whole.failures)
     assert failures == 1514

@@ -57,6 +57,15 @@ def test_partition_refuses_parts_that_are_not_integers():
         Partition.from_pairs([[1, 2], ["a", 1]])
 
 
+def test_partition_refuses_a_duplicate_part():
+    # a repeated part is a bad input like any other: PreconditionError, also
+    # where one of the two pairs has multiplicity 0
+    for build, pairs in ((Partition, [(1, 2), (1, 3)]), (Partition, [(2, 1), (2, 1)]),
+                         (Partition.from_pairs, [[1, 2], [1, 0]])):
+        with pytest.raises(PreconditionError, match="^duplicate part [12]$"):
+            build(pairs)
+
+
 def test_partition_is_its_pair_tuple():
     u = Partition({3: 1, 1: 2})
     pairs = ((1, 2), (3, 1))

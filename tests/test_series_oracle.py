@@ -128,3 +128,63 @@ def test_series_oracle_catches_closed_form_mutations(monkeypatch, name):
     with pytest.raises(AssertionError) as failed:
         _check_closed_form(10)
     assert str(failed.value).splitlines()[0] == str(first)
+
+
+SYMBOLIC_N_MAX = 7
+
+
+def _symbolic_divided_ubern(sympy, c):
+    # B^_n / n for n = 1..len(c) as sympy polynomials in c, by fixed-point
+    # series reversion rather than Lagrange inversion: G = tH inverts
+    # F = tP exactly when H = 1/P(tH), and each pass of that map fixes one
+    # more coefficient of H.  Series are lists of expanded expressions,
+    # truncated at t**len(c); then t/G = 1/H
+    length = len(c) + 1
+    one, zero = sympy.Integer(1), sympy.Integer(0)
+
+    def mul(a, b):
+        return [sympy.expand(sum(a[j] * b[m - j] for j in range(m + 1))) for m in range(length)]
+
+    def reciprocal(h):
+        # 1/h for h[0] = 1
+        r = [one]
+        for m in range(1, length):
+            r.append(sympy.expand(-sum(h[j] * r[m - j] for j in range(1, m + 1))))
+        return r
+
+    def p_of_th(h):
+        # P(tH) = 1 + sum_i c_i (tH)**i / (i+1)
+        out = [one] + [zero] * (length - 1)
+        power = list(out)
+        for i in range(1, length):
+            power = mul(power, h)
+            for m in range(i, length):
+                out[m] += c[i - 1] * power[m - i] / (i + 1)
+        return [sympy.expand(x) for x in out]
+
+    h = [one] + [zero] * (length - 1)
+    for _ in range(length + 1):
+        nxt = reciprocal(p_of_th(h))
+        if all(sympy.expand(a - b) == 0 for a, b in zip(nxt, h)):
+            break
+        h = nxt
+    else:
+        raise AssertionError("H = 1/P(tH) did not reach its fixed point")
+    quotient = reciprocal(h)
+    return [sympy.factorial(n - 1) * quotient[n] for n in range(1, length)]
+
+
+def test_every_coefficient_matches_symbolic_reversion():
+    # each coefficient of divided_ubern(n), n <= 7, against the symbolic
+    # series reversion: the same monomials, the same rationals
+    sympy = pytest.importorskip("sympy")
+    c = sympy.symbols(f"c1:{SYMBOLIC_N_MAX + 1}")
+    for n, expr in enumerate(_symbolic_divided_ubern(sympy, c), start=1):
+        want = sympy.Poly(expr, *c).as_dict()
+        got = {}
+        for u, coeff in divided_ubern(n).items():
+            exps = [0] * SYMBOLIC_N_MAX
+            for part, mult in u:
+                exps[part - 1] = mult
+            got[tuple(exps)] = sympy.Rational(coeff.numerator, coeff.denominator)
+        assert got == want, n
