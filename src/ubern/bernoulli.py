@@ -14,7 +14,7 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from typing import Callable, Iterator, Mapping, TextIO
 
 from .errors import CacheError, PreconditionError, _require_ceiling, _require_ints
 from .padic import _require_prime, _vp_factorial, vp_int
@@ -245,7 +245,8 @@ def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
     i <= 2n, and run[part][mult] = (part+1)**mult * mult!, the factor of
     gamma(u) from one run, for part * mult <= n, part <= max(n, 2).  The
     tail 2**j 1**(rem-2j) that _tau_prefixes leaves after a prefix has
-    gamma run[2][j] * run[1][rem-2j], as any other run product."""
+    gamma run[2][j] * run[1][rem-2j], as any other run product;
+    cache_blocks keeps those products in a table of its own."""
     fact = [1] * (2 * n + 1)
     for i in range(1, 2 * n + 1):
         fact[i] = fact[i - 1] * i
@@ -258,56 +259,69 @@ def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
     return fact, run
 
 
-def _tau_prefixes(
-    n: int, run: list[list[int]]
-) -> Iterator[tuple[list[tuple[int, int, int, int]], int]]:
-    """(runs, rem) for each prefix of the partitions of n, in
-    enumerate_partitions order: the walk of cache_blocks and _tau_sum,
-    which need every partition.
+def _no_screen(r: int, c: int, gamma: int, degree: int) -> bool:
+    """The screen of the prefix walks that need every partition."""
+    return False
 
-    A partition u of n is its prefix, the runs of parts >= 3, plus the tail
-    2**j 1**(rem-2j) of the weight rem the prefix leaves; the partitions of
-    one prefix are adjacent, j falling from rem // 2 to 0, so a sweep closes
-    the tails of each prefix in an inner loop, from rows 1 and 2 of run.
-    The walk is the enumerate_partitions_bounded successor on the prefix
-    alone, on one live stack of int runs (part, mult, gamma, degree),
-    parts decreasing, over a base (0, 0, 1, 0); each entry's gamma
-    and degree cover the runs up to it, so runs[-1] holds the prefix's, and
-    no Partition is built.  runs is valid until the next step, which pops
-    exactly the top run and pushes at most three: runs[:len(r) - 1] of the
-    previous prefix's runs r are unchanged.
+
+def _tau_prefixes(
+    n: int, run: list[list[int]], clears: Callable[[int, int, int, int], bool]
+) -> Iterator[tuple[list[tuple[int, int, int, int]], int]]:
+    """(runs, rem) for each prefix of the partitions of n that the screen
+    keeps, in enumerate_partitions order: the exact side's one prefix walk.
+
+    A partition u of n is its prefix, the runs of parts >= 3, plus a tail
+    2**j 1**(rem-2j), j falling from rem // 2 to 0, which a sweep closes in
+    an inner loop from rows 1 and 2 of run.  A node's children add one run
+    (part, mult), part from its least part - 1 (n at the root) or rem down
+    to 3, mult descending; a node follows its children.  runs is one live
+    stack of int runs (part, mult, gamma, degree) over a base (0, 0, 1, 0),
+    each entry's gamma and degree covering the runs up to it.
+
+    clears(r, c, gamma, degree) is true when nothing below a node of that
+    gamma and degree, leaving r to parts <= c, is wanted.  It screens each
+    child before it is pushed, at c = part - 1, and the tail block, at c =
+    2, of a node with room for children; the root at n <= 2 is not
+    screened.  runs is valid until the next step.  Under _no_screen a step
+    pops exactly the top run and pushes at most three: runs[:len(r) - 1]
+    of the previous prefix's runs r are unchanged.  A screen can pop more.
     """
     runs = [(0, 0, 1, 0)]
-    rem = n
-    if n >= 3:
-        runs.append((n, 1, n + 1, 1))
-        rem = 0
+    if n < 3:
+        yield runs, n
+        return
+    gamma, degree, rem = 1, 0, n
+    part, mult = n, 1  # the next child to try
     while True:
-        yield runs, rem
-        # the enumerate_partitions_bounded successor after the last tail
-        # 1**rem: take one copy off the smallest prefix part, refill it and
-        # the rem 1s as copies of part - 1 and at most one smaller part; a
-        # refill part below 3 is the next prefix's tail
+        # push the first kept child from (part, mult) on, and its own in turn
+        while part >= 3:
+            if not mult:  # every copy count of part is tried: the next part
+                part -= 1
+                mult = rem // part
+                continue
+            rest = rem - part * mult
+            g = gamma * run[part][mult]
+            d = degree + mult
+            if clears(rest, part - 1, g, d):
+                mult -= 1
+                continue
+            runs.append((part, mult, g, d))
+            gamma, degree, rem = g, d, rest
+            part = part - 1 if part <= rem else rem  # the child's cap
+            if part < 3:
+                yield runs, rem  # no room: screened as a child already
+                break
+            mult = rem // part
+        else:  # the top node's children are done: its own tail block
+            if not clears(rem, 2, gamma, degree):
+                yield runs, rem
+        # the top node is done; its parent's next child follows it
         part, mult, _, _ = runs.pop()
         if not part:
             return
-        rem += part
-        _, _, gamma, d = runs[-1]
-        if mult > 1:
-            gamma *= run[part][mult - 1]
-            d += mult - 1
-            runs.append((part, mult - 1, gamma, d))
-        part -= 1
-        if part >= 3:
-            q, rem = divmod(rem, part)
-            gamma *= run[part][q]
-            d += q
-            runs.append((part, q, gamma, d))
-            if rem >= 3:
-                gamma *= rem + 1
-                d += 1
-                runs.append((rem, 1, gamma, d))
-                rem = 0
+        rem += part * mult
+        _, _, gamma, degree = runs[-1]
+        mult -= 1
 
 
 def _tau_fractions(n: int) -> Iterator[tuple[Partition, int, int]]:
@@ -341,7 +355,7 @@ def _tau_sum(n: int) -> Fraction:
     ones, twos = run[1], run[2]
     common = fact[2 * n]
     groups: dict[tuple[int, int], int] = {}
-    for runs, rem in _tau_prefixes(n, run):
+    for runs, rem in _tau_prefixes(n, run, _no_screen):
         _, _, gamma, degree = runs[-1]
         groups[rem, degree] = groups.get((rem, degree), 0) + common // gamma
     total = 0
@@ -439,16 +453,17 @@ def cache_blocks(n: int) -> Iterator[str]:
     _require_ints(1, n=n)
     yield '{"n":%d,"count":%d}\n' % (n, count_partitions(n))
     fact, run = _tau_tables(n)
-    ones, twos = run[1], run[2]
-    # label[part][mult] = ",[part,mult]", for part * mult <= n, and
-    # heads[rem][j] = "[1,rem-2j],[2,j]", the text of the tail 2**j 1**(rem-2j)
+    # label[part][mult] = ",[part,mult]", for part * mult <= n, and, for the
+    # tail 2**j 1**(rem-2j), heads[rem][j] = "[1,rem-2j],[2,j]", its text,
+    # and tails[rem][j] = run[2][j] * run[1][rem-2j], its gamma
     label = [[]] + [[",[%d,%d]" % (part, mult) for mult in range(n // part + 1)]
                     for part in range(1, n + 1)]
     heads = [[",".join("[%d,%d]" % pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1])
               for j in range(rem // 2 + 1)] for rem in range(n + 1)]
-    # texts[i]: the labels of runs[i], ..., runs[1]; popped as the walk pops
+    tails = [[run[2][j] * run[1][r - 2 * j] for j in range(r // 2 + 1)] for r in range(n + 1)]
+    # texts[i]: the labels of runs[i], ..., runs[1]; one popped a step
     texts = [""]
-    for runs, rem in _tau_prefixes(n, run):
+    for runs, rem in _tau_prefixes(n, run, _no_screen):
         for part, mult, _, _ in runs[len(texts):]:
             texts.append(label[part][mult] + texts[-1])
         text = texts.pop()
@@ -456,10 +471,10 @@ def cache_blocks(n: int) -> Iterator[str]:
             text = text[1:]  # no tail: the prefix's first pair opens the list
         _, _, gamma, degree = runs[-1]
         top = n + degree + rem  # n + d of u at j = 0, one less per 2
-        head = heads[rem]
+        head, tail = heads[rem], tails[rem]
         block = []
         for j in range(rem // 2, -1, -1):
-            num = fact[top - j] // (gamma * (twos[j] * ones[rem - 2 * j]))
+            num = fact[top - j] // (gamma * tail[j])
             den = (top - j) * (top - j - 1)
             g = math.gcd(num % den, den)
             block.append('{"u":[%s%s],"c":"%d/%d"}\n' % (

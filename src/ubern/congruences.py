@@ -24,6 +24,7 @@ from .bernoulli import (
     DEFAULT_N_CEILING,
     SparsePoly,
     _runs_valuations,
+    _tau_prefixes,
     _tau_tables,
     _tau_unit,
     _valuation_tables,
@@ -244,10 +245,8 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
 
     The independent oracle: every partition is settled by big-integer
     remainders of tau(u) = (-1)**(d-1) (n+d-2)!/gamma(u); no valuation is
-    computed.  The walk has the shape of tau_valuations_below's: the
-    largest part first, multiplicity descending, down to parts >= 3, and
-    after the children of a node its own tail block, the tails 2**j
-    1**(r-2j), j falling from r // 2 to 0.
+    computed.  It is one loop over bernoulli._tau_prefixes with this
+    screen, and over the tails 2**j 1**(r-2j) of each prefix it keeps.
 
     The screen, one remainder per node: a node has a prefix of gamma G and
     degree D, parts > c, and leaves weight r to parts <= c.  Each u below
@@ -256,11 +255,9 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     v_i!] [L / prod (i+1)**v_i], P a product of deg v consecutive
     integers: prod v_i! divides (deg v)!, which divides P, and all three
     factors are integers when p**k G L(r, c) divides F.  Then every
-    tau(u) below the node is 0 mod p**k and the whole subtree is skipped.
-    Each child is screened before it is entered, and a node with children
-    screens its tail block on its own, at c = 2.  The root is not screened:
-    L(n, n) holds 2**n, which (n-2)! lacks.  A node takes column part - 1
-    once per part, a sweep the c = 2 column once; a screen is a list index.
+    tau(u) below the node is 0 mod p**k and the walk skips the whole
+    subtree.  The walk does not screen the root: L(n, n) holds 2**n,
+    which (n-2)! lacks.
 
     The screen is only sufficient, so each tail of a block it keeps goes to
     the congruence test, _nonzero_mod, and the yields are that test's
@@ -271,34 +268,21 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     fact, run = _tau_tables(n)
     ones, twos = run[1], run[2]
     clearing = _subtree_clearing(n)
-    tail_clearing = clearing[2]  # the column the tail blocks read
 
-    def walk(r, cap, gamma, degree, pairs):
-        # below a prefix of gamma, degree and pairs, part ascending: the
-        # partitions of r into parts <= cap, the node itself not screened
-        for part in range(min(cap, r), 2, -1):
-            row = run[part]
-            below = clearing[part - 1]
-            for mult in range(r // part, 0, -1):
-                rest = r - part * mult
-                g = gamma * row[mult]
-                d = degree + mult
-                if fact[n + d - 2] % (modulus * g * below[rest]):
-                    yield from walk(rest, part - 1, g, d, ((part, mult),) + pairs)
-        # the tail block: a node with no children is its tail block, which
-        # its caller screened already (at n <= 2 the root, with no screen)
-        base = n + degree - 2
-        if min(cap, r) < 3 or fact[base] % (modulus * gamma * tail_clearing[r]):
-            d = degree + r  # the degree of u at j = 0, one less per 2
-            top = base + r
-            for j in range(r // 2, -1, -1):
-                num = fact[top - j]
-                den = gamma * (twos[j] * ones[r - 2 * j])
-                if _nonzero_mod(num, den, modulus):
-                    head = tuple(pm for pm in ((1, r - 2 * j), (2, j)) if pm[1])
-                    yield Partition._raw(head + pairs), ((num if (d - j) % 2 else -num), den)
+    def clears(r, c, gamma, degree):
+        return not fact[n + degree - 2] % (modulus * gamma * clearing[c][r])
 
-    yield from walk(n, n, 1, 0, ())
+    for runs, r in _tau_prefixes(n, run, clears):
+        _, _, gamma, degree = runs[-1]
+        d = degree + r  # the degree of u at j = 0, one less per 2
+        top = n + d - 2
+        for j in range(r // 2, -1, -1):
+            num = fact[top - j]
+            den = gamma * (twos[j] * ones[r - 2 * j])
+            if _nonzero_mod(num, den, modulus):
+                pairs = tuple((part, mult) for part, mult, _, _ in reversed(runs[1:]))
+                head = tuple(pm for pm in ((1, r - 2 * j), (2, j)) if pm[1])
+                yield Partition._raw(head + pairs), ((num if (d - j) % 2 else -num), den)
 
 
 def _sweep(backend: str, p: int, n: int, k: int, n_ceiling: int) -> dict:
@@ -450,7 +434,7 @@ def _case_3_5(p: int, s: int, l: int) -> _Case:
     """
     _require_odd_prime(p)
     _require_ints(1, s=s, l=l)
-    N = vp_int(p, l) if l % p == 0 else 0
+    N = vp_int(p, l)
     need = -(-(N + 2) // (p - 2))
     if s < need:
         raise PreconditionError(f"s >= ceil((N+2)/(p-2)) = {need} required, got s={s} (N={N})")

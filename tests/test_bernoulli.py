@@ -32,7 +32,12 @@ import ubern.bernoulli as bernoulli
 from ubern.congruences import _lhs, _sweep
 from ubern.errors import CacheError, CeilingExceeded, PreconditionError
 from ubern.padic import _unit_factorials, _vp_factorial, vp, vp_int
-from ubern.partitions import Partition, count_partitions, enumerate_partitions
+from ubern.partitions import (
+    Partition,
+    count_partitions,
+    enumerate_partitions,
+    enumerate_partitions_bounded,
+)
 
 
 def test_gamma_examples():
@@ -519,7 +524,7 @@ def test_tau_prefixes_match_tau_fractions():
         fact, run = bernoulli._tau_tables(n)
         want = bernoulli._tau_fractions(n)
         got = 0
-        for runs, rem in bernoulli._tau_prefixes(n, run):
+        for runs, rem in bernoulli._tau_prefixes(n, run, bernoulli._no_screen):
             _, _, g, d = runs[-1]
             prefix = tuple((part, mult) for part, mult, _, _ in reversed(runs[1:]))
             assert all(part >= 3 for part, _ in prefix), (n, prefix)
@@ -537,17 +542,55 @@ def test_tau_prefixes_match_tau_fractions():
 
 
 def test_tau_prefixes_step_pops_one_run_and_holds_only_ints():
-    # the walk's contract its readers rely on: each run is four ints, and a
-    # step pops exactly the top run, so the runs below it are unchanged
+    # the unscreened walk's contract cache_blocks relies on: each run is
+    # four ints, and a step pops exactly the top run, so the runs below it
+    # are unchanged
     for n in range(1, 31):
         _, run = bernoulli._tau_tables(n)
         previous = None
-        for runs, rem in bernoulli._tau_prefixes(n, run):
+        for runs, rem in bernoulli._tau_prefixes(n, run, bernoulli._no_screen):
             assert all(len(r) == 4 and all(type(x) is int for x in r) for r in runs), n
             if previous is not None:
                 kept = len(previous) - 1
                 assert runs[:kept] == previous[:kept] and len(runs) - kept <= 3, (n, runs)
             previous = list(runs)
+
+
+def test_tau_prefixes_screen_against_the_bounded_successor():
+    # a screen skips whole subtrees: under the degree screen d + ceil(r/c) >
+    # D, the least degree below a node, each kept prefix expanded into its
+    # tails of degree <= D is enumerate_partitions_bounded(n, D), n = 0
+    # included.  That screen is exact, so every prefix it keeps has such a
+    # tail, but the unscreened root at n <= 2.  The stack stays one live
+    # stack of runs, each four ints with the gamma and degree of the runs
+    # up to it, and a node still comes after its children: each step pops
+    # at least one run.  A screened step can pop more than one: at n = 8,
+    # D = 2, prefix 5 leaves 3, whose tails have degree >= 3, so 4 4
+    # follows 5 3
+    for n in range(31):
+        _, run = bernoulli._tau_tables(n)
+        for D in range(n + 1):
+            def clears(r, c, gamma, degree):
+                return degree + -(-r // c) > D
+
+            got = []
+            previous = None
+            for runs, rem in bernoulli._tau_prefixes(n, run, clears):
+                g, d = 1, 0
+                for part, mult, gamma, degree in runs[1:]:
+                    g, d = g * (part + 1) ** mult * math.factorial(mult), d + mult
+                    assert part >= 3 and (gamma, degree) == (g, d), (n, D, runs)
+                    assert all(type(x) is int for x in (part, mult, gamma, degree))
+                assert all(a[0] > b[0] for a, b in zip(runs[1:], runs[2:])), (n, D, runs)
+                assert d + -(-rem // 2) <= D or n <= 2, (n, D, runs, rem)
+                if previous is not None:
+                    assert runs[:len(previous)] != previous, (n, D, runs)
+                previous = list(runs)
+                prefix = tuple((part, mult) for part, mult, _, _ in reversed(runs[1:]))
+                for j in range(rem // 2, -1, -1):
+                    if d + rem - j <= D:
+                        got.append(tuple(pm for pm in ((1, rem - 2 * j), (2, j)) if pm[1]) + prefix)
+            assert got == list(enumerate_partitions_bounded(n, D)), (n, D)
 
 
 def test_gamma_divides_the_factorial_of_weight_plus_degree():
