@@ -240,16 +240,22 @@ class SparsePoly:
         return SparsePoly._wrap(terms)
 
 
+def _factorials(top: int) -> list[int]:
+    """fact[i] = i! for i <= top."""
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
+        fact[i] = fact[i - 1] * i
+    return fact
+
+
 def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
     """The two tables tau(u) of weight n is read from: fact[i] = i! for
     i <= 2n, and run[part][mult] = (part+1)**mult * mult!, the factor of
     gamma(u) from one run, for part * mult <= n, part <= max(n, 2).  The
-    tail 2**j 1**(rem-2j) that _tau_prefixes leaves after a prefix has
-    gamma run[2][j] * run[1][rem-2j], as any other run product;
-    cache_blocks keeps those products in a table of its own."""
-    fact = [1] * (2 * n + 1)
-    for i in range(1, 2 * n + 1):
-        fact[i] = fact[i - 1] * i
+    tail 2**j 1**(rem-2j) that each _tau_prefixes yield leaves has gamma
+    run[2][j] * run[1][rem-2j], as any other run product; cache_blocks
+    keeps those products in a table of its own."""
+    fact = _factorials(2 * n)
     run: list[list[int]] = [[1]]
     for part in range(1, max(n, 2) + 1):
         row = [1]
@@ -259,13 +265,8 @@ def _tau_tables(n: int) -> tuple[list[int], list[list[int]]]:
     return fact, run
 
 
-def _no_screen(r: int, c: int, gamma: int, degree: int) -> bool:
-    """The screen of the prefix walks that need every partition."""
-    return False
-
-
 def _tau_prefixes(
-    n: int, run: list[list[int]], clears: Callable[[int, int, int, int], bool]
+    n: int, run: list[list[int]], clears: Callable[[int, int, int, int], bool] | None
 ) -> Iterator[tuple[list[tuple[int, int, int, int]], int]]:
     """(runs, rem) for each prefix of the partitions of n that the screen
     keeps, in enumerate_partitions order: the exact side's one prefix walk.
@@ -279,12 +280,13 @@ def _tau_prefixes(
     each entry's gamma and degree covering the runs up to it.
 
     clears(r, c, gamma, degree) is true when nothing below a node of that
-    gamma and degree, leaving r to parts <= c, is wanted.  It screens each
-    child before it is pushed, at c = part - 1, and the tail block, at c =
-    2, of a node with room for children; the root at n <= 2 is not
-    screened.  runs is valid until the next step.  Under _no_screen a step
-    pops exactly the top run and pushes at most three: runs[:len(r) - 1]
-    of the previous prefix's runs r are unchanged.  A screen can pop more.
+    gamma and degree, leaving r to parts <= c, is wanted; None keeps every
+    prefix.  It screens each child before it is pushed, at c = part - 1,
+    and each node's tail block, at c = 2, once its children are done: the
+    one yield of n >= 3.  The root at n <= 2 is yielded unscreened.  runs
+    is valid until the next step.  With None a step pops exactly the top
+    run and pushes at most three: runs[:len(r) - 1] of the previous
+    prefix's runs r are unchanged.  A screen can pop more.
     """
     runs = [(0, 0, 1, 0)]
     if n < 3:
@@ -302,19 +304,16 @@ def _tau_prefixes(
             rest = rem - part * mult
             g = gamma * run[part][mult]
             d = degree + mult
-            if clears(rest, part - 1, g, d):
+            if clears and clears(rest, part - 1, g, d):
                 mult -= 1
                 continue
             runs.append((part, mult, g, d))
             gamma, degree, rem = g, d, rest
             part = part - 1 if part <= rem else rem  # the child's cap
-            if part < 3:
-                yield runs, rem  # no room: screened as a child already
-                break
-            mult = rem // part
-        else:  # the top node's children are done: its own tail block
-            if not clears(rem, 2, gamma, degree):
-                yield runs, rem
+            mult = rem // part if part >= 3 else 0  # below 3: no child
+        # the top node's children are done: its own tail block
+        if not (clears and clears(rem, 2, gamma, degree)):
+            yield runs, rem
         # the top node is done; its parent's next child follows it
         part, mult, _, _ = runs.pop()
         if not part:
@@ -355,7 +354,7 @@ def _tau_sum(n: int) -> Fraction:
     ones, twos = run[1], run[2]
     common = fact[2 * n]
     groups: dict[tuple[int, int], int] = {}
-    for runs, rem in _tau_prefixes(n, run, _no_screen):
+    for runs, rem in _tau_prefixes(n, run, None):
         _, _, gamma, degree = runs[-1]
         groups[rem, degree] = groups.get((rem, degree), 0) + common // gamma
     total = 0
@@ -463,7 +462,7 @@ def cache_blocks(n: int) -> Iterator[str]:
     tails = [[run[2][j] * run[1][r - 2 * j] for j in range(r // 2 + 1)] for r in range(n + 1)]
     # texts[i]: the labels of runs[i], ..., runs[1]; one popped a step
     texts = [""]
-    for runs, rem in _tau_prefixes(n, run, _no_screen):
+    for runs, rem in _tau_prefixes(n, run, None):
         for part, mult, _, _ in runs[len(texts):]:
             texts.append(label[part][mult] + texts[-1])
         text = texts.pop()

@@ -38,7 +38,7 @@ from .congruences import (  # verify_theorem_* are called by name: _verify
     verify_theorem_4_8,
     verify_theorem_4_9,
 )
-from .errors import CacheError, PreconditionError, _require_ceiling
+from .errors import CacheError, PreconditionError, _require_ceiling, _require_ints
 from .lemmas import SWEEPS, run_sweep
 
 EXIT_OK = 0
@@ -122,8 +122,6 @@ def _ceiling(args: argparse.Namespace) -> int:
             raise PreconditionError(
                 f"UBERN_N_CEILING must be an integer, got {text!r}"
             ) from None
-    if value < 1:
-        raise PreconditionError("n-ceiling must be >= 1")
     return value
 
 
@@ -148,8 +146,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     file.
     """
     ceiling = _ceiling(args)
-    if args.n < 1:
-        raise PreconditionError("--n must be >= 1")
+    _require_ints(1, n=args.n)
     _require_ceiling(ceiling, n=args.n)
     cache_dir = args.cache_dir or os.environ.get("UBERN_CACHE_DIR")
     if not cache_dir:
@@ -302,8 +299,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
 
 def _cmd_classical(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
-    if args.n_max < 1:
-        raise PreconditionError("--n-max must be >= 1")
+    _require_ints(1, n_max=args.n_max)
     _require_ceiling(ceiling, n_max=args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):

@@ -256,8 +256,13 @@ def _exact_sweep(p: int, n: int, k: int) -> Iterator[tuple[Partition, tuple[int,
     integers: prod v_i! divides (deg v)!, which divides P, and all three
     factors are integers when p**k G L(r, c) divides F.  Then every
     tau(u) below the node is 0 mod p**k and the walk skips the whole
-    subtree.  The walk does not screen the root: L(n, n) holds 2**n,
-    which (n-2)! lacks.
+    subtree.  The walk asks it of each child, at c = part - 1, and of each
+    node's tail block, at c = 2, leaves included; it is never asked of the
+    whole root (L(n, n) holds 2**n, which (n-2)! lacks), nor of the root
+    at n <= 2, where it would read fact[n - 2].  A leaf's tail screen
+    repeats the verdict of its child screen: a leaf was pushed at part 3,
+    so at c = 2 already, or with r <= 2, where L(r, c) = 2**r 3**(r // 2)
+    = L(r, 2) for every c >= 2.
 
     The screen is only sufficient, so each tail of a block it keeps goes to
     the congruence test, _nonzero_mod, and the yields are that test's

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .bernoulli import _runs_valuations, _valuation_tables, tau_valuation
+from .bernoulli import _factorials, _runs_valuations, _valuation_tables, tau_valuation
 from .errors import PreconditionError, _require_ceiling, _require_ints
 from .padic import (
     _vp,
@@ -174,9 +174,7 @@ def lemma_2_6(q_max: int = 6, e_max: int = 2) -> LemmaSweepResult:
     for p in (3, 5):
         a_max = 3 * p
         top = (p * p + q_max) * p + a_max
-        fact = [1] * (top + 1)
-        for i in range(1, top + 1):
-            fact[i] = fact[i - 1] * i
+        fact = _factorials(top)
         for l in (p, 2 * p, p * p):
             N = vp_int(p, l)
             modulus = p ** (N + 1)
@@ -356,9 +354,7 @@ def lemma_4_4(
     failures: list[dict] = []
     detail = {"i": 0, "ii": 0, "iii": 0, "iv": 0}
     top = 2 * (3 * 2**6 + q_max + 2 * r_max) + a_max
-    fact = [1] * (top + 1)
-    for i in range(1, top + 1):
-        fact[i] = fact[i - 1] * i
+    fact = _factorials(top)
     for N in range(3, 7):
         modulus = 2 ** (N + 1)
         for k in (1, 3):

@@ -524,7 +524,7 @@ def test_tau_prefixes_match_tau_fractions():
         fact, run = bernoulli._tau_tables(n)
         want = bernoulli._tau_fractions(n)
         got = 0
-        for runs, rem in bernoulli._tau_prefixes(n, run, bernoulli._no_screen):
+        for runs, rem in bernoulli._tau_prefixes(n, run, None):
             _, _, g, d = runs[-1]
             prefix = tuple((part, mult) for part, mult, _, _ in reversed(runs[1:]))
             assert all(part >= 3 for part, _ in prefix), (n, prefix)
@@ -548,7 +548,7 @@ def test_tau_prefixes_step_pops_one_run_and_holds_only_ints():
     for n in range(1, 31):
         _, run = bernoulli._tau_tables(n)
         previous = None
-        for runs, rem in bernoulli._tau_prefixes(n, run, bernoulli._no_screen):
+        for runs, rem in bernoulli._tau_prefixes(n, run, None):
             assert all(len(r) == 4 and all(type(x) is int for x in r) for r in runs), n
             if previous is not None:
                 kept = len(previous) - 1
@@ -566,16 +566,31 @@ def test_tau_prefixes_screen_against_the_bounded_successor():
     # up to it, and a node still comes after its children: each step pops
     # at least one run.  A screened step can pop more than one: at n = 8,
     # D = 2, prefix 5 leaves 3, whose tails have degree >= 3, so 4 4
-    # follows 5 3
+    # follows 5 3.  The walk yields at one site: each prefix of n >= 3 comes
+    # straight after the tail screen clears(rem, 2, gamma, degree) of its
+    # top run failed, and the root at n <= 2 after no screen call.  None
+    # screens nothing: it walks as a screen that never clears
     for n in range(31):
         _, run = bernoulli._tau_tables(n)
+        unscreened = [(list(runs), rem) for runs, rem in bernoulli._tau_prefixes(n, run, None)]
+        never = [(list(runs), rem) for runs, rem in
+                 bernoulli._tau_prefixes(n, run, lambda r, c, gamma, degree: False)]
+        assert unscreened == never, n
         for D in range(n + 1):
+            calls = []
+
             def clears(r, c, gamma, degree):
-                return degree + -(-r // c) > D
+                calls.append(((r, c, gamma, degree), degree + -(-r // c) > D))
+                return calls[-1][1]
 
             got = []
             previous = None
             for runs, rem in bernoulli._tau_prefixes(n, run, clears):
+                if n >= 3:
+                    assert calls[-1] == ((rem, 2, *runs[-1][2:]), False), (n, D, runs, rem)
+                else:
+                    assert not calls, (n, D)
+                calls.clear()
                 g, d = 1, 0
                 for part, mult, gamma, degree in runs[1:]:
                     g, d = g * (part + 1) ** mult * math.factorial(mult), d + mult

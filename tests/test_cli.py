@@ -36,10 +36,15 @@ def test_compute_json(capsys):
     assert coeffs == ["1/3", "-1/4"]
 
 
-def test_compute_rejects_nonpositive(capsys):
-    code, _, err = run(capsys, "compute", "--n", "0")
-    assert code == 2
-    assert "must be >= 1" in err
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "--n", "0"), "n must be >= 1, got 0"),
+    (("classical", "--n-max", "0"), "n_max must be >= 1, got 0"),
+    (("compute", "--n", "5", "--n-ceiling", "0"), "n_ceiling must be >= 1, got 0"),
+], ids=["n", "n_max", "n_ceiling"])
+def test_compute_rejects_nonpositive(capsys, argv, message):
+    # each integer parameter is refused by errors._require_ints, by name
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_compute_respects_ceiling(capsys):
