@@ -338,21 +338,21 @@ def _lhs(
 
 
 class _Case(NamedTuple):
-    """One case of a family: divided_ubern(n) = c^shift divided_ubern(m) +
-    corrections mod p**k, shift {part: mult} (c_(p-1)**l for 3.5, c_1**l
-    for 4.9).  4.8 has no m-part (m and shift None): its listed terms are
-    its corrections.  A correction is a pair ({part: mult}, Fraction), made
-    a Partition only by _lifted_rhs, so a verifier, which builds its record
-    and then its right-hand side, builds each monomial once.  context is
-    the report's; the driver adds the backend at its end, or where a
-    "backend" key is.
+    """One case of a family: divided_ubern(n) = c_(p-1)**((n-m)/(p-1))
+    divided_ubern(m) + corrections mod p**k, the lift c_(p-1)**l of 3.5
+    and c_1**l of 4.9 worked out from p, n and m.  4.8 has no m-part (m
+    None): its listed terms are its corrections.  A correction is a pair
+    (tail, Fraction), the tail w a {part: mult} that never holds p-1: its
+    key is w c_(p-1)**((n-|w|)/(p-1)), which n fixes, made a Partition only
+    by _lifted_rhs, so a verifier, which builds its record and then its
+    right-hand side, builds each monomial once.  context is the report's;
+    _verify_case adds the backend at its end, or where a "backend" key is.
     """
 
     p: int
     n: int
     k: int
     m: int | None
-    shift: dict[int, int] | None
     corrections: list[tuple[dict[int, int], Fraction]]
     context: dict
 
@@ -365,21 +365,21 @@ def _verify_case(
 
     The backend's sweep at n runs first (_sweep), so backend and n are
     checked before any sweep.  A lifting case hands build the m-part terms
-    (b, tau(b)) of c^shift divided_ubern(m) that can matter: its sweep at
-    m, c_m (its shift is the first shifted key: --perturb) and each b whose
-    shift the sweep at n names, so a failure there shows the full
-    right-hand side.  Any other key c^shift b has tau(b) = tau(c^shift b) =
-    0 mod p**k and no term names it.  4.8 hands build None.  Each verifier
-    passes a build that calls its builder by module name, so a replaced
-    attribute (a tracer's span) is the one called.  --perturb moves the
-    built right-hand side; the backend's left-hand side (_lhs) then meets
-    it in the one congruence test.
+    (b, tau(b)) of c^l divided_ubern(m) that can matter, c = c_(p-1) and l
+    = (n-m)/(p-1): its sweep at m, c_m (its lift is the first lifted key:
+    --perturb) and each b whose lift the sweep at n names, so a failure
+    there shows the full right-hand side.  Any other key c^l b has tau(b)
+    = tau(c^l b) = 0 mod p**k and no term names it.  4.8 hands build None.
+    Each verifier passes a build that calls its builder by module name, so
+    a replaced attribute (a tracer's span) is the one called.  --perturb
+    moves the built right-hand side; the backend's left-hand side (_lhs)
+    then meets it in the one congruence test.
     """
-    p, n, k, m, shift, _, context = case
+    p, n, k, m, _, context = case
     low = _sweep(backend, p, n, k, n_ceiling)
     terms = None
-    if shift is not None:
-        [(part, mult)] = shift.items()
+    if m is not None:
+        part, mult = p - 1, (n - m) // (p - 1)
         bases = {Partition({m: 1}), *_sweep(backend, p, m, k, n_ceiling)}
         bases.update(u.merged({part: -mult}) for u in low if u.multiplicity(part) >= mult)
         terms = [(b, tau(b)) for b in bases]
@@ -395,23 +395,26 @@ def _verify_case(
 def _lifted_rhs(
     case: _Case, terms: Iterable | None = None, n_ceiling: int = DEFAULT_N_CEILING
 ) -> SparsePoly:
-    """The right-hand side of case: c^shift times the m-part terms (b,
-    tau(b)), by default all of divided_ubern(m), plus the corrections,
-    summed in one dict that SparsePoly rids of its zeros.  A correction key
-    c^shift b whose b the terms skip gets tau(b) too: every key is full.
-    4.8 (no shift) is its corrections alone.
+    """The right-hand side of case: c^l times the m-part terms (b, tau(b)),
+    c = c_(p-1) and l = (n-m)/(p-1), by default all of divided_ubern(m) (4.8,
+    no m-part: none), plus the corrections, summed in one dict that
+    SparsePoly rids of its zeros.  The one place that turns a tail w into
+    its key w c^((n-|w|)/(p-1)); a tail heavier than n fails closed, as
+    Partition refuses a negative multiplicity.  A key whose base w
+    c^((m-|w|)/(p-1)) the terms skip gets tau of that base too: every key
+    is full.
     """
-    corrections = [(Partition(exps), c) for exps, c in case.corrections]
-    if case.shift is None:
-        return SparsePoly(dict(corrections))
+    p, n, _, m, corrections, _ = case
+    c = p - 1
     if terms is None:
-        terms = divided_ubern(case.m, n_ceiling=n_ceiling)._terms.items()
-    rhs = {b.merged(case.shift): c for b, c in terms}
-    [(part, mult)] = case.shift.items()
-    for u, c in corrections:
-        if u not in rhs and u.multiplicity(part) >= mult:
-            c += tau(u.merged({part: -mult}))
-        rhs[u] = rhs.get(u, 0) + c
+        terms = () if m is None else divided_ubern(m, n_ceiling=n_ceiling)._terms.items()
+    rhs = {b.merged({c: (n - m) // c}): x for b, x in terms}
+    for w, x in corrections:
+        weight = sum(part * mult for part, mult in w.items())
+        u = Partition({**w, c: (n - weight) // c})
+        if m is not None and m >= weight and u not in rhs:
+            x += tau(Partition({**w, c: (m - weight) // c}))
+        rhs[u] = rhs.get(u, 0) + x
     return SparsePoly(rhs)
 
 
@@ -432,10 +435,20 @@ def _case_3_5(p: int, s: int, l: int) -> _Case:
 
     The correction coefficient is the exact rational difference
     tau_pure(n) - tau_pure(m): each summand alone is not p-integral, only
-    the difference is constrained by the congruence.  For p = 3 the extra
-    c2^(l+s-4) c8 term carries 0, +l or -l according to s mod 3, read off
-    the grid, where 3 | l.  It is wrong when 3 does not divide l: verify
-    fails at c8 for (3, 2, 2), a strict xfail in the tests.
+    the difference is constrained by the congruence.
+
+    For p = 3 one more tail, c8, carries psi, the symmetric residue of
+    l(l + 2s + 1) mod 3**(N+1).  Its key c2^(l+s-4) c8 needs R = T(l+s-4)
+    - [s >= 4] T(s-4), T(a) = tau(c2^a c8) = (-1)**a (3a+7)!/(3**(a+2) a!).
+    Split (3a+7)! = 3**a a! U(a) 9(a+1)(a+2) W(a), U(a) the product of the
+    i <= 3a with 3 not dividing i and W(a) = (3a+1)(3a+2)(3a+4)(3a+5)(3a+7),
+    so T(a) = V(a)(a+1)(a+2)W(a) with V(a) = (-1)**a U(a), an integer.
+    With l = 3**N l', the units in (3a, 3a+3l] are l' full unit systems mod
+    3**(N+1), whose product is (-1)**l' = (-1)**l (Gauss's Wilson theorem),
+    so V(a+l) = V(a); each factor of W moves by 3l = 0, so W(a+l) = W(a),
+    both mod 3**(N+1).  Hence R = VW l(l + 2a + 3) with a = s-4, and as V =
+    W = 1 mod 3 and 6l = 0 mod 3**(N+1), R = l(l + 2s + 1).  For s in {2,
+    3} the same steps apply to T(l+s-4) alone.
     """
     _require_odd_prime(p)
     _require_ints(1, s=s, l=l)
@@ -445,14 +458,14 @@ def _case_3_5(p: int, s: int, l: int) -> _Case:
         raise PreconditionError(f"s >= ceil((N+2)/(p-2)) = {need} required, got s={s} (N={N})")
     m = s * (p - 1)
     n = m + l * (p - 1)
-    corrections = [({p - 1: l + s}, tau_pure(p, n) - tau_pure(p, m))]
-    if p == 3 and l + s >= 4 and s % 3 != 1:
-        # the signs are pinned by exact arithmetic on the grid, where 3 | l
-        # (at s = 3 the whole coefficient is psi, and it equals +l, not -l)
-        psi = l if s % 3 == 0 else -l
-        corrections.append(({2: l + s - 4, 8: 1}, Fraction(psi)))
+    corrections = [({}, tau_pure(p, n) - tau_pure(p, m))]
+    if p == 3:
+        modulus = 3 ** (N + 1)
+        psi = (l * (l + 2 * s + 1) + modulus // 2) % modulus - modulus // 2
+        if psi and l + s >= 4:
+            corrections.append(({8: 1}, Fraction(psi)))
     context = {"theorem": "3.5", "p": p, "s": s, "l": l, "N": N, "m": m, "n": n}
-    return _Case(p, n, N + 1, m, {p - 1: l}, corrections, context)
+    return _Case(p, n, N + 1, m, corrections, context)
 
 
 def rhs_theorem_3_5(
@@ -488,31 +501,31 @@ def _case_4_8(n: int) -> _Case:
     _require_ints(n=n)
     if n % 2:
         raise PreconditionError(f"n must be even, got {n}")
-    _require_ints(12, n=n)  # so every listed exponent is nonnegative
+    _require_ints(12, n=n)  # so every tail fits in n
     v = vp_int(2, n)
     if v == 1:
         terms = [
-            ({1: n}, Fraction(-1, 2 * n)),
-            ({1: n - 3, 3: 1}, Fraction(n - 2, 2)),
-            ({1: n - 6, 3: 2}, Fraction(3 * (n - 4), 4)),
-            ({1: n - 2, 2: 1}, Fraction(-1)),
-            ({1: n - 5, 2: 1, 3: 1}, Fraction(2)),
-            ({1: n - 4, 4: 1}, Fraction(2)),
+            ({}, Fraction(-1, 2 * n)),
+            ({3: 1}, Fraction(n - 2, 2)),
+            ({3: 2}, Fraction(3 * (n - 4), 4)),
+            ({2: 1}, Fraction(-1)),
+            ({2: 1, 3: 1}, Fraction(2)),
+            ({4: 1}, Fraction(2)),
         ]
     else:
         terms = [
-            ({1: n}, Fraction(1, 2 * n) + (-2 if v == 2 else 2)),
-            ({1: n - 3, 3: 1}, Fraction(-3 * (n - 2), 2)),
-            ({1: n - 6, 3: 2}, Fraction(n - 4, 4)),
-            ({1: n - 12, 3: 4}, Fraction(n - 8, 4)),
-            ({1: n - 2, 2: 1}, Fraction(-3)),
-            ({1: n - 4, 4: 1}, Fraction(-2)),
-            ({1: n - 4, 2: 2}, Fraction(4)),
-            ({1: n - 8, 2: 1, 3: 2}, Fraction(n - 4)),
-            ({1: n - 5, 2: 1, 3: 1}, Fraction(n - 4)),
+            ({}, Fraction(1, 2 * n) + (-2 if v == 2 else 2)),
+            ({3: 1}, Fraction(-3 * (n - 2), 2)),
+            ({3: 2}, Fraction(n - 4, 4)),
+            ({3: 4}, Fraction(n - 8, 4)),
+            ({2: 1}, Fraction(-3)),
+            ({4: 1}, Fraction(-2)),
+            ({2: 2}, Fraction(4)),
+            ({2: 1, 3: 2}, Fraction(n - 4)),
+            ({2: 1, 3: 1}, Fraction(n - 4)),
         ]
     context = {"theorem": "4.8", "n": n, "case": "i" if v == 1 else "ii", "v2_n": v}
-    return _Case(2, n, 2 if v == 1 else 3, None, None, terms, context)
+    return _Case(2, n, 2 if v == 1 else 3, None, terms, context)
 
 
 def rhs_theorem_4_8(n: int) -> tuple[SparsePoly, int]:
@@ -543,8 +556,7 @@ def _case_4_9(m: int, k: int, N: int) -> _Case:
 
     Both coefficient groups of the odd-m case are summed; their monomial
     sets are disjoint, and the reading is pinned by the verification grid.
-    Every c1 exponent of a correction is >= 0 on the domain: m >= 2N+1 >= 7
-    and l >= 8, so n >= 15 (odd m), n >= 18 (m = 2 mod 4), n >= 24 (c3^8).
+    The tails c2 c3 and c2 c3^2 carry l in every class.
     """
     _require_ints(m=m)
     _require_ints(1, k=k)
@@ -561,54 +573,41 @@ def _case_4_9(m: int, k: int, N: int) -> _Case:
     if m % 2:
         sign = -1 if ((m + 1) // 2) % 2 else 1
         terms = [
-            ({1: n}, -sign * half),
-            ({1: n - 3, 3: 1}, sign * half),
-            ({1: n - 6, 3: 2}, sign * half),
-            ({1: n - 9, 3: 3}, sign * half),
-            ({1: n - 12, 3: 4}, whole),
-            ({1: n - 15, 3: 5}, whole),
-            ({1: n - 5, 2: 1, 3: 1}, whole),
-            ({1: n - 8, 2: 1, 3: 2}, whole),
-            ({1: n - 7, 7: 1}, whole),
+            ({}, -sign * half),
+            ({3: 1}, sign * half),
+            ({3: 2}, sign * half),
+            ({3: 3}, sign * half),
+            ({3: 4}, whole),
+            ({3: 5}, whole),
+            ({7: 1}, whole),
         ]
     elif m % 4:
-        theta = -half if N == 3 else half
         terms = [
-            ({1: n}, whole + Fraction(l, 2 * m * n)),
-            ({1: n - 3, 3: 1}, -half),
-            ({1: n - 6, 3: 2}, 3 * quarter),
-            ({1: n - 9, 3: 3}, whole),
-            ({1: n - 12, 3: 4}, theta),
-            ({1: n - 18, 3: 6}, whole),
-            ({1: n - 5, 2: 1, 3: 1}, whole),
-            ({1: n - 8, 2: 1, 3: 2}, whole),
+            ({}, whole + Fraction(l, 2 * m * n)),
+            ({3: 1}, -half),
+            ({3: 2}, 3 * quarter),
+            ({3: 3}, whole),
+            ({3: 4}, -half if N == 3 else half),
+            ({3: 6}, whole),
         ]
     elif m % 8:
         terms = [
-            ({1: n}, whole - Fraction(l, 2 * m * n)),
-            ({1: n - 3, 3: 1}, half),
-            ({1: n - 6, 3: 2}, quarter),
-            ({1: n - 12, 3: 4}, quarter),
-            ({1: n - 5, 2: 1, 3: 1}, whole),
-            ({1: n - 8, 2: 1, 3: 2}, whole),
+            ({}, whole - Fraction(l, 2 * m * n)),
+            ({3: 1}, half),
+            ({3: 2}, quarter),
+            ({3: 4}, quarter),
         ]
     else:
         head = -(
             Fraction(double_factorial(2 * n - 3), 2 * n)
             - Fraction(double_factorial(2 * m - 3), 2 * m)
         )
-        terms = [
-            ({1: n}, head),
-            ({1: n - 3, 3: 1}, half),
-            ({1: n - 6, 3: 2}, quarter),
-            ({1: n - 12, 3: 4}, 5 * quarter),
-            ({1: n - 5, 2: 1, 3: 1}, whole),
-            ({1: n - 8, 2: 1, 3: 2}, whole),
-        ]
+        terms = [({}, head), ({3: 1}, half), ({3: 2}, quarter), ({3: 4}, 5 * quarter)]
         if m >= 16:
             # the c3^8 correction exists only from m = 16 on; at m = 8 the
             # matching coefficient already sits above the working modulus
-            terms.append(({1: n - 24, 3: 8}, whole))
+            terms.append(({3: 8}, whole))
+    terms += [({2: 1, 3: 1}, whole), ({2: 1, 3: 2}, whole)]
     case = ("i", "ii", "iii", "iv")[(0 if m % 2 else 1 if m % 4 else 2 if m % 8 else 3)]
     # the driver sets the backend, which comes before the note
     context = {"theorem": "4.9", "m": m, "k": k, "N": N, "l": l, "n": n, "case": case,
@@ -617,7 +616,7 @@ def _case_4_9(m: int, k: int, N: int) -> _Case:
         context["omitted_terms"] = [
             {"u": [[1, n - 24], [3, 8]], "why": "only present for m >= 16"}
         ]
-    return _Case(2, n, N + 1, m, {1: l}, terms, context)
+    return _Case(2, n, N + 1, m, terms, context)
 
 
 def rhs_theorem_4_9(

@@ -598,17 +598,40 @@ def test_rhs_theorem_4_9_pinned_coefficients():
     assert rhs16.get(Partition({1: 24})) == tau(Partition({1: 16})) + head
 
 
-def test_theorem_4_9_correction_exponents_are_nonnegative():
-    # every correction is a monomial: its c1 exponent never drops below 0
-    # on the domain (m >= 2N+1, k odd, N >= 3), and reaches 0 at its edge
-    exponents = [
-        exps.get(1, 0)
+def test_correction_records_are_tails_of_weight_n():
+    # every correction is a tail w without the part p-1; _lifted_rhs alone
+    # makes it the key w c_(p-1)^((n-|w|)/(p-1)), of weight n, and the
+    # least lift exponent n-|w| is 0 in each family: 3.5's c8 at l+s = 4,
+    # 4.8's c3^4 at n = 12, 4.9's c3^5, c3^6 and c3^8 at their edges
+    cases = [
+        congruences._case_3_5(p, s, l)
+        for p in (3, 5, 7)
+        for l in range(1, 28)
+        for s in range(1, 16)
+        if s >= -(-(vp_int(p, l) + 2) // (p - 2))
+    ]
+    cases += [congruences._case_4_8(n) for n in range(12, 61, 2)]
+    cases += [
+        congruences._case_4_9(m, k, N)
         for N in range(3, 7)
         for k in (1, 3, 5, 7)
         for m in range(2 * N + 1, 2 * N + 60)
-        for exps, _ in congruences._case_4_9(m, k, N).corrections
     ]
-    assert min(exponents) == 0
+    least = {}
+    for case in cases:
+        p, n = case.p, case.n
+        assert case.m is None or (n - case.m) % (p - 1) == 0, case.context
+        for w, _ in case.corrections:
+            assert p - 1 not in w, case.context
+            lift = n - sum(part * mult for part, mult in w.items())
+            assert lift % (p - 1) == 0, case.context
+            family = case.context["theorem"]
+            least[family] = min(least.get(family, lift), lift)
+        rhs = congruences._lifted_rhs(case, [])
+        assert {u.weight for u in rhs.keys()} <= {n}, case.context
+    assert least == {"3.5": 0, "4.8": 0, "4.9": 0}
+    assert Partition({3: 6}) in congruences._lifted_rhs(congruences._case_4_9(10, 1, 3), [])
+    assert Partition({3: 8}) in congruences._lifted_rhs(congruences._case_4_9(16, 1, 3), [])
 
 
 def test_rhs_theorem_4_9_c3_8_term_rules():
@@ -873,11 +896,27 @@ def test_backends_agree_at_p_3_off_the_grid(case):
     assert reports_agree(exact, padic) and reports_agree(padic, exact)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: psi is off by [3 ∤ l]")
 @pytest.mark.parametrize("case", _P3_L_COPRIME)
 def test_theorem_3_5_holds_at_p_3_off_the_grid(case):
-    # today each case fails once, at c2^(l+s-4) c8 with vp_diff 0
+    # psi = l(l+2s+1) mod 3**(N+1) at c2^(l+s-4) c8, also where 3 ∤ l
     assert verify_theorem_3_5(*case).holds
+
+
+def test_theorem_3_5_holds_on_the_p_3_band():
+    # every in-domain (3, s, l) with n = 2(s+l) <= 60 holds on padic, and
+    # the exact oracle gives the same report at n <= 40
+    band = [
+        (3, s, l)
+        for l in range(1, 30)
+        for s in range(vp_int(3, l) + 2, 31 - l)
+    ]
+    assert len(band) == 394
+    for case in band:
+        padic = verify_theorem_3_5(*case, backend="padic")
+        assert padic.holds, case
+        if padic.context["n"] <= 40:
+            assert reports_agree(verify_theorem_3_5(*case), padic), case
+    assert sum(s + l <= 20 for _, s, l in band) == 164
 
 
 @pytest.mark.parametrize("case", [
@@ -1057,13 +1096,16 @@ def test_exact_report_on_the_selected_rhs_is_the_full_rhs_report():
 
 def test_lifted_rhs_keeps_no_cancelled_key():
     # a correction that cancels its key's lifted term leaves no zero
-    # coefficient, and one whose base the terms skip gets that base's tau
+    # coefficient, and one whose base the terms skip gets that base's tau;
+    # a tail heavier than n fails closed
     P = Partition
-    terms = [(P({1: 2}), Fraction(3)), (P({2: 1}), Fraction(5))]
-    corrections = [({1: 3}, Fraction(-3)), ({1: 2, 3: 1}, Fraction(1))]
-    case = congruences._Case(2, 3, 1, 2, {1: 1}, corrections, {})
+    terms = [(P({1: 3}), Fraction(3)), (P({3: 1}), Fraction(5))]
+    corrections = [({}, Fraction(-3)), ({2: 1}, Fraction(1))]
+    case = congruences._Case(2, 4, 1, 3, corrections, {})
     rhs = congruences._lifted_rhs(case, terms)
-    assert rhs == SparsePoly({P({1: 1, 2: 1}): 5, P({1: 2, 3: 1}): 1 + tau(P({1: 1, 3: 1}))})
+    assert rhs == SparsePoly({P({1: 1, 3: 1}): 5, P({1: 2, 2: 1}): 1 + tau(P({1: 1, 2: 1}))})
+    with pytest.raises(PreconditionError):
+        congruences._lifted_rhs(case._replace(corrections=[({5: 1}, Fraction(1))]), terms)
 
 
 def test_lifted_families_never_build_divided_ubern(monkeypatch):
@@ -1110,13 +1152,13 @@ def test_exact_lifted_verify_holds_no_divided_ubern_in_memory():
 @pytest.mark.parametrize("verify, args", [(verify_theorem_3_5, (3, 31, 3)), (verify_theorem_4_9, (66, 1, 3))])
 def test_padic_rhs_shows_the_full_rhs_at_real_failures(verify, args):
     # mod p**(k+1) these m > 60 cases fail (the moduli are sharp), also at
-    # keys c^shift b with v_p(tau(b)) > k that only the walk at n names;
+    # keys c^l b with v_p(tau(b)) > k that only the walk at n names;
     # each failure shows the full right-hand side, tau(b) plus any
     # correction, checked here where divided_ubern(m) is out of reach
     report = verify(*args, backend="padic", n_ceiling=100)
     case, moved = _verify_at(verify, args, report.mod_exp + 1, "padic", n_ceiling=100)
     p, k = case.p, case.k
-    [(part, mult)] = case.shift.items()
+    part, mult = p - 1, (case.n - case.m) // (p - 1)
     failures = moved.failures
     corrections = _lifted_rhs(verify, args, terms=[])
     named_by_low = 0
